@@ -30,7 +30,7 @@ __all__ = [
     "Arrow", "BOT", "Cert", "CertificateError", "CheckOutcome", "Config",
     "Constraint", "Discharger", "Effect", "ForallEff", "ForallTyp", "Formula",
     "GenLimitError", "InferError", "InferResult", "Name", "NameSupply",
-    "PURE", "Program", "Prop", "PURE", "Scheme", "ShapeError",
+    "PURE", "Program", "Prop", "Scheme", "ShapeError",
     "SolverSession", "SourceError", "TOP", "TVar", "Type", "Valuation",
     "certificate_valid", "check_certificate", "check_program",
     "discharge_toplevel", "display_scheme", "effects_equal", "entails",

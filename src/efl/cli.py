@@ -11,15 +11,14 @@ import sys
 from pathlib import Path
 
 from .declarative import CertificateError
-from .driver import (CheckOutcome, Discharger, check_program, display_scheme,
+from .driver import (Discharger, check_program, display_scheme,
                      display_type_and_effect, prepare_definition,
                      prepare_expression, render_cert, verify_certificates,
                      wrapped_cert)
 from .effects import Scheme, mono, sorted_constraints
-from .formulas import conj2
-from .inference import Config, InferError, infer, tr_type
+from .inference import Config, InferError, tr_type
 from .names import Name, NameSupply
-from .solver import SolverSession, sat, simplify_constraints
+from .solver import SolverSession, simplify_constraints
 from .syntax import Parser, Scope, SourceError, parse_program
 
 
@@ -121,13 +120,13 @@ class Repl:
         try:
             expr = parser.parse_expr()
             parser.expect("eof", "end of input")
-            res = infer(self.gamma, expr, self.supply, self.config)
+            res, phi = prepare_expression(self.gamma, expr, self.supply,
+                                          self.config, self.discharger)
         except SourceError as ex:
             return f"parse error: {ex}"
         except InferError as ex:
             return f"error: {ex}"
-        phi = conj2(res.formula, self.discharger.formula_for(res.constraints))
-        if sat(conj2(self.session.formula, phi)) is None:
+        if not self.session.admits(phi):
             return "error: effect constraints unsatisfiable"
         return display_type_and_effect(res.type, res.effect)
 

@@ -208,7 +208,3 @@ def formulas_equivalent(a: Formula, b: Formula) -> bool:
     names = props(a) | props(b)
     return all(evaluate(a, rho) == evaluate(b, rho)
                for rho in all_valuations(names))
-
-
-def tautology(phi: Formula) -> bool:
-    return all(evaluate(phi, rho) for rho in all_valuations(props(phi)))

@@ -57,7 +57,3 @@ class NameSupply:
                       KIND_PROP: "p"}[kind]
             text = f"{prefix}{uid}"
         return Name(text, kind, uid)
-
-    def fresh_like(self, name: Name) -> Name:
-        """A new name of the same kind and base text."""
-        return self.fresh(name.kind, name.text)

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 from .effects import Constraint, Effect, omega_to_formula
 from .formulas import (TOP, And, Bot, Formula, Implies, Or, Prop, Top,
-                       Valuation, conj2, disj2, impl, props, tautology)
+                       Valuation, conj2, disj2, neg, props)
 from .names import Name
 
 
@@ -281,7 +281,7 @@ def simplify_constraints(omega, protected: frozenset) -> frozenset:
     kept: list[Constraint] = []
     for c in sorted_constraints(normalize(omega)):
         v, psi = c.lhs.atoms[0]
-        if tautology(impl(psi, c.rhs.guard_of(v))):
+        if sat(conj2(psi, neg(c.rhs.guard_of(v)))) is None:
             continue
         kept.append(c)
 
@@ -312,17 +312,15 @@ def simplify_constraints(omega, protected: frozenset) -> frozenset:
 
 
 class SolverSession:
-    """Accumulates a conjunction of formulas plus forced literals.
+    """Accumulates a conjunction of formulas in one incremental solver.
 
-    After each successful push, every proposition that has only one possible
-    polarity across all remaining models becomes fixed, and stays fixed for
-    the rest of the session. A contradictory push reports False and leaves
-    the session unchanged.
+    Each formula is Tseitin-encoded once and its root literal kept; every
+    query solves under the kept roots. A contradictory push reports False
+    and leaves the session unchanged.
     """
 
     def __init__(self) -> None:
         self._formula: Formula = TOP
-        self._fixed: dict[Name, bool] = {}
         self._solver = _Solver()
         self._roots: list[int] = []
 
@@ -330,61 +328,38 @@ class SolverSession:
     def formula(self) -> Formula:
         return self._formula
 
-    def fixed(self) -> Valuation:
-        return Valuation(self._fixed)
-
-    def _assumptions(self) -> list[int]:
-        lits = list(self._roots)
-        for name in sorted(self._fixed, key=Name.key):
-            v = self._solver.ids[name]
-            lits.append(v if self._fixed[name] else -v)
-        return lits
+    def admits(self, phi: Formula) -> bool:
+        """Whether phi is satisfiable together with the session; commits
+        nothing."""
+        root = self._solver.literal(phi)
+        return self._solver.solve((*self._roots, root)) is not None
 
     def push(self, phi: Formula) -> bool:
-        root = self._solver.literal(phi)
-        if self._solver.solve((*self._assumptions(), root)) is None:
+        if not self.admits(phi):
             return False
-        self._roots.append(root)
+        self._roots.append(self._solver.literal(phi))
         self._formula = conj2(self._formula, phi)
-        if not isinstance(phi, Top):
-            self._refix()
         return True
 
     def model(self) -> Valuation | None:
-        m = self._solver.solve(tuple(self._assumptions()))
+        m = self._solver.solve(tuple(self._roots))
         if m is None:
             return None
         return Valuation({p: m.get(i, False)
                           for p, i in self._solver.ids.items()})
 
-    def _refix(self) -> None:
-        """Fix every proposition with a single remaining polarity.
+    def fixed(self) -> Valuation:
+        """The propositions of the formula that take one polarity in every
+        model (its backbone), each with that polarity.
 
-        A pool of witness models spares most queries: two pooled models
-        that disagree on a proposition prove it is not fixed.
+        Computed on demand: one model, then one probe per proposition for a
+        model that flips it.
         """
-        solver = self._solver
-        base = self._assumptions()
-        seed = solver.solve(tuple(base))
-        assert seed is not None, "push established satisfiability"
-        pool = [seed]
-        names = [p for p in sorted(props(self._formula), key=Name.key)
-                 if p not in self._fixed]
-        changed = True
-        while changed:
-            changed = False
-            for p in names:
-                i = solver.ids[p]
-                values = {m.get(i, False) for m in pool}
-                if len(values) == 2:
-                    continue
-                current = values.pop()
-                flipped = solver.solve((*base, -i if current else i))
-                if flipped is not None:
-                    pool.append(flipped)
-                    continue
-                self._fixed[p] = current
-                base = self._assumptions()
-                pool = [m for m in pool if m.get(i, False) == current]
-                changed = True
-            names = [p for p in names if p not in self._fixed]
+        model = self.model()
+        out = {}
+        for p in sorted(props(self._formula), key=Name.key):
+            i = self._solver.ids[p]
+            flip = -i if model[p] else i
+            if self._solver.solve((*self._roots, flip)) is None:
+                out[p] = model[p]
+        return Valuation(out)

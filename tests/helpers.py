@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 
 from efl.effects import Constraint, Effect
-from efl.formulas import Prop
+from efl.formulas import Formula, Prop, all_valuations, evaluate, props
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name
 
 _uids = itertools.count(10_000)
@@ -43,3 +43,8 @@ class Names:
 
 def con(lhs: Effect, rhs: Effect) -> Constraint:
     return Constraint(lhs, rhs)
+
+
+def tautology(phi: Formula) -> bool:
+    """Truth-table validity: the oracle for SAT-based entailment checks."""
+    return all(evaluate(phi, rho) for rho in all_valuations(props(phi)))

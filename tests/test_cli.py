@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from efl.cli import Repl, main
+from efl.formulas import conj2
 from efl.inference import Config
+from efl.solver import SolverSession, sat
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 ALL_PROGRAMS = sorted(PROGRAMS.glob("*.efl"))
@@ -224,6 +226,69 @@ def test_repl_command_reads_stdin(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines() == ["effect IO", "type Unit", "u : Unit",
                                 "it : Unit @ []"]
+
+
+class SatCheckedSession(SolverSession):
+    """A session whose every satisfiability verdict is checked against the
+    earlier REPL design: the session formula and the query re-encoded into
+    a fresh solver."""
+
+    def __init__(self):
+        super().__init__()
+        self.verdicts = []
+
+    def admits(self, phi):
+        got = super().admits(phi)
+        assert got == (sat(conj2(self.formula, phi)) is not None)
+        self.verdicts.append(got)
+        return got
+
+
+def _checked_repl(mode="constrained"):
+    repl = Repl(Config(mode=mode))
+    repl.session = SatCheckedSession()
+    return repl
+
+
+def test_repl_type_answers_agree_with_fresh_solver():
+    repl = _checked_repl()
+    outs = [repl.handle(line) for line in (
+        "effect IO", "type Unit", "extern u : Unit",
+        "extern launch : Unit ->[IO] Unit",
+        ":type launch u",
+        "let ok = fn (x : Unit) => launch x",
+        "let bad = tfun t => launch u",
+        ":type ok u",
+        ":type tfun t => launch u",
+        "tfun t => launch u",
+        ":type fn (x : Unit) => ok x",
+        "ok u")]
+    assert outs[4:] == [
+        "Unit @ [IO]", "ok : Unit ->[IO] Unit",
+        "error: effect constraints unsatisfiable; input rejected",
+        "Unit @ [IO]", "error: effect constraints unsatisfiable",
+        "error: effect constraints unsatisfiable; input rejected",
+        "Unit ->[IO] Unit @ []", "it : Unit @ [IO]"]
+    assert repl.session.verdicts == [True, True, False, True, False, False,
+                                     True, True]
+
+
+@pytest.mark.parametrize("mode", ["constrained", "constraint-free"])
+@pytest.mark.parametrize("path", ALL_PROGRAMS, ids=lambda p: p.stem)
+def test_repl_type_of_each_corpus_body_agrees_with_fresh_solver(path, mode):
+    """`:type` of each definition body and expression, asked before the
+    input itself, gets the verdict a fresh solver gives; so does the
+    input, accepted or rejected."""
+    repl = _checked_repl(mode)
+    for line in path.read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("--"):
+            continue
+        if line.startswith("let "):
+            repl.handle(":type " + line.split("=", 1)[1])
+        elif not line.startswith(("effect ", "type ", "extern ")):
+            repl.handle(":type " + line)
+        repl.handle(line)
 
 
 # -- batch/REPL agreement ----------------------------------------------------

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from efl.formulas import (BOT, TOP, And, Implies, Or, Valuation,
                           all_valuations, conj, conj2, disj, disj2, evaluate,
-                          formulas_equivalent, impl, neg, props, tautology)
-from helpers import Names
+                          formulas_equivalent, impl, neg, props)
+from helpers import Names, tautology
 
 
 def test_builders_fold_units(ns):

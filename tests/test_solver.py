@@ -1,19 +1,24 @@
 """SAT backend, top-level discharge and constraint simplification."""
 import random
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from efl import driver
 from efl.driver import Discharger
+from efl.inference import Config
 from efl.effects import Effect, constraint_set
 from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, Valuation,
                           all_valuations, conj, conj2, disj2, evaluate,
                           formulas_equivalent, impl, neg, props)
-from efl.names import NameSupply
+from efl.names import Name, NameSupply
+from efl.syntax import parse_program
 from efl.oracles import random_guard
-from efl.solver import (SolverSession, discharge_toplevel, sat, sat_enumerate,
-                        simplify_constraints)
+from efl.solver import (SolverSession, _Solver, discharge_toplevel, sat,
+                        sat_enumerate, simplify_constraints)
 from efl.declarative import subeffect_holds
-from helpers import Names, con
+from helpers import Names, con, tautology
 
 
 # -- sat ----------------------------------------------------------------------
@@ -209,6 +214,18 @@ def test_simplify_preserves_entailment_when_protected(seed):
             assert subeffect_holds(omega, rho, c.lhs, c.rhs)
 
 
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_sat_entailment_agrees_with_truth_tables(seed):
+    """The guard-wise redundancy test of simplify_constraints (psi and not g
+    is unsatisfiable) agrees with truth-table validity of psi => g."""
+    ns = Names()
+    rng = random.Random(seed)
+    guards = [ns.prop(t) for t in ("p", "q", "r")]
+    psi, g = random_guard(rng, guards, 3), random_guard(rng, guards, 3)
+    assert (sat(conj2(psi, neg(g))) is None) == tautology(impl(psi, g))
+
+
 # -- incremental sessions --------------------------------------------------------
 
 
@@ -292,3 +309,153 @@ def test_session_fixed_set_matches_brute_force(seed):
         expect = _brute_fixed(accumulated, names)
         got = {n: v for n, v in s.fixed().items()}
         assert got == expect
+
+
+class BackboneSession:
+    """The earlier SolverSession design, kept as an oracle: after every
+    push it probes each proposition for its second polarity, keeps the
+    backbone (the single-polarity ones) as forced literals, and solves
+    every later query under the roots plus those literals. A pool of
+    models spares most probes: two that disagree on a proposition prove
+    it is not fixed."""
+
+    def __init__(self):
+        self.formula = TOP
+        self.solver = _Solver()
+        self.roots = []
+        self.fixed = {}
+
+    def assumptions(self):
+        lits = list(self.roots)
+        for name in sorted(self.fixed, key=Name.key):
+            v = self.solver.ids[name]
+            lits.append(v if self.fixed[name] else -v)
+        return lits
+
+    def push(self, phi):
+        root = self.solver.literal(phi)
+        if self.solver.solve((*self.assumptions(), root)) is None:
+            return False
+        self.roots.append(root)
+        self.formula = conj2(self.formula, phi)
+        pool = [self.solver.solve(tuple(self.assumptions()))]
+        for p in sorted(props(self.formula), key=Name.key):
+            i = self.solver.ids[p]
+            values = {m.get(i, False) for m in pool}
+            if p in self.fixed or len(values) == 2:
+                continue
+            value = values.pop()
+            flipped = self.solver.solve((*self.assumptions(),
+                                         -i if value else i))
+            if flipped is not None:
+                pool.append(flipped)
+            else:
+                self.fixed[p] = value
+        return True
+
+    def model(self):
+        m = self.solver.solve(tuple(self.assumptions()))
+        return Valuation({p: m.get(i, False)
+                          for p, i in self.solver.ids.items()})
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_session_agrees_with_backbone_oracle(seed):
+    """Verdicts, witness and fixed set equal those of the design that kept
+    the backbone as assumptions: the backbone is entailed by the roots, so
+    it removes no model and the DPLL finds the same least one."""
+    ns = Names()
+    rng = random.Random(seed)
+    atoms = [ns.p(t) for t in ("p", "q", "r", "s")]
+    s, old = SolverSession(), BackboneSession()
+    for _ in range(rng.randrange(1, 7)):
+        phi = _random_formula(rng, atoms, 3)
+        assert s.push(phi) == old.push(phi)
+        assert s.formula == old.formula
+        assert s.model() == old.model()
+        assert s.fixed() == Valuation(old.fixed)
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_admits_commits_nothing(seed):
+    """admits(psi) answers whether formula and psi are jointly satisfiable;
+    a session probed with admits gives the same later verdicts, formula and
+    fixed set as one that was not. (Its witness may differ: the probe's
+    definitions enter the decision order, as a rejected push's do.)"""
+    ns = Names()
+    rng = random.Random(seed)
+    atoms = [ns.p(t) for t in ("p", "q", "r", "s")]
+    probed, plain = SolverSession(), SolverSession()
+    for _ in range(rng.randrange(1, 7)):
+        for _ in range(rng.randrange(0, 3)):
+            psi = _random_formula(rng, atoms, 3)
+            before = probed.formula
+            assert probed.admits(psi) == \
+                (sat(conj2(probed.formula, psi)) is not None)
+            assert probed.formula == before
+        phi = _random_formula(rng, atoms, 3)
+        assert probed.push(phi) == plain.push(phi)
+        assert probed.formula == plain.formula
+        assert probed.fixed() == plain.fixed()
+        assert evaluate(probed.formula, probed.model())
+
+
+def test_admits_query_contradicting_the_session(ns):
+    p, q, r = ns.p("p"), ns.p("q"), ns.p("r")
+    s = SolverSession()
+    assert s.push(Implies(p, q)) and s.push(p)
+    before = s.formula
+    # satisfiable alone, unsatisfiable with the session
+    assert sat(neg(q)) is not None
+    assert sat(conj2(s.formula, neg(q))) is None
+    assert not s.admits(neg(q))
+    assert s.admits(Or(r, neg(q)))
+    assert s.formula == before
+    assert s.push(neg(r)) and not s.push(r)
+    assert dict(s.fixed().items()) == {ns.prop("p"): True,
+                                       ns.prop("q"): True,
+                                       ns.prop("r"): False}
+
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+G_HEADER = ("effect IO\neffect DB\ntype Int\n"
+            "extern f : (Int ->[IO] Int) ->[DB] Int\n")
+G_BODY = ("fn (h : forall eff a. Int ->[_] Int) => "
+          "(h [eff _]) (f (h [eff _]))")
+
+
+def _g_example(n):
+    return G_HEADER + "".join(f"let g{i} = {G_BODY}\n" for i in range(n))
+
+
+def _chain(n):
+    defs = [f"let g0 = {G_BODY}"] + [
+        f"let g{i} = fn (h : forall eff a. Int ->[_] Int) => "
+        f"g{i - 1} (efun b => fn (x : Int) => (h [eff _]) x)"
+        for i in range(1, n)]
+    return G_HEADER + "\n".join(defs) + "\n"
+
+
+SOURCES = ([(p.stem, p.read_text()) for p in sorted(PROGRAMS.glob("*.efl"))]
+           + [("g_example_x8", _g_example(8)), ("chain_x5", _chain(5))])
+
+
+def _check(src, mode):
+    supply = NameSupply()
+    return driver.check_program(parse_program(src, supply), supply,
+                                Config(mode=mode))
+
+
+@pytest.mark.parametrize("mode", ["constrained", "constraint-free"])
+@pytest.mark.parametrize("name,src", SOURCES, ids=[n for n, _ in SOURCES])
+def test_checker_witness_agrees_with_backbone_oracle(monkeypatch, name, src,
+                                                     mode):
+    new = _check(src, mode)
+    monkeypatch.setattr(driver, "SolverSession", BackboneSession)
+    old = _check(src, mode)
+    assert new.stdout() == old.stdout()
+    assert (new.exit_code, new.error) == (old.exit_code, old.error)
+    assert new.formula == old.formula
+    assert new.witness == old.witness
