@@ -6,16 +6,15 @@ residual proposition formula is discharged by a small SAT solver. Every
 accepted program comes with a typing certificate that replays against the
 declarative rules under the solver's witness valuation.
 """
-from .declarative import (Cert, CertificateError, certificate_valid,
-                          check_certificate, entails, match_effect,
-                          match_type, subeffect_holds, subtype_holds)
+from .declarative import (Cert, CertificateError, check_certificate, entails,
+                          match_effect, match_type, subeffect_holds,
+                          subtype_holds)
 from .driver import (CheckOutcome, Discharger, check_program, display_scheme,
                      verify_certificates)
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                      Scheme, TVar, Type, effects_equal, erase_guards, guard,
-                      join, omega_to_formula, to_formula)
-from .formulas import (BOT, TOP, Formula, Prop, Valuation, evaluate,
-                       formulas_equivalent)
+                      Scheme, TVar, Type, erase_guards, guard, join,
+                      omega_to_formula)
+from .formulas import BOT, TOP, Formula, Prop, Valuation, evaluate
 from .inference import (Config, GenLimitError, InferError, InferResult,
                         ShapeError, generalize, infer, normalize, separate,
                         subtype, tr_effect, tr_type)
@@ -32,11 +31,10 @@ __all__ = [
     "GenLimitError", "InferError", "InferResult", "Name", "NameSupply",
     "PURE", "Program", "Prop", "Scheme", "ShapeError",
     "SolverSession", "SourceError", "TOP", "TVar", "Type", "Valuation",
-    "certificate_valid", "check_certificate", "check_program",
-    "discharge_toplevel", "display_scheme", "effects_equal", "entails",
-    "erase_guards", "evaluate", "formulas_equivalent", "generalize", "guard",
-    "infer", "join", "match_effect", "match_type", "normalize",
+    "check_certificate", "check_program", "discharge_toplevel",
+    "display_scheme", "entails", "erase_guards", "evaluate", "generalize",
+    "guard", "infer", "join", "match_effect", "match_type", "normalize",
     "omega_to_formula", "parse_expr", "parse_program", "sat", "separate",
     "simplify_constraints", "subeffect_holds", "subtype", "subtype_holds",
-    "to_formula", "tr_effect", "tr_type", "verify_certificates",
+    "tr_effect", "tr_type", "verify_certificates",
 ]

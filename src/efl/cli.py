@@ -2,7 +2,8 @@
 
 Exit codes: 0 = accepted, 1 = type/effect error (shape mismatch, an
 unsatisfiable constraint system, or a certificate that fails verification),
-2 = parse or scope error.
+2 = parse or scope error, or a file that cannot be read (missing, unreadable,
+or not UTF-8).
 """
 from __future__ import annotations
 
@@ -47,8 +48,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
-        src = Path(args.file).read_text()
-    except OSError as ex:
+        src = Path(args.file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as ex:
         print(f"error: cannot read {args.file}: {ex}", file=sys.stderr)
         return 2
     supply = NameSupply()

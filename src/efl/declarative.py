@@ -2,8 +2,9 @@
 
 Everything here is indexed by a valuation rho for the guard propositions: an
 answer is relative to one choice of guards. Subeffecting under a constraint
-set is decided by a closure procedure; `oracles.derivation_search_subeffect`
-is the independent bounded proof search it is validated against.
+set is decided by a closure procedure; `derivation_search_subeffect` in
+`tests/oracles.py` is the independent bounded proof search it is validated
+against.
 
 A Certificate records the rule applied at every node of a typing derivation.
 `check_certificate` replays it bottom-up against the expression and recomputes
@@ -17,7 +18,8 @@ from typing import Iterable, Mapping
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       Scheme, TVar, Type, constraints_props, effect_props,
                       erase_guards, scheme_props, subst_constraints,
-                      subst_effect, subst_type, subst_type_vars, type_props)
+                      subst_effect, subst_scheme, subst_type, subst_type_vars,
+                      type_props)
 from .formulas import Valuation
 from .names import Name
 from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SEJoin, SEPure,
@@ -139,12 +141,6 @@ def subtype_holds(omega: Iterable[Constraint], rho: Valuation,
     raise TypeError(f"not a type: {t1!r}")
 
 
-def types_equivalent(omega: Iterable[Constraint], rho: Valuation,
-                     t1: Type, t2: Type) -> bool:
-    return (subtype_holds(omega, rho, t1, t2)
-            and subtype_holds(omega, rho, t2, t1))
-
-
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------
@@ -236,7 +232,6 @@ def subst_cert(theta: Mapping[Name, Effect], cert: Cert) -> Cert:
         return CEApp(subst_cert(theta, cert.fn),
                      subst_effect(theta, cert.arg))
     if isinstance(cert, CLet):
-        from .effects import subst_scheme
         return CLet(subst_scheme(theta, cert.scheme),
                     subst_cert(theta, cert.bound),
                     subst_cert(theta, cert.body))
@@ -395,13 +390,3 @@ def check_certificate(omega: frozenset, rho: Valuation,
 
     raise CertificateError("shape", f"no rule for {type(expr).__name__} "
                                     f"against {type(cert).__name__}")
-
-
-def certificate_valid(omega: frozenset, rho: Valuation,
-                      gamma: Mapping[Name, Scheme], expr: Expr,
-                      cert: Cert) -> bool:
-    try:
-        check_certificate(omega, rho, gamma, expr, cert)
-        return True
-    except CertificateError:
-        return False

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 from .declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
                           CVar, Cert, CertificateError, cert_props,
                           check_certificate, subst_cert)
-from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                      Scheme, TVar, Type, constraint_set, constraints_props,
-                      effect_props, free_eff_vars_constraints,
-                      free_eff_vars_scheme, free_eff_vars_type, join, mono,
-                      scheme_props, sorted_constraints, subst_constraints,
-                      subst_scheme, type_props)
+from .effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar, Type,
+                      constraint_set, constraints_props,
+                      free_eff_vars_constraints, free_eff_vars_type, join,
+                      mono, scheme_props, sorted_constraints, subst_scheme,
+                      walk_type)
 from .formulas import TOP, Formula, Prop, Valuation, conj2, props
 from .inference import (Config, Generalized, InferError, InferResult,
                         generalize, infer, tr_type)
@@ -56,11 +55,6 @@ class Discharger:
             self._member[key] = self.supply.fresh(
                 KIND_PROP, f"m_{var.text}_{const.text}")
         return self._member[key]
-
-    def memberships(self) -> list[Name]:
-        return [self._member[k] for k in sorted(self._member,
-                                                key=lambda k: (k[0].key(),
-                                                               k[1].key()))]
 
     def eliminate_effect(self, e: Effect) -> Effect:
         rigid = set(self.rigid)
@@ -99,14 +93,15 @@ def _names_in_effect(e: Effect) -> set[Name]:
 
 
 def _names_in_type(t: Type) -> set[Name]:
-    if isinstance(t, TVar):
-        return {t.name}
-    if isinstance(t, Arrow):
-        return (_names_in_type(t.param) | _names_in_effect(t.effect)
-                | _names_in_type(t.result))
-    if isinstance(t, (ForallTyp, ForallEff)):
-        return {t.binder} | _names_in_type(t.body)
-    raise TypeError(f"not a type: {t!r}")
+    out = set()
+    for node, _ in walk_type(t):
+        if isinstance(node, Arrow):
+            out |= _names_in_effect(node.effect)
+        elif isinstance(node, TVar):
+            out.add(node.name)
+        else:
+            out.add(node.binder)
+    return out
 
 
 def _display_letters() -> itertools.chain:
@@ -119,11 +114,10 @@ def _display_letters() -> itertools.chain:
 def display_scheme(s: Scheme, simplify: bool = True) -> str:
     """Human form: constraints simplified, binders renamed a, b, c, ..."""
     if simplify:
-        omega = simplify_constraints(s.constraints,
-                                     frozenset(free_eff_vars_type(s.body)))
-        binders = [b for b in s.binders
-                   if b in free_eff_vars_type(s.body)
-                   or b in free_eff_vars_constraints(omega)]
+        body_vars = free_eff_vars_type(s.body)
+        omega = simplify_constraints(s.constraints, body_vars)
+        live = body_vars | free_eff_vars_constraints(omega)
+        binders = [b for b in s.binders if b in live]
     else:
         omega = s.constraints
         binders = list(s.binders)
@@ -302,12 +296,13 @@ def check_program(program: Program, supply: NameSupply,
                         discharger=discharger)
 
 
-def total_valuation(outcome: CheckOutcome) -> Valuation:
-    """The witness extended (default false) over every relevant proposition."""
+def total_valuation(outcome: CheckOutcome, certs: list[Cert]) -> Valuation:
+    """The witness extended (default false) over every relevant proposition;
+    certs are the definitions' wrapped certificates, in record order."""
     all_props: set[Name] = set(props(outcome.formula))
     all_props |= constraints_props(outcome.omega)
-    for rec in outcome.records:
-        all_props |= cert_props(wrapped_cert(rec))
+    for rec, cert in zip(outcome.records, certs):
+        all_props |= cert_props(cert)
         all_props |= scheme_props(rec.gen.scheme)
     if outcome.main is not None:
         all_props |= cert_props(outcome.main.cert)
@@ -325,13 +320,13 @@ def wrapped_cert(rec: DefRecord) -> Cert:
 def verify_certificates(outcome: CheckOutcome) -> None:
     """Replay every certificate under the witness; CertificateError on any
     mismatch. Only meaningful for an "ok" outcome."""
-    rho = total_valuation(outcome)
+    certs = [wrapped_cert(rec) for rec in outcome.records]
+    rho = total_valuation(outcome, certs)
     omega = outcome.omega
-    for rec in outcome.records:
+    for rec, cert in zip(outcome.records, certs):
         scheme = rec.gen.scheme
         t, e = check_certificate(omega | scheme.constraints, rho,
-                                 rec.gamma_before, rec.expr,
-                                 wrapped_cert(rec))
+                                 rec.gamma_before, rec.expr, cert)
         if t != scheme.body or not e.is_pure():
             raise CertificateError(
                 "toplevel", f"definition '{rec.name.text}' derived {t} @ "

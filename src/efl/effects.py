@@ -10,11 +10,11 @@ contribute nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .formulas import (BOT, TOP, Bot, Formula, Top, Valuation, all_valuations,
-                       conj, conj2, disj2, evaluate, impl, props)
-from .names import KIND_EFF, KIND_TYPE, Name
+from .formulas import (BOT, TOP, Bot, Formula, Top, Valuation, conj, conj2,
+                       disj2, evaluate, impl, props)
+from .names import KIND_EFF, Name
 
 # ---------------------------------------------------------------------------
 # Effects
@@ -91,23 +91,11 @@ def erase_guards(e: Effect, rho: Valuation) -> Effect:
     return effect_of({n: TOP for n, g in e.atoms if evaluate(g, rho)})
 
 
-def to_formula(e: Effect, alpha: Name) -> Formula:
-    """Presence of alpha in e, as a formula over the guards' props."""
-    return e.guard_of(alpha)
-
-
 def effect_props(e: Effect) -> frozenset[Name]:
     out: frozenset[Name] = frozenset()
     for _, g in e.atoms:
         out |= props(g)
     return out
-
-
-def effects_equal(e1: Effect, e2: Effect) -> bool:
-    """Semantic equality: same erased atoms under every valuation."""
-    names = effect_props(e1) | effect_props(e2)
-    return all(erase_guards(e1, rho) == erase_guards(e2, rho)
-               for rho in all_valuations(names))
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +147,45 @@ class ForallEff(Type):
         return f"forall eff {self.binder.text}. {self.body}"
 
 
+def map_type(t: Type, eff: Callable[[Effect], Effect],
+             tvar: Callable[[TVar], Type]) -> Type:
+    """Rebuild t with every arrow effect mapped by eff and every type
+    variable by tvar; binders are kept as they are."""
+    if isinstance(t, Arrow):
+        return Arrow(map_type(t.param, eff, tvar), eff(t.effect),
+                     map_type(t.result, eff, tvar))
+    if isinstance(t, TVar):
+        return tvar(t)
+    if isinstance(t, ForallEff):
+        return ForallEff(t.binder, map_type(t.body, eff, tvar))
+    if isinstance(t, ForallTyp):
+        return ForallTyp(t.binder, map_type(t.body, eff, tvar))
+    raise TypeError(f"not a type: {t!r}")
+
+
+def walk_type(t: Type) -> list[tuple[Type, frozenset[Name]]]:
+    """Every node of t in preorder, each paired with the effect binders of
+    the quantifiers enclosing it."""
+    out: list[tuple[Type, frozenset[Name]]] = []
+    stack: list[tuple[Type, frozenset[Name]]] = [(t, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        out.append((node, bound))
+        if isinstance(node, Arrow):
+            stack.append((node.result, bound))
+            stack.append((node.param, bound))
+        elif isinstance(node, ForallEff):
+            stack.append((node.body, bound | {node.binder}))
+        elif isinstance(node, ForallTyp):
+            stack.append((node.body, bound))
+        elif not isinstance(node, TVar):
+            raise TypeError(f"not a type: {node!r}")
+    return out
+
+
 def arrow_count(t: Type) -> int:
     """Number of arrow constructors in t (drives constraint-free minting)."""
-    if isinstance(t, Arrow):
-        return 1 + arrow_count(t.param) + arrow_count(t.result)
-    if isinstance(t, (ForallTyp, ForallEff)):
-        return arrow_count(t.body)
-    return 0
+    return sum(isinstance(node, Arrow) for node, _ in walk_type(t))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +222,7 @@ def sorted_constraints(omega: Iterable[Constraint]) -> list[Constraint]:
 
 def omega_to_formula(omega: Iterable[Constraint], alpha: Name) -> Formula:
     """Conjunction over omega of (lhs presence => rhs presence) at alpha."""
-    return conj(impl(to_formula(c.lhs, alpha), to_formula(c.rhs, alpha))
+    return conj(impl(c.lhs.guard_of(alpha), c.rhs.guard_of(alpha))
                 for c in sorted_constraints(omega))
 
 
@@ -252,19 +272,13 @@ def subst_effect(theta: EffSubst, e: Effect) -> Effect:
     return out
 
 
+def _same(x):
+    return x
+
+
 def subst_type(theta: EffSubst, t: Type) -> Type:
-    if isinstance(t, TVar):
-        return t
-    if isinstance(t, Arrow):
-        return Arrow(subst_type(theta, t.param),
-                     subst_effect(theta, t.effect),
-                     subst_type(theta, t.result))
-    if isinstance(t, ForallTyp):
-        return ForallTyp(t.binder, subst_type(theta, t.body))
-    if isinstance(t, ForallEff):
-        # Binder ids are globally unique, so capture is impossible.
-        return ForallEff(t.binder, subst_type(theta, t.body))
-    raise TypeError(f"not a type: {t!r}")
+    # Binder ids are globally unique, so capture is impossible.
+    return map_type(t, lambda e: subst_effect(theta, e), _same)
 
 
 def subst_constraint(theta: EffSubst, c: Constraint) -> Constraint:
@@ -283,20 +297,11 @@ def subst_scheme(theta: EffSubst, s: Scheme) -> Scheme:
 
 def subst_type_vars(tmap: Mapping[Name, Type], t: Type) -> Type:
     """Substitute type variables (used by explicit type application)."""
-    if isinstance(t, TVar):
-        return tmap.get(t.name, t)
-    if isinstance(t, Arrow):
-        return Arrow(subst_type_vars(tmap, t.param), t.effect,
-                     subst_type_vars(tmap, t.result))
-    if isinstance(t, ForallTyp):
-        return ForallTyp(t.binder, subst_type_vars(tmap, t.body))
-    if isinstance(t, ForallEff):
-        return ForallEff(t.binder, subst_type_vars(tmap, t.body))
-    raise TypeError(f"not a type: {t!r}")
+    return map_type(t, _same, lambda v: tmap.get(v.name, v))
 
 
 # ---------------------------------------------------------------------------
-# Free variables / scoping / erasure over types
+# Free variables and propositions over types
 # ---------------------------------------------------------------------------
 
 
@@ -305,16 +310,11 @@ def free_eff_vars_effect(e: Effect) -> frozenset[Name]:
 
 
 def free_eff_vars_type(t: Type) -> frozenset[Name]:
-    if isinstance(t, TVar):
-        return frozenset()
-    if isinstance(t, Arrow):
-        return (free_eff_vars_type(t.param) | free_eff_vars_effect(t.effect)
-                | free_eff_vars_type(t.result))
-    if isinstance(t, ForallTyp):
-        return free_eff_vars_type(t.body)
-    if isinstance(t, ForallEff):
-        return free_eff_vars_type(t.body) - {t.binder}
-    raise TypeError(f"not a type: {t!r}")
+    out: set[Name] = set()
+    for node, bound in walk_type(t):
+        if isinstance(node, Arrow):
+            out |= node.effect.atom_names() - bound
+    return frozenset(out)
 
 
 def free_eff_vars_constraints(omega: Iterable[Constraint]) -> frozenset[Name]:
@@ -330,42 +330,12 @@ def free_eff_vars_scheme(s: Scheme) -> frozenset[Name]:
     return inner - set(s.binders)
 
 
-def free_typ_vars_type(t: Type) -> frozenset[Name]:
-    if isinstance(t, TVar):
-        return frozenset((t.name,))
-    if isinstance(t, Arrow):
-        return free_typ_vars_type(t.param) | free_typ_vars_type(t.result)
-    if isinstance(t, ForallTyp):
-        return free_typ_vars_type(t.body) - {t.binder}
-    if isinstance(t, ForallEff):
-        return free_typ_vars_type(t.body)
-    raise TypeError(f"not a type: {t!r}")
-
-
-def erase_guards_type(t: Type, rho: Valuation) -> Type:
-    """Erase guards in every effect position of t under rho."""
-    if isinstance(t, TVar):
-        return t
-    if isinstance(t, Arrow):
-        return Arrow(erase_guards_type(t.param, rho),
-                     erase_guards(t.effect, rho),
-                     erase_guards_type(t.result, rho))
-    if isinstance(t, ForallTyp):
-        return ForallTyp(t.binder, erase_guards_type(t.body, rho))
-    if isinstance(t, ForallEff):
-        return ForallEff(t.binder, erase_guards_type(t.body, rho))
-    raise TypeError(f"not a type: {t!r}")
-
-
 def type_props(t: Type) -> frozenset[Name]:
-    if isinstance(t, TVar):
-        return frozenset()
-    if isinstance(t, Arrow):
-        return (type_props(t.param) | effect_props(t.effect)
-                | type_props(t.result))
-    if isinstance(t, (ForallTyp, ForallEff)):
-        return type_props(t.body)
-    raise TypeError(f"not a type: {t!r}")
+    out: set[Name] = set()
+    for node, _ in walk_type(t):
+        if isinstance(node, Arrow):
+            out |= effect_props(node.effect)
+    return frozenset(out)
 
 
 def scheme_props(s: Scheme) -> frozenset[Name]:

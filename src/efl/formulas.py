@@ -6,9 +6,8 @@ binary; the builder functions fold constants so that guards stay small.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .names import Name
 
@@ -116,13 +115,6 @@ def conj(parts: Iterable[Formula]) -> Formula:
     return out
 
 
-def disj(parts: Iterable[Formula]) -> Formula:
-    out: Formula = BOT
-    for p in parts:
-        out = disj2(out, p)
-    return out
-
-
 def props(phi: Formula) -> frozenset[Name]:
     """All proposition variables occurring in phi."""
     if isinstance(phi, Prop):
@@ -194,17 +186,3 @@ def evaluate(phi: Formula, rho: Valuation) -> bool:
     if isinstance(phi, Implies):
         return (not evaluate(phi.lhs, rho)) or evaluate(phi.rhs, rho)
     raise TypeError(f"not a formula: {phi!r}")
-
-
-def all_valuations(names: Iterable[Name]) -> Iterator[Valuation]:
-    """Every valuation over `names`, in a deterministic order."""
-    order = sorted(set(names), key=Name.key)
-    for bits in itertools.product((False, True), repeat=len(order)):
-        yield Valuation(dict(zip(order, bits)))
-
-
-def formulas_equivalent(a: Formula, b: Formula) -> bool:
-    """Truth-table equivalence (intended for small guard formulas)."""
-    names = props(a) | props(b)
-    return all(evaluate(a, rho) == evaluate(b, rho)
-               for rho in all_valuations(names))

@@ -19,14 +19,13 @@ from .declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
                           CVar, Cert, subst_cert)
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       Scheme, TVar, Type, arrow_count, constraint_set, guard,
-                      join, mono, subst_constraints, subst_effect, subst_type,
-                      subst_type_vars)
+                      join, mono, omega_to_formula, subst_constraints,
+                      subst_effect, subst_type, subst_type_vars)
 from .formulas import TOP, Formula, Prop, conj, conj2
 from .names import KIND_EFF, KIND_PROP, Name, NameSupply
 from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SEJoin, SEPure,
                      SEVar, SEWild, SForallEff, SForallTyp, STVar, SynEffect,
                      SynType, TLam, TyApp, Var)
-from .effects import omega_to_formula
 
 
 class InferError(Exception):
@@ -77,6 +76,25 @@ def tr_effect(se: SynEffect,
     raise TypeError(f"not a surface effect: {se!r}")
 
 
+def _rebind_under(alpha: Name, gen: tuple[Name, ...], supply: NameSupply
+                 ) -> tuple[tuple[Name, ...], tuple[Name, ...],
+                            dict[Name, Effect]]:
+    """Rebuild each generated variable beta under the effect binder alpha as
+    gamma_beta \\/ alpha ? p_beta, minting p_beta then gamma_beta per beta.
+
+    Returns (the p's, the gamma's, the substitution)."""
+    new_props, new_gen = [], []
+    theta: dict[Name, Effect] = {}
+    for beta in gen:
+        p_b = supply.fresh(KIND_PROP)
+        gamma_b = supply.fresh(KIND_EFF)
+        new_props.append(p_b)
+        new_gen.append(gamma_b)
+        theta[beta] = join(Effect.var(gamma_b),
+                           guard(Effect.var(alpha), Prop(p_b)))
+    return tuple(new_props), tuple(new_gen), theta
+
+
 def tr_type(st: SynType, supply: NameSupply
             ) -> tuple[tuple[Name, ...], tuple[Name, ...], Type]:
     """Translate a surface type to (props, generated effect vars, type).
@@ -98,17 +116,8 @@ def tr_type(st: SynType, supply: NameSupply
         return p, g, ForallTyp(st.binder, t)
     if isinstance(st, SForallEff):
         p1, g1, t = tr_type(st.body, supply)
-        new_props: list[Name] = []
-        new_gen: list[Name] = []
-        theta: dict[Name, Effect] = {}
-        for beta in g1:
-            p_b = supply.fresh(KIND_PROP)
-            gamma_b = supply.fresh(KIND_EFF)
-            new_props.append(p_b)
-            new_gen.append(gamma_b)
-            theta[beta] = join(Effect.var(gamma_b),
-                               guard(Effect.var(st.binder), Prop(p_b)))
-        return (p1 + tuple(new_props), tuple(new_gen),
+        new_props, new_gen, theta = _rebind_under(st.binder, g1, supply)
+        return (p1 + new_props, new_gen,
                 ForallEff(st.binder, subst_type(theta, t)))
     raise TypeError(f"not a surface type: {st!r}")
 
@@ -333,19 +342,11 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
         r = infer(gamma, expr.body, supply, config)
         alpha = expr.binder
         om = constraint_set(set(r.constraints) | {purity(r.effect)})
-        theta: dict[Name, Effect] = {}
-        new_props, new_gen = [], []
-        for beta in r.gen:
-            p_b = supply.fresh(KIND_PROP)
-            gamma_b = supply.fresh(KIND_EFF)
-            new_props.append(p_b)
-            new_gen.append(gamma_b)
-            theta[beta] = join(Effect.var(gamma_b),
-                               guard(Effect.var(alpha), Prop(p_b)))
+        new_props, new_gen, theta = _rebind_under(alpha, r.gen, supply)
         om1 = subst_constraints(theta, om)
         body_type = subst_type(theta, r.type)
         return InferResult(
-            props=r.props + tuple(new_props), gen=tuple(new_gen),
+            props=r.props + new_props, gen=new_gen,
             type=ForallEff(alpha, body_type), effect=PURE,
             constraints=subst_constraints({alpha: PURE}, om1),
             formula=conj2(r.formula, omega_to_formula(om1, alpha)),

@@ -9,11 +9,12 @@ over named propositions only; Tseitin auxiliaries never escape.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .effects import Constraint, Effect, omega_to_formula
+from .effects import Constraint, Effect, omega_to_formula, sorted_constraints
 from .formulas import (TOP, And, Bot, Formula, Implies, Or, Prop, Top,
                        Valuation, conj2, disj2, neg, props)
+from .inference import normalize
 from .names import Name
 
 
@@ -235,25 +236,6 @@ def sat(phi: Formula) -> Valuation | None:
     return Valuation({p: model.get(i, False) for p, i in solver.ids.items()})
 
 
-def sat_enumerate(phi: Formula, limit: int = 64) -> Iterator[Valuation]:
-    """Up to `limit` distinct models over phi's propositions."""
-    solver = _Solver()
-    names = sorted(props(phi), key=Name.key)
-    for p in names:
-        solver.var_of(p)
-    root = solver.literal(phi)
-    for _ in range(limit):
-        model = solver.solve((root,))
-        if model is None:
-            return
-        rho = Valuation({p: model.get(solver.ids[p], False) for p in names})
-        yield rho
-        if not names:
-            return
-        solver.add_clause([-solver.ids[p] if rho[p] else solver.ids[p]
-                           for p in names])
-
-
 # ---------------------------------------------------------------------------
 # Discharge and simplification
 # ---------------------------------------------------------------------------
@@ -275,9 +257,6 @@ def simplify_constraints(omega, protected: frozenset) -> frozenset:
     merges constraints sharing variable and RHS by or-ing guards, and drops
     constraints bounding an unprotected variable that occurs nowhere else.
     """
-    from .inference import normalize
-    from .effects import sorted_constraints
-
     kept: list[Constraint] = []
     for c in sorted_constraints(normalize(omega)):
         v, psi = c.lhs.atoms[0]

@@ -205,23 +205,6 @@ class Program:
     main: Expr | None
 
 
-def free_vars(e: Expr) -> frozenset[Name]:
-    """Free expression variables of e."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Lam):
-        return free_vars(e.body) - {e.param}
-    if isinstance(e, App):
-        return free_vars(e.fn) | free_vars(e.arg)
-    if isinstance(e, Let):
-        return free_vars(e.bound) | (free_vars(e.body) - {e.name})
-    if isinstance(e, (TLam, ELam)):
-        return free_vars(e.body)
-    if isinstance(e, (TyApp, EfApp)):
-        return free_vars(e.fn)
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def effect_is_wildcard_free(se: SynEffect) -> bool:
     if isinstance(se, SEWild):
         return False

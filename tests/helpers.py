@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import itertools
+from typing import Iterable, Iterator, Mapping
 
-from efl.effects import Constraint, Effect
-from efl.formulas import Formula, Prop, all_valuations, evaluate, props
+from efl.declarative import CertificateError, check_certificate, subtype_holds
+from efl.driver import Discharger
+from efl.effects import Constraint, Effect, effect_props, erase_guards
+from efl.formulas import (BOT, Formula, Prop, Valuation, disj2, evaluate,
+                          props)
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name
+from efl.solver import _Solver
 
 _uids = itertools.count(10_000)
 
@@ -48,3 +53,76 @@ def con(lhs: Effect, rhs: Effect) -> Constraint:
 def tautology(phi: Formula) -> bool:
     """Truth-table validity: the oracle for SAT-based entailment checks."""
     return all(evaluate(phi, rho) for rho in all_valuations(props(phi)))
+
+
+def all_valuations(names: Iterable[Name]) -> Iterator[Valuation]:
+    """Every valuation over `names`, in a deterministic order."""
+    order = sorted(set(names), key=Name.key)
+    for bits in itertools.product((False, True), repeat=len(order)):
+        yield Valuation(dict(zip(order, bits)))
+
+
+def formulas_equivalent(a: Formula, b: Formula) -> bool:
+    """Truth-table equivalence (intended for small guard formulas)."""
+    names = props(a) | props(b)
+    return all(evaluate(a, rho) == evaluate(b, rho)
+               for rho in all_valuations(names))
+
+
+def disj(parts: Iterable[Formula]) -> Formula:
+    out: Formula = BOT
+    for p in parts:
+        out = disj2(out, p)
+    return out
+
+
+def to_formula(e: Effect, alpha: Name) -> Formula:
+    """Presence of alpha in e, as a formula over the guards' props."""
+    return e.guard_of(alpha)
+
+
+def effects_equal(e1: Effect, e2: Effect) -> bool:
+    """Semantic equality: same erased atoms under every valuation."""
+    names = effect_props(e1) | effect_props(e2)
+    return all(erase_guards(e1, rho) == erase_guards(e2, rho)
+               for rho in all_valuations(names))
+
+
+def types_equivalent(omega, rho: Valuation, t1, t2) -> bool:
+    return (subtype_holds(omega, rho, t1, t2)
+            and subtype_holds(omega, rho, t2, t1))
+
+
+def certificate_valid(omega: frozenset, rho: Valuation, gamma: Mapping,
+                      expr, cert) -> bool:
+    try:
+        check_certificate(omega, rho, gamma, expr, cert)
+        return True
+    except CertificateError:
+        return False
+
+
+def memberships(d: Discharger) -> list[Name]:
+    """The discharger's membership propositions, by (variable, constant)."""
+    return [d._member[k] for k in sorted(d._member,
+                                         key=lambda k: (k[0].key(),
+                                                        k[1].key()))]
+
+
+def sat_enumerate(phi: Formula, limit: int = 64) -> Iterator[Valuation]:
+    """Up to `limit` distinct models over phi's propositions."""
+    solver = _Solver()
+    names = sorted(props(phi), key=Name.key)
+    for p in names:
+        solver.var_of(p)
+    root = solver.literal(phi)
+    for _ in range(limit):
+        model = solver.solve((root,))
+        if model is None:
+            return
+        rho = Valuation({p: model.get(solver.ids[p], False) for p in names})
+        yield rho
+        if not names:
+            return
+        solver.add_clause([-solver.ids[p] if rho[p] else solver.ids[p]
+                           for p in names])

@@ -6,7 +6,9 @@ against the same data types but sharing no logic with the closure procedure
 it cross-checks. The program generator emits well-shaped source text (shapes
 are correct by construction; effects are left to inference), and the
 end-to-end harness asserts that whatever inference accepts, the certificate
-checker confirms under the witness valuation.
+checker confirms under the witness valuation. The recursive walks over `Type`
+at the end are the reference that `effects.map_type`, `effects.walk_type` and
+their callers are compared against.
 """
 from __future__ import annotations
 
@@ -15,23 +17,21 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .declarative import subtype_holds
-from .driver import Discharger, check_program, verify_certificates
-from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                      Scheme, TVar, Type, constraint_set, erase_guards,
-                      erase_guards_type, join, subst_constraints,
-                      subst_effect, subst_type)
-from .formulas import (BOT, TOP, Formula, Prop, Top, Valuation, conj2, disj2,
-                       evaluate, impl)
-from .inference import Config, ShapeError, subtype
-from .names import KIND_EFF, KIND_TYPE, Name, NameSupply
-from .solver import sat
-from .syntax import (EfApp, ELam, Expr, Lam, Let, Program, SArrow, SEJoin,
-                     SEPure, SEVar, SEWild, SForallEff, SForallTyp, STVar,
-                     SynEffect, SynType, TLam, TyApp, Var, App, Scope, Parser,
-                     parse_program)
-from .declarative import entails
-from .inference import tr_type
+from efl.declarative import entails, subtype_holds
+from efl.driver import Discharger, check_program, verify_certificates
+from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
+                         Scheme, TVar, Type, constraint_set, effect_props,
+                         erase_guards, join, map_type, subst_constraints,
+                         subst_effect, subst_type)
+from efl.formulas import (BOT, TOP, Formula, Prop, Top, Valuation, conj2,
+                          disj2, evaluate, impl)
+from efl.inference import Config, ShapeError, subtype, tr_type
+from efl.names import KIND_EFF, KIND_TYPE, Name, NameSupply
+from efl.solver import sat
+from efl.syntax import (EfApp, ELam, Expr, Lam, Let, Program, SArrow, SEJoin,
+                        SEPure, SEVar, SEWild, SForallEff, SForallTyp, STVar,
+                        SynEffect, SynType, TLam, TyApp, Var, App, Scope,
+                        Parser, parse_program)
 
 # ---------------------------------------------------------------------------
 # Bounded derivation search for subeffecting
@@ -547,6 +547,11 @@ def schemes_equivalent(s1: Scheme, s2: Scheme, base: list[Name],
             and scheme_more_general(s2, s1, base, ambient))
 
 
+def erase_guards_type(t: Type, rho: Valuation) -> Type:
+    """Erase guards in every effect position of t under rho."""
+    return map_type(t, lambda e: erase_guards(e, rho), lambda v: v)
+
+
 def concretize_scheme(scheme: Scheme, rho: Valuation,
                       inst: Mapping[Name, Effect]) -> Scheme:
     """Substitute surviving variables and erase guards under rho."""
@@ -597,3 +602,106 @@ def parse_closed_type(src: str, names: Iterable[Name],
     props, gen, t = tr_type(st, supply)
     assert not props and not gen, "type was not wildcard-free"
     return t
+
+
+# ---------------------------------------------------------------------------
+# Recursive Type walks: the reference for map_type/walk_type and their callers
+# ---------------------------------------------------------------------------
+
+
+def random_type(rng: random.Random, supply: NameSupply, atoms: list[Name],
+                tvars: list[Name], props: list[Name], minted: list[Name],
+                depth: int = 4) -> Type:
+    """A random type with guarded arrow effects and nested `forall eff` /
+    `forall typ`. Effects draw on the atoms in scope and sometimes on a
+    binder minted elsewhere (in `minted`), so a binder can also occur
+    outside its quantifier."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        return TVar(rng.choice(tvars))
+    if roll < 0.6:
+        pool = atoms + rng.sample(minted, k=min(1, len(minted)))
+        return Arrow(
+            random_type(rng, supply, atoms, tvars, props, minted, depth - 1),
+            random_effect(rng, pool, props),
+            random_type(rng, supply, atoms, tvars, props, minted, depth - 1))
+    if roll < 0.85:
+        b = supply.fresh(KIND_EFF, "q")
+        minted.append(b)
+        return ForallEff(b, random_type(rng, supply, atoms + [b], tvars,
+                                        props, minted, depth - 1))
+    b = supply.fresh(KIND_TYPE, "t")
+    return ForallTyp(b, random_type(rng, supply, atoms, tvars + [b], props,
+                                    minted, depth - 1))
+
+
+def subst_type_rec(theta: Mapping[Name, Effect], t: Type) -> Type:
+    if isinstance(t, TVar):
+        return t
+    if isinstance(t, Arrow):
+        return Arrow(subst_type_rec(theta, t.param),
+                     subst_effect(theta, t.effect),
+                     subst_type_rec(theta, t.result))
+    if isinstance(t, ForallTyp):
+        return ForallTyp(t.binder, subst_type_rec(theta, t.body))
+    if isinstance(t, ForallEff):
+        return ForallEff(t.binder, subst_type_rec(theta, t.body))
+    raise TypeError(f"not a type: {t!r}")
+
+
+def subst_type_vars_rec(tmap: Mapping[Name, Type], t: Type) -> Type:
+    if isinstance(t, TVar):
+        return tmap.get(t.name, t)
+    if isinstance(t, Arrow):
+        return Arrow(subst_type_vars_rec(tmap, t.param), t.effect,
+                     subst_type_vars_rec(tmap, t.result))
+    if isinstance(t, ForallTyp):
+        return ForallTyp(t.binder, subst_type_vars_rec(tmap, t.body))
+    if isinstance(t, ForallEff):
+        return ForallEff(t.binder, subst_type_vars_rec(tmap, t.body))
+    raise TypeError(f"not a type: {t!r}")
+
+
+def type_props_rec(t: Type) -> frozenset[Name]:
+    if isinstance(t, TVar):
+        return frozenset()
+    if isinstance(t, Arrow):
+        return (type_props_rec(t.param) | effect_props(t.effect)
+                | type_props_rec(t.result))
+    if isinstance(t, (ForallTyp, ForallEff)):
+        return type_props_rec(t.body)
+    raise TypeError(f"not a type: {t!r}")
+
+
+def free_eff_vars_type_rec(t: Type) -> frozenset[Name]:
+    if isinstance(t, TVar):
+        return frozenset()
+    if isinstance(t, Arrow):
+        return (free_eff_vars_type_rec(t.param) | t.effect.atom_names()
+                | free_eff_vars_type_rec(t.result))
+    if isinstance(t, ForallTyp):
+        return free_eff_vars_type_rec(t.body)
+    if isinstance(t, ForallEff):
+        return free_eff_vars_type_rec(t.body) - {t.binder}
+    raise TypeError(f"not a type: {t!r}")
+
+
+def arrow_count_rec(t: Type) -> int:
+    if isinstance(t, Arrow):
+        return 1 + arrow_count_rec(t.param) + arrow_count_rec(t.result)
+    if isinstance(t, (ForallTyp, ForallEff)):
+        return arrow_count_rec(t.body)
+    return 0
+
+
+def names_in_type_rec(t: Type) -> set[Name]:
+    """Every name a displayed type mentions: type variables, binders, effect
+    atoms and guard propositions."""
+    if isinstance(t, TVar):
+        return {t.name}
+    if isinstance(t, Arrow):
+        return (names_in_type_rec(t.param) | set(t.effect.atom_names())
+                | effect_props(t.effect) | names_in_type_rec(t.result))
+    if isinstance(t, (ForallTyp, ForallEff)):
+        return {t.binder} | names_in_type_rec(t.body)
+    raise TypeError(f"not a type: {t!r}")

@@ -31,20 +31,20 @@ from efl.driver import (check_program, total_valuation, verify_certificates)
 from efl.effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar,
                          constraint_set, constraints_props, erase_guards,
                          free_eff_vars_scheme, join, omega_to_formula,
-                         subst_constraints, to_formula, type_props)
+                         subst_constraints, type_props)
 from efl.formulas import (BOT, TOP, And, Bot, Implies, Or, Prop, Top,
-                          Valuation, all_valuations, conj2, disj2, evaluate,
-                          impl, props)
+                          Valuation, conj2, disj2, evaluate, impl, props)
 from efl.inference import Config, ShapeError, separate, subtype, tr_type
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply
-from efl.oracles import (concretize_scheme, derivation_search_subeffect,
-                         end_to_end_soundness, gen_program,
-                         has_wildcard_under_quantifier, parse_closed_type,
-                         random_effect, random_type_pair,
-                         scheme_admits_instances, schemes_equivalent)
-from efl.solver import SolverSession, discharge_toplevel, sat, sat_enumerate
+from efl.solver import SolverSession, discharge_toplevel, sat
 from efl.syntax import (SArrow, SEJoin, SEPure, SEVar, SEWild, SForallEff,
                         SForallTyp, STVar, parse_program)
+from helpers import all_valuations, sat_enumerate, to_formula
+from oracles import (concretize_scheme, derivation_search_subeffect,
+                     end_to_end_soundness, gen_program,
+                     has_wildcard_under_quantifier, parse_closed_type,
+                     random_effect, random_type_pair,
+                     scheme_admits_instances, schemes_equivalent)
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 

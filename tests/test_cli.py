@@ -58,6 +58,16 @@ def test_check_missing_file_is_exit_2(capsys, tmp_path):
     assert "error: cannot read" in err
 
 
+def test_check_non_utf8_file_is_exit_2(capsys, tmp_path):
+    bad = tmp_path / "latin1.efl"
+    bad.write_bytes("effect IO\n-- caf\xe9\n".encode("latin-1"))
+    code, out, err = _run(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert "Traceback" not in err
+
+
 def test_check_parse_error_is_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.efl"
     bad.write_text("effect IO\nlet = broken\n")

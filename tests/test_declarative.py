@@ -2,16 +2,15 @@
 import pytest
 
 from efl.declarative import (CAbs, CApp, CertificateError, CLet, CSub, CVar,
-                             cert_props, certificate_valid, check_certificate,
-                             entails, match_effect, match_type,
-                             subeffect_holds, subst_cert, subtype_holds,
-                             types_equivalent)
+                             cert_props, check_certificate, entails,
+                             match_effect, match_type, subeffect_holds,
+                             subst_cert, subtype_holds)
 from efl.effects import (PURE, Arrow, Effect, ForallEff, Scheme, TVar, join,
                          mono)
 from efl.formulas import TOP, Valuation
 from efl.names import KIND_EXPR, NameSupply
 from efl.syntax import App, Lam, Scope, Var, parse_expr, parse_type
-from helpers import Names, con
+from helpers import Names, certificate_valid, con, types_equivalent
 
 RHO0 = Valuation({})
 

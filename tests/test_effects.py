@@ -5,15 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, Scheme,
                          TVar, arrow_count, constraint_set, effect_of,
-                         effect_props, effects_equal, erase_guards,
-                         free_eff_vars_effect, free_eff_vars_scheme, guard,
-                         join, mono, omega_to_formula, subst_effect,
-                         subst_type, to_formula)
-from efl.formulas import (BOT, TOP, And, Implies, Or, all_valuations,
-                          conj2, disj2, evaluate)
+                         effect_props, erase_guards, free_eff_vars_effect,
+                         free_eff_vars_scheme, guard, join, mono,
+                         omega_to_formula, subst_effect, subst_type)
+from efl.formulas import BOT, TOP, And, Implies, Or, conj2, disj2, evaluate
 from efl.names import NameSupply
-from efl.oracles import random_effect, random_guard
-from helpers import Names, con
+from helpers import (Names, all_valuations, con, effects_equal,
+                     to_formula)
+from oracles import random_effect, random_guard
 
 
 def test_join_merges_same_variable_guards(ns):

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from efl.formulas import (BOT, TOP, And, Implies, Or, Valuation,
-                          all_valuations, conj, conj2, disj, disj2, evaluate,
-                          formulas_equivalent, impl, neg, props)
-from helpers import Names, tautology
+from efl.formulas import (BOT, TOP, And, Implies, Or, Valuation, conj,
+                          conj2, disj2, evaluate, impl, neg, props)
+from helpers import (Names, all_valuations, disj, formulas_equivalent,
+                     tautology)
 
 
 def test_builders_fold_units(ns):

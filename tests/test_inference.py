@@ -5,13 +5,13 @@ from efl.declarative import (CAbs, CApp, CEApp, CLet, CSub, CVar, cert_props,
                              check_certificate)
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, Scheme,
                          TVar, constraint_set, join, mono)
-from efl.formulas import TOP, Implies, Prop, Valuation, formulas_equivalent
+from efl.formulas import TOP, Implies, Prop, Valuation
 from efl.inference import (Config, GenLimitError, InferError, ShapeError,
                            generalize, infer, normalize, purity, separate,
                            subtype, tr_effect, tr_type)
 from efl.names import KIND_EFF, KIND_EXPR, NameSupply
 from efl.syntax import Scope, parse_expr, parse_type
-from helpers import Names, con
+from helpers import Names, con, formulas_equivalent
 
 CF = Config(mode="constraint-free")
 

@@ -8,15 +8,15 @@ from efl.effects import (PURE, Arrow, Effect, ForallEff, Scheme, TVar, join,
                          mono)
 from efl.formulas import TOP, Valuation
 from efl.names import KIND_EFF, NameSupply
-from efl.oracles import (GEN_PRELUDE, concretize_scheme,
-                         derivation_search_subeffect, effect_universe,
-                         end_to_end_soundness, gen_program,
-                         has_wildcard_under_quantifier, parse_closed_type,
-                         random_effect, random_guard, random_type_pair,
-                         scheme_more_general, schemes_equivalent)
 from efl.inference import subtype
 from efl.syntax import parse_program
 from helpers import Names, con
+from oracles import (GEN_PRELUDE, concretize_scheme,
+                     derivation_search_subeffect, effect_universe,
+                     end_to_end_soundness, gen_program,
+                     has_wildcard_under_quantifier, parse_closed_type,
+                     random_effect, random_guard, random_type_pair,
+                     scheme_more_general, schemes_equivalent)
 
 RHO0 = Valuation({})
 
