@@ -12,8 +12,7 @@ from .declarative import (Cert, CertificateError, check_certificate, entails,
 from .driver import (CheckOutcome, Discharger, check_program, display_scheme,
                      verify_certificates)
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                      Scheme, TVar, Type, erase_guards, guard, join,
-                      omega_to_formula)
+                      Scheme, TVar, Type, guard, join, omega_to_formula)
 from .formulas import BOT, TOP, Formula, Prop, Valuation, evaluate
 from .inference import (Config, GenLimitError, InferError, InferResult,
                         ShapeError, generalize, infer, normalize, separate,
@@ -32,7 +31,7 @@ __all__ = [
     "PURE", "Program", "Prop", "Scheme", "ShapeError",
     "SolverSession", "SourceError", "TOP", "TVar", "Type", "Valuation",
     "check_certificate", "check_program", "discharge_toplevel",
-    "display_scheme", "entails", "erase_guards", "evaluate", "generalize",
+    "display_scheme", "entails", "evaluate", "generalize",
     "guard", "infer", "join", "match_effect", "match_type", "normalize",
     "omega_to_formula", "parse_expr", "parse_program", "sat", "separate",
     "simplify_constraints", "subeffect_holds", "subtype", "subtype_holds",

@@ -1,14 +1,20 @@
 """The declarative side: matching, subeffecting, subtyping, certificates.
 
 Everything here is indexed by a valuation rho for the guard propositions: an
-answer is relative to one choice of guards. Subeffecting under a constraint
-set is decided by a closure procedure; `derivation_search_subeffect` in
-`tests/oracles.py` is the independent bounded proof search it is validated
-against.
+answer is relative to one choice of guards. Under rho a constraint set is a
+set of propositional Horn rules over effect atoms, and subeffecting is
+closure under them. A `ReplayScope` compiles a constraint set once per
+valuation: each constraint's guards are erased once, the rules are indexed
+by the atoms of their right-hand side, and each query closes its start set
+by counter-based propagation (Dowling & Gallier, JLP 1984), in time linear
+in the rules it touches. `derivation_search_subeffect` in `tests/oracles.py`
+is the independent bounded proof search the closure is validated against.
 
 A Certificate records the rule applied at every node of a typing derivation.
 `check_certificate` replays it bottom-up against the expression and recomputes
-each judgement; it trusts nothing from inference beyond the certificate.
+each judgement; it trusts nothing from inference beyond the certificate. One
+replay compiles its scope once; a `let` layers the scheme's constraints on
+top of the enclosing scope.
 """
 from __future__ import annotations
 
@@ -16,11 +22,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                      Scheme, TVar, Type, constraints_props, effect_props,
-                      erase_guards, scheme_props, subst_constraints,
-                      subst_effect, subst_scheme, subst_type, subst_type_vars,
-                      type_props)
-from .formulas import Valuation
+                      Scheme, TVar, Type, effect_props, scheme_props,
+                      subst_constraints, subst_effect, subst_scheme,
+                      subst_type, subst_type_vars, type_props)
+from .formulas import Valuation, evaluate
 from .names import Name
 from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SEJoin, SEPure,
                      SEVar, SEWild, SForallEff, SForallTyp, STVar, SynEffect,
@@ -53,7 +58,7 @@ def match_effect(se: SynEffect, eff: Effect, rho: Valuation) -> bool:
     variables must be exactly the atoms of eff (after guard erasure).
     """
     named, wild = _effect_parts(se)
-    atoms = erase_guards(eff, rho).atom_names()
+    atoms = erased_atoms(eff, rho)
     if wild:
         return named <= atoms
     return named == atoms
@@ -86,41 +91,144 @@ def match_type(st: SynType, t: Type, rho: Valuation) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def erased_atoms(e: Effect, rho: Valuation) -> frozenset[Name]:
+    """The atoms of e whose guard holds under rho."""
+    return frozenset([n for n, g in e.atoms if evaluate(g, rho)])
+
+
+def erase_rule(c: Constraint,
+               rho: Valuation) -> tuple[frozenset[Name], frozenset[Name]]:
+    """The Horn rule of c under rho: its erased (LHS, RHS) atoms."""
+    return erased_atoms(c.lhs, rho), erased_atoms(c.rhs, rho)
+
+
+class ReplayScope:
+    """A constraint set compiled under one valuation.
+
+    Each constraint l <= r becomes a rule: once every atom of r's erasure is
+    covered, so is every atom of l's. A rule is listed under each atom of its
+    erased RHS and counts down as those atoms get covered; a rule whose RHS
+    erases to nothing fires unconditionally. `extend` layers further
+    constraints on top, erasing only those and sharing the rules below.
+    Iterating a scope yields its constraints, so it serves as an omega.
+    """
+
+    def __init__(self, omega: Iterable[Constraint], rho: Valuation,
+                 parent: "ReplayScope | None" = None) -> None:
+        own = frozenset(omega)
+        self.rho = rho
+        self.parent = parent
+        self.sets = (parent.sets if parent else ()) + (own,)
+        # a rule is (number, erased RHS, erased LHS), numbered across layers
+        index: dict[Name, list[tuple]] = {}
+        self.indexes = (parent.indexes if parent else ()) + (index,)
+        self.rules: list[tuple] = []
+        self.free: set[Name] = set()
+        number = parent.count if parent else 0
+        for c in own:
+            lhs, rhs = erase_rule(c, rho)
+            if not lhs:
+                continue
+            if not rhs:
+                self.free |= lhs
+                continue
+            rule = (number, rhs, lhs)
+            self.rules.append(rule)
+            for atom in rhs:
+                index.setdefault(atom, []).append(rule)
+            number += 1
+        self.count = number
+        self._closures: dict[frozenset[Name], tuple] = {}
+
+    def __iter__(self):
+        for own in self.sets:
+            yield from own
+
+    def extend(self, omega: Iterable[Constraint]) -> "ReplayScope":
+        """This scope with omega added; itself if omega adds nothing."""
+        new = [c for c in omega if not any(c in own for own in self.sets)]
+        return ReplayScope(new, self.rho, self) if new else self
+
+    def closure(self, start: frozenset[Name]) -> frozenset[Name]:
+        """Every atom covered once the atoms of start are."""
+        return self._state(start)[0]
+
+    def _state(self, start: frozenset[Name]) -> tuple[frozenset[Name],
+                                                      dict[int, int]]:
+        """The closure of start, and how many RHS atoms each rule it
+        touched still lacks. A layer resumes from its parent's closure of
+        the same start, so each (scope, start) pair is propagated once."""
+        known = self._closures.get(start)
+        if known is not None:
+            return known
+        queue = [*self.free, *start]
+        if self.parent is None:
+            covered: set[Name] = set()
+            waiting: dict[int, int] = {}
+        else:
+            below, waiting = self.parent._state(start)
+            covered, waiting = set(below), dict(waiting)
+            for number, rhs, lhs in self.rules:
+                missing = len(rhs - below)
+                if missing:
+                    waiting[number] = missing
+                else:
+                    queue.extend(lhs)
+        indexes = self.indexes
+        while queue:
+            atom = queue.pop()
+            if atom in covered:
+                continue
+            covered.add(atom)
+            for index in indexes:
+                for number, rhs, lhs in index.get(atom, ()):
+                    need = waiting.get(number, len(rhs)) - 1
+                    waiting[number] = need
+                    if need == 0:
+                        queue.extend(lhs)
+        out = self._closures[start] = (frozenset(covered), waiting)
+        return out
+
+
+def replay_scope(omega: Iterable[Constraint],
+                 rho: Valuation) -> ReplayScope:
+    """omega compiled under rho; a scope compiled under rho is kept."""
+    if isinstance(omega, ReplayScope):
+        if omega.rho is not rho and omega.rho != rho:
+            raise ValueError("scope was compiled under another valuation")
+        return omega
+    return ReplayScope(omega, rho)
+
+
 def subeffect_holds(omega: Iterable[Constraint], rho: Valuation,
                     e1: Effect, e2: Effect) -> bool:
     """Decide omega |- e1 <= e2 under rho.
 
-    After erasing guards everything is a set of atoms. Starting from the
-    atoms of e2, repeatedly fire assumptions l <= r whose erased RHS is
-    already covered to also cover their erased LHS; e1 must end up covered.
-    Each closure step is justified by assumption + join + transitivity, and
-    every declarative rule preserves coveredness, so this is exactly the
-    subeffect relation.
+    After erasing guards everything is a set of atoms and each assumption
+    l <= r a Horn rule (see `ReplayScope`). Starting from the atoms of e2,
+    fire every rule whose erased RHS is covered to also cover its erased
+    LHS; e1 must end up covered. Each step is justified by assumption +
+    join + transitivity, and every declarative rule preserves coveredness,
+    so this is exactly the subeffect relation. omega may be a scope
+    compiled under rho, which is then queried as it is.
     """
-    goal = erase_guards(e1, rho).atom_names()
-    covered = set(erase_guards(e2, rho).atom_names())
-    rules = [(erase_guards(c.lhs, rho).atom_names(),
-              erase_guards(c.rhs, rho).atom_names()) for c in omega]
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in rules:
-            if rhs <= covered and not lhs <= covered:
-                covered |= lhs
-                changed = True
-    return goal <= covered
+    scope = replay_scope(omega, rho)
+    goal, start = erased_atoms(e1, rho), erased_atoms(e2, rho)
+    return goal <= start or goal <= scope.closure(start)
 
 
 def entails(omega: Iterable[Constraint], rho: Valuation,
             omega2: Iterable[Constraint]) -> bool:
     """omega |- every constraint of omega2, under rho."""
-    return all(subeffect_holds(omega, rho, c.lhs, c.rhs) for c in omega2)
+    scope = replay_scope(omega, rho)
+    return all(subeffect_holds(scope, rho, c.lhs, c.rhs) for c in omega2)
 
 
 def subtype_holds(omega: Iterable[Constraint], rho: Valuation,
                   t1: Type, t2: Type) -> bool:
     """Structural subtyping: covariant results, contravariant parameters,
     subeffecting on arrows, congruence under quantifiers."""
+    omega = replay_scope(omega, rho)
     if isinstance(t1, TVar):
         return isinstance(t2, TVar) and t1.name == t2.name
     if isinstance(t1, Arrow):
@@ -268,14 +376,16 @@ def cert_props(cert: Cert) -> frozenset[Name]:
     raise TypeError(f"not a certificate: {cert!r}")
 
 
-def check_certificate(omega: frozenset, rho: Valuation,
+def check_certificate(omega: Iterable[Constraint], rho: Valuation,
                       gamma: Mapping[Name, Scheme], expr: Expr,
                       cert: Cert) -> tuple[Type, Effect]:
     """Replay the derivation; return the judgement it proves.
 
     Raises CertificateError naming the first failing rule. The caller must
     supply a rho covering every guard proposition in omega, gamma and cert.
+    omega may be a scope compiled under rho (`ReplayScope`).
     """
+    omega = replay_scope(omega, rho)
     if isinstance(cert, CSub):
         t_in, e_in = check_certificate(omega, rho, gamma, expr, cert.inner)
         if not subtype_holds(omega, rho, t_in, cert.typ):
@@ -334,9 +444,8 @@ def check_certificate(omega: frozenset, rho: Valuation,
         if not isinstance(cert, CLet):
             raise CertificateError("let", "certificate shape mismatch")
         scheme = cert.scheme
-        omega_inner = frozenset(omega) | scheme.constraints
-        t1, e1 = check_certificate(omega_inner, rho, gamma, expr.bound,
-                                   cert.bound)
+        t1, e1 = check_certificate(omega.extend(scheme.constraints), rho,
+                                   gamma, expr.bound, cert.bound)
         if t1 != scheme.body:
             raise CertificateError("let", f"bound type {t1} is not the "
                                           f"scheme body {scheme.body}")

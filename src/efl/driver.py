@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
-                          CVar, Cert, CertificateError, cert_props,
-                          check_certificate, subst_cert)
+                          CVar, Cert, CertificateError, ReplayScope,
+                          cert_props, check_certificate, subst_cert)
 from .effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar, Type,
                       constraint_set, constraints_props,
                       free_eff_vars_constraints, free_eff_vars_type, join,
@@ -322,17 +322,17 @@ def verify_certificates(outcome: CheckOutcome) -> None:
     mismatch. Only meaningful for an "ok" outcome."""
     certs = [wrapped_cert(rec) for rec in outcome.records]
     rho = total_valuation(outcome, certs)
-    omega = outcome.omega
+    scope = ReplayScope(outcome.omega, rho)
     for rec, cert in zip(outcome.records, certs):
         scheme = rec.gen.scheme
-        t, e = check_certificate(omega | scheme.constraints, rho,
+        t, e = check_certificate(scope.extend(scheme.constraints), rho,
                                  rec.gamma_before, rec.expr, cert)
         if t != scheme.body or not e.is_pure():
             raise CertificateError(
                 "toplevel", f"definition '{rec.name.text}' derived {t} @ "
                             f"[{e}], expected its scheme body, pure")
     if outcome.main is not None:
-        t, e = check_certificate(omega, rho, outcome.main_gamma,
+        t, e = check_certificate(scope, rho, outcome.main_gamma,
                                  outcome.main_expr, outcome.main.cert)
         if t != outcome.main.type or e != outcome.main.effect:
             raise CertificateError(

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .formulas import (BOT, TOP, Bot, Formula, Top, Valuation, conj, conj2,
-                       disj2, evaluate, impl, props)
+from .formulas import (BOT, TOP, Bot, Formula, Top, conj, conj2, disj2, impl,
+                       props)
 from .names import KIND_EFF, Name
 
 # ---------------------------------------------------------------------------
@@ -84,11 +84,6 @@ def join(*effects: Effect) -> Effect:
 def guard(e: Effect, phi: Formula) -> Effect:
     """Guard every atom of e by phi (conjoined onto existing guards)."""
     return effect_of({n: conj2(g, phi) for n, g in e.atoms})
-
-
-def erase_guards(e: Effect, rho: Valuation) -> Effect:
-    """Keep the atoms whose guard holds under rho, with guard T."""
-    return effect_of({n: TOP for n, g in e.atoms if evaluate(g, rho)})
 
 
 def effect_props(e: Effect) -> frozenset[Name]:
@@ -263,13 +258,8 @@ EffSubst = Mapping[Name, Effect]
 
 def subst_effect(theta: EffSubst, e: Effect) -> Effect:
     """Replace atoms by their images, pushing the atom's guard inward."""
-    out = PURE
-    for name, g in e.atoms:
-        if name in theta:
-            out = join(out, guard(theta[name], g))
-        else:
-            out = join(out, Effect(((name, g),)))
-    return out
+    return join(*(guard(theta[name], g) if name in theta
+                  else Effect(((name, g),)) for name, g in e.atoms))
 
 
 def _same(x):

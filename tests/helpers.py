@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from efl.declarative import CertificateError, check_certificate, subtype_holds
-from efl.driver import Discharger
-from efl.effects import Constraint, Effect, effect_props, erase_guards
-from efl.formulas import (BOT, Formula, Prop, Valuation, disj2, evaluate,
+from efl.driver import CheckOutcome, Discharger, check_program
+from efl.effects import Constraint, Effect, effect_of, effect_props
+from efl.formulas import (BOT, TOP, Formula, Prop, Valuation, disj2, evaluate,
                           props)
-from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name
+from efl.inference import Config
+from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply
 from efl.solver import _Solver
+from efl.syntax import parse_program
 
 _uids = itertools.count(10_000)
 
@@ -81,6 +84,11 @@ def to_formula(e: Effect, alpha: Name) -> Formula:
     return e.guard_of(alpha)
 
 
+def erase_guards(e: Effect, rho: Valuation) -> Effect:
+    """Keep the atoms whose guard holds under rho, with guard T."""
+    return effect_of({n: TOP for n, g in e.atoms if evaluate(g, rho)})
+
+
 def effects_equal(e1: Effect, e2: Effect) -> bool:
     """Semantic equality: same erased atoms under every valuation."""
     names = effect_props(e1) | effect_props(e2)
@@ -126,3 +134,38 @@ def sat_enumerate(phi: Formula, limit: int = 64) -> Iterator[Valuation]:
             return
         solver.add_clause([-solver.ids[p] if rho[p] else solver.ids[p]
                            for p in names])
+
+
+# -- programs: the corpus and two generated families -------------------------
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+G_HEADER = ("effect IO\neffect DB\ntype Int\n"
+            "extern f : (Int ->[IO] Int) ->[DB] Int\n")
+G_BODY = ("fn (h : forall eff a. Int ->[_] Int) => "
+          "(h [eff _]) (f (h [eff _]))")
+
+
+def g_example_source(n: int) -> str:
+    """The header of g_example.efl and n independent copies of g."""
+    return G_HEADER + "".join(f"let g{i} = {G_BODY}\n" for i in range(n))
+
+
+def chain_source(n: int) -> str:
+    """The same header and n definitions, each using the one before."""
+    defs = [f"let g0 = {G_BODY}"] + [
+        f"let g{i} = fn (h : forall eff a. Int ->[_] Int) => "
+        f"g{i - 1} (efun b => fn (x : Int) => (h [eff _]) x)"
+        for i in range(1, n)]
+    return G_HEADER + "\n".join(defs) + "\n"
+
+
+# (name, source): every corpus program, g_example x8 and chain x5
+SOURCES = ([(p.stem, p.read_text()) for p in sorted(PROGRAMS.glob("*.efl"))]
+           + [("g_example_x8", g_example_source(8)),
+              ("chain_x5", chain_source(5))])
+
+
+def check_source(src: str, mode: str = "constrained") -> CheckOutcome:
+    supply = NameSupply()
+    return check_program(parse_program(src, supply), supply,
+                         Config(mode=mode))

@@ -6,9 +6,11 @@ against the same data types but sharing no logic with the closure procedure
 it cross-checks. The program generator emits well-shaped source text (shapes
 are correct by construction; effects are left to inference), and the
 end-to-end harness asserts that whatever inference accepts, the certificate
-checker confirms under the witness valuation. The recursive walks over `Type`
-at the end are the reference that `effects.map_type`, `effects.walk_type` and
-their callers are compared against.
+checker confirms under the witness valuation. `subeffect_fixpoint` is the
+plain closure fixpoint that the compiled replay scopes are compared against.
+The recursive walks over `Type` at the end are the reference that
+`effects.map_type`, `effects.walk_type` and their callers are compared
+against.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ from efl.declarative import entails, subtype_holds
 from efl.driver import Discharger, check_program, verify_certificates
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                          Scheme, TVar, Type, constraint_set, effect_props,
-                         erase_guards, join, map_type, subst_constraints,
-                         subst_effect, subst_type)
+                         join, map_type, subst_constraints, subst_effect,
+                         subst_type)
 from efl.formulas import (BOT, TOP, Formula, Prop, Top, Valuation, conj2,
                           disj2, evaluate, impl)
 from efl.inference import Config, ShapeError, subtype, tr_type
@@ -32,6 +34,7 @@ from efl.syntax import (EfApp, ELam, Expr, Lam, Let, Program, SArrow, SEJoin,
                         SEPure, SEVar, SEWild, SForallEff, SForallTyp, STVar,
                         SynEffect, SynType, TLam, TyApp, Var, App, Scope,
                         Parser, parse_program)
+from helpers import erase_guards
 
 # ---------------------------------------------------------------------------
 # Bounded derivation search for subeffecting
@@ -108,6 +111,25 @@ def derivation_search_subeffect(omega: Iterable[Constraint], rho: Valuation,
         return False
 
     return search(e1, e2, depth)
+
+
+def subeffect_fixpoint(omega: Iterable[Constraint], rho: Valuation,
+                       e1: Effect, e2: Effect) -> bool:
+    """Decide omega |- e1 <= e2 under rho by the plain closure fixpoint:
+    erase every constraint, then sweep the rules until nothing new is
+    covered. The reference `declarative.subeffect_holds` is compared with."""
+    goal = erase_guards(e1, rho).atom_names()
+    covered = set(erase_guards(e2, rho).atom_names())
+    rules = [(erase_guards(c.lhs, rho).atom_names(),
+              erase_guards(c.rhs, rho).atom_names()) for c in omega]
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in rules:
+            if rhs <= covered and not lhs <= covered:
+                covered |= lhs
+                changed = True
+    return goal <= covered
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from efl.cli import main
 from efl.declarative import match_type, subeffect_holds, subtype_holds
 from efl.driver import (check_program, total_valuation, verify_certificates)
 from efl.effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar,
-                         constraint_set, constraints_props, erase_guards,
+                         constraint_set, constraints_props,
                          free_eff_vars_scheme, join, omega_to_formula,
                          subst_constraints, type_props)
 from efl.formulas import (BOT, TOP, And, Bot, Implies, Or, Prop, Top,
@@ -39,7 +39,7 @@ from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply
 from efl.solver import SolverSession, discharge_toplevel, sat
 from efl.syntax import (SArrow, SEJoin, SEPure, SEVar, SEWild, SForallEff,
                         SForallTyp, STVar, parse_program)
-from helpers import all_valuations, sat_enumerate, to_formula
+from helpers import all_valuations, erase_guards, sat_enumerate, to_formula
 from oracles import (concretize_scheme, derivation_search_subeffect,
                      end_to_end_soundness, gen_program,
                      has_wildcard_under_quantifier, parse_closed_type,

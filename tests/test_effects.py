@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, Scheme,
                          TVar, arrow_count, constraint_set, effect_of,
-                         effect_props, erase_guards, free_eff_vars_effect,
+                         effect_props, free_eff_vars_effect,
                          free_eff_vars_scheme, guard, join, mono,
                          omega_to_formula, subst_effect, subst_type)
 from efl.formulas import BOT, TOP, And, Implies, Or, conj2, disj2, evaluate
 from efl.names import NameSupply
 from helpers import (Names, all_valuations, con, effects_equal,
-                     to_formula)
+                     erase_guards, to_formula)
 from oracles import random_effect, random_guard
 
 

@@ -1,23 +1,21 @@
 """SAT backend, top-level discharge and constraint simplification."""
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from efl import driver
 from efl.driver import Discharger
-from efl.inference import Config
 from efl.effects import Effect, constraint_set
 from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, Valuation, conj,
                           conj2, disj2, evaluate, impl, neg, props)
-from efl.names import Name, NameSupply
-from efl.syntax import parse_program
+from efl.names import Name
 from efl.solver import (SolverSession, _Solver, discharge_toplevel, sat,
                         simplify_constraints)
 from efl.declarative import subeffect_holds
-from helpers import (Names, all_valuations, con, formulas_equivalent,
-                     memberships, sat_enumerate, tautology)
+from helpers import (SOURCES, Names, all_valuations, check_source, con,
+                     formulas_equivalent, memberships, sat_enumerate,
+                     tautology)
 from oracles import random_guard
 
 
@@ -419,42 +417,13 @@ def test_admits_query_contradicting_the_session(ns):
                                        ns.prop("r"): False}
 
 
-PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
-G_HEADER = ("effect IO\neffect DB\ntype Int\n"
-            "extern f : (Int ->[IO] Int) ->[DB] Int\n")
-G_BODY = ("fn (h : forall eff a. Int ->[_] Int) => "
-          "(h [eff _]) (f (h [eff _]))")
-
-
-def _g_example(n):
-    return G_HEADER + "".join(f"let g{i} = {G_BODY}\n" for i in range(n))
-
-
-def _chain(n):
-    defs = [f"let g0 = {G_BODY}"] + [
-        f"let g{i} = fn (h : forall eff a. Int ->[_] Int) => "
-        f"g{i - 1} (efun b => fn (x : Int) => (h [eff _]) x)"
-        for i in range(1, n)]
-    return G_HEADER + "\n".join(defs) + "\n"
-
-
-SOURCES = ([(p.stem, p.read_text()) for p in sorted(PROGRAMS.glob("*.efl"))]
-           + [("g_example_x8", _g_example(8)), ("chain_x5", _chain(5))])
-
-
-def _check(src, mode):
-    supply = NameSupply()
-    return driver.check_program(parse_program(src, supply), supply,
-                                Config(mode=mode))
-
-
 @pytest.mark.parametrize("mode", ["constrained", "constraint-free"])
 @pytest.mark.parametrize("name,src", SOURCES, ids=[n for n, _ in SOURCES])
 def test_checker_witness_agrees_with_backbone_oracle(monkeypatch, name, src,
                                                      mode):
-    new = _check(src, mode)
+    new = check_source(src, mode)
     monkeypatch.setattr(driver, "SolverSession", BackboneSession)
-    old = _check(src, mode)
+    old = check_source(src, mode)
     assert new.stdout() == old.stdout()
     assert (new.exit_code, new.error) == (old.exit_code, old.error)
     assert new.formula == old.formula
