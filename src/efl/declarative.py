@@ -4,11 +4,12 @@ Everything here is indexed by a valuation rho for the guard propositions: an
 answer is relative to one choice of guards. Under rho a constraint set is a
 set of propositional Horn rules over effect atoms, and subeffecting is
 closure under them. A `ReplayScope` compiles a constraint set once per
-valuation: each constraint's guards are erased once, the rules are indexed
-by the atoms of their right-hand side, and each query closes its start set
-by counter-based propagation (Dowling & Gallier, JLP 1984), in time linear
-in the rules it touches. `derivation_search_subeffect` in `tests/oracles.py`
-is the independent bounded proof search the closure is validated against.
+valuation: each constraint's guards are erased once and the rules are
+indexed by the atoms of their right-hand side. Each query propagates from
+its start set by counting down the rules' missing atoms (Dowling & Gallier,
+JLP 1984), in time linear in the rules it touches, and stops once its goal
+is covered. `derivation_search_subeffect` in `tests/oracles.py` is the
+independent bounded proof search the closure is validated against.
 
 A Certificate records the rule applied at every node of a typing derivation.
 `check_certificate` replays it bottom-up against the expression and recomputes
@@ -109,7 +110,7 @@ class ReplayScope:
     covered, so is every atom of l's. A rule is listed under each atom of its
     erased RHS and counts down as those atoms get covered; a rule whose RHS
     erases to nothing fires unconditionally. `extend` layers further
-    constraints on top, erasing only those and sharing the rules below.
+    constraints on top, erasing only those and sharing the layers below.
     Iterating a scope yields its constraints, so it serves as an omega.
     """
 
@@ -117,28 +118,25 @@ class ReplayScope:
                  parent: "ReplayScope | None" = None) -> None:
         own = frozenset(omega)
         self.rho = rho
-        self.parent = parent
         self.sets = (parent.sets if parent else ()) + (own,)
-        # a rule is (number, erased RHS, erased LHS), numbered across layers
         index: dict[Name, list[tuple]] = {}
-        self.indexes = (parent.indexes if parent else ()) + (index,)
-        self.rules: list[tuple] = []
-        self.free: set[Name] = set()
-        number = parent.count if parent else 0
+        free: set[Name] = set()
         for c in own:
             lhs, rhs = erase_rule(c, rho)
             if not lhs:
                 continue
             if not rhs:
-                self.free |= lhs
+                free |= lhs
                 continue
-            rule = (number, rhs, lhs)
-            self.rules.append(rule)
+            rule = (rhs, lhs)
             for atom in rhs:
                 index.setdefault(atom, []).append(rule)
-            number += 1
-        self.count = number
-        self._closures: dict[frozenset[Name], tuple] = {}
+        # A layer that adds no rule or free atom is left out, so a query
+        # looks only at the layers that can fire.
+        self.indexes = ((parent.indexes if parent else ())
+                        + ((index,) if index else ()))
+        self.free = ((parent.free if parent else ())
+                     + ((frozenset(free),) if free else ()))
 
     def __iter__(self):
         for own in self.sets:
@@ -149,45 +147,32 @@ class ReplayScope:
         new = [c for c in omega if not any(c in own for own in self.sets)]
         return ReplayScope(new, self.rho, self) if new else self
 
-    def closure(self, start: frozenset[Name]) -> frozenset[Name]:
-        """Every atom covered once the atoms of start are."""
-        return self._state(start)[0]
-
-    def _state(self, start: frozenset[Name]) -> tuple[frozenset[Name],
-                                                      dict[int, int]]:
-        """The closure of start, and how many RHS atoms each rule it
-        touched still lacks. A layer resumes from its parent's closure of
-        the same start, so each (scope, start) pair is propagated once."""
-        known = self._closures.get(start)
-        if known is not None:
-            return known
-        queue = [*self.free, *start]
-        if self.parent is None:
-            covered: set[Name] = set()
-            waiting: dict[int, int] = {}
-        else:
-            below, waiting = self.parent._state(start)
-            covered, waiting = set(below), dict(waiting)
-            for number, rhs, lhs in self.rules:
-                missing = len(rhs - below)
-                if missing:
-                    waiting[number] = missing
-                else:
-                    queue.extend(lhs)
+    def covers(self, start: frozenset[Name], goal: frozenset[Name]) -> bool:
+        """Is every atom of goal covered once the atoms of start are?
+        Propagation stops as soon as it is."""
+        missing = set(goal).difference(start, *self.free)
+        if not missing:
+            return True
+        queue = [atom for free in self.free for atom in free]
+        queue.extend(start)
+        covered: set[Name] = set()
+        # RHS atoms each touched rule still lacks, keyed by the rule object:
+        # two constraints may erase to equal rules, each counting alone.
+        waiting: dict[int, int] = {}
         indexes = self.indexes
-        while queue:
+        while missing and queue:
             atom = queue.pop()
             if atom in covered:
                 continue
             covered.add(atom)
             for index in indexes:
-                for number, rhs, lhs in index.get(atom, ()):
-                    need = waiting.get(number, len(rhs)) - 1
-                    waiting[number] = need
+                for rule in index.get(atom, ()):
+                    need = waiting.get(id(rule), len(rule[0])) - 1
+                    waiting[id(rule)] = need
                     if need == 0:
-                        queue.extend(lhs)
-        out = self._closures[start] = (frozenset(covered), waiting)
-        return out
+                        queue.extend(rule[1])
+                        missing.difference_update(rule[1])
+        return not missing
 
 
 def replay_scope(omega: Iterable[Constraint],
@@ -207,14 +192,14 @@ def subeffect_holds(omega: Iterable[Constraint], rho: Valuation,
     After erasing guards everything is a set of atoms and each assumption
     l <= r a Horn rule (see `ReplayScope`). Starting from the atoms of e2,
     fire every rule whose erased RHS is covered to also cover its erased
-    LHS; e1 must end up covered. Each step is justified by assumption +
-    join + transitivity, and every declarative rule preserves coveredness,
-    so this is exactly the subeffect relation. omega may be a scope
-    compiled under rho, which is then queried as it is.
+    LHS, until e1 is covered or nothing more fires. Each step is justified
+    by assumption + join + transitivity, and every declarative rule
+    preserves coveredness, so this is exactly the subeffect relation. omega
+    may be a scope compiled under rho, which is then queried as it is.
     """
     scope = replay_scope(omega, rho)
     goal, start = erased_atoms(e1, rho), erased_atoms(e2, rho)
-    return goal <= start or goal <= scope.closure(start)
+    return goal <= start or scope.covers(start, goal)
 
 
 def entails(omega: Iterable[Constraint], rho: Valuation,

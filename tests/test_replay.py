@@ -16,10 +16,10 @@ import pytest
 from efl import declarative, driver
 from efl.declarative import (CSub, CVar, Cert, CertificateError, ReplayScope,
                              subeffect_holds)
-from efl.effects import PURE, Constraint, Effect
+from efl.effects import PURE, Constraint, Effect, join
 from efl.formulas import Valuation
-from helpers import (SOURCES, Names, check_source, chain_source,
-                     g_example_source)
+from helpers import (G_BODY, G_HEADER, SOURCES, Names, check_source,
+                     chain_source, g_example_source)
 from oracles import random_effect, random_guard, subeffect_fixpoint
 
 MODES = ["constrained", "constraint-free"]
@@ -107,9 +107,8 @@ def test_scope_extended_twice_agrees_with_fixpoint_on_the_union():
         once = base.extend(parts[1])
         twice = once.extend(parts[2])
         assert set(twice) == set(omega)
-        # Query the layers in a random order, so that a layer sometimes
-        # resumes from a parent closure that is already memoised and
-        # sometimes has to compute it first.
+        # Query the layers in a random order: no answer may depend on
+        # which scope was queried before.
         layers = [(base, parts[0]), (once, parts[0] + parts[1]),
                   (twice, omega)]
         rng.shuffle(layers)
@@ -136,6 +135,19 @@ def test_scope_is_bound_to_its_valuation(ns):
                            ns.ev("y"))
     with pytest.raises(ValueError):
         subeffect_holds(scope, off, ns.ev("x"), PURE)
+
+
+def test_equal_erased_rules_count_apart(ns):
+    x, y, z = ns.ev("x"), ns.ev("y"), ns.ev("z")
+    q = ns.prop("q")
+    rho = Valuation({q: True})
+    # Two constraints that erase to the same rule y, z => x: covering y
+    # must not count as covering z.
+    omega = [Constraint(x, join(y, z)), Constraint(ns.atom("x", ns.p("q")),
+                                                  join(y, z))]
+    scope = ReplayScope(omega, rho)
+    assert not subeffect_holds(scope, rho, x, y)
+    assert subeffect_holds(scope, rho, x, join(y, z))
 
 
 def test_rule_with_pure_rhs_fires_unconditionally(ns):
@@ -257,6 +269,41 @@ def test_tampered_certificates_fail_alike(monkeypatch, name, src, mode):
         seen.add((kind, error and error[0]))
     if name in TAMPER_FAILURES:
         assert seen == TAMPER_FAILURES[name]
+
+
+def let_nest_source(n):
+    """One definition whose bound expression nests n - 1 lets, each in the
+    bound expression of the next and each binding a copy of g, so that
+    every let brings scheme constraints of its own."""
+    body = G_BODY
+    for i in range(1, n):
+        body = f"let g{i} = {body} in {G_BODY}"
+    return G_HEADER + f"let top = {body}\n"
+
+
+def test_deep_let_nest_replays_layer_by_layer(monkeypatch):
+    outcome = check_source(let_nest_source(30))
+    assert outcome.status == "ok"
+    _both(outcome, monkeypatch)
+    depths, erasures = [], Counter()
+    extend, erase = ReplayScope.extend, declarative.erase_rule
+
+    def recording_extend(self, omega):
+        out = extend(self, omega)
+        depths.append(len(out.sets))
+        return out
+
+    def counting(c, rho):
+        erasures[c] += 1
+        return erase(c, rho)
+
+    with monkeypatch.context() as m:
+        m.setattr(ReplayScope, "extend", recording_extend)
+        m.setattr(declarative, "erase_rule", counting)
+        driver.verify_certificates(outcome)
+    # outcome.omega, the definition's scheme, then one layer per let
+    assert max(depths) == 31
+    assert set(erasures.values()) == {1}
 
 
 # -- erasure stays linear ----------------------------------------------------
