@@ -6,7 +6,7 @@ binary; the builder functions fold constants so that guards stay small.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .names import Name
@@ -36,28 +36,41 @@ class Prop(Formula):
         return self.name.text
 
 
-@dataclass(frozen=True)
-class And(Formula):
+@dataclass(frozen=True, slots=True)
+class _Binary(Formula):
+    """A binary connective, compared by structure.
+
+    Its hash is the one a frozen dataclass would compute, hash((lhs, rhs)),
+    taken once at construction from the children's cached hashes, so
+    hashing a formula costs O(1) instead of a walk over it.
+    """
     lhs: Formula
     rhs: Formula
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.lhs, self.rhs)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class And(_Binary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"({self.lhs} /\\ {self.rhs})"
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+class Or(_Binary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"({self.lhs} \\/ {self.rhs})"
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"({self.lhs} => {self.rhs})"
@@ -116,12 +129,27 @@ def conj(parts: Iterable[Formula]) -> Formula:
 
 
 def props(phi: Formula) -> frozenset[Name]:
-    """All proposition variables occurring in phi."""
+    """All proposition variables occurring in phi.
+
+    One explicit-stack walk that visits each distinct subformula once.
+    """
     if isinstance(phi, Prop):
         return frozenset((phi.name,))
-    if isinstance(phi, (And, Or, Implies)):
-        return props(phi.lhs) | props(phi.rhs)
-    return frozenset()
+    if not isinstance(phi, _Binary):
+        return frozenset()
+    out: set[Name] = set()
+    seen = {phi}
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Prop):
+            out.add(f.name)
+        elif isinstance(f, _Binary):
+            for g in (f.lhs, f.rhs):
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+    return frozenset(out)
 
 
 class Valuation:

@@ -10,8 +10,9 @@ scope errors carry source positions and map to exit code 2 in the CLI.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import NamedTuple
 
 from .names import KIND_EFF, KIND_EXPR, KIND_TYPE, Name, NameSupply
 
@@ -231,56 +232,69 @@ def type_is_wildcard_free(st: SynType) -> bool:
 KEYWORDS = frozenset(("fn", "let", "in", "tfun", "efun", "forall", "typ",
                       "eff", "type", "effect", "extern", "pure"))
 
-_PUNCT = ("=>", "->", "\\/", "(", ")", "[", "]", ":", ".", "=", "_")
+# One alternation, tried in order at each position; the last branch takes
+# any other character, which is an error. A word starts where
+# str.isalpha() holds: [^\W\d_] also admits numeric characters such as
+# '½', so the lexer rejects a word whose first character is not alphabetic.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<blank>[ \t\r]+)
+  | (?P<comment>--[^\n]*)
+  | (?P<word>[^\W\d_][\w']*)
+  | (?P<punct>=>|->|\\/|[()\[\]:.=_])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "kw", punctuation text, or "eof"
     text: str
     line: int
     col: int
 
 
-def tokenize(src: str) -> list[Token]:
+def _scan(src: str) -> tuple[list[Token], list[int]]:
+    """The tokens of src, and the bracket depth before each of them."""
     toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
+    depth: list[int] = []
+    d = 0
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(src):
+        group = m.lastgroup
+        pos = m.start()
+        if group == "newline":
             line += 1
-            col = 1
+            line_start = end = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if group == "comment":
+            # A comment does not advance the column: at end of input the
+            # eof token sits where the comment began.
+            end = pos
             continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
+        end = m.end()
+        if group == "blank":
             continue
-        if c.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            word = src[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if src.startswith(p, i):
-                toks.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+        text = m.group()
+        col = pos - line_start + 1
+        if group == "word" and text[0].isalpha():
+            kind = "kw" if text in KEYWORDS else "ident"
+        elif group == "punct":
+            kind = text
         else:
-            raise SourceError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
+            raise SourceError(f"unexpected character {text[0]!r}", line, col)
+        toks.append(Token(kind, text, line, col))
+        depth.append(d)
+        if kind in ("(", "["):
+            d += 1
+        elif kind in (")", "]"):
+            d -= 1
+    toks.append(Token("eof", "", line, end - line_start + 1))
+    depth.append(d)
+    return toks, depth
+
+
+def tokenize(src: str) -> list[Token]:
+    return _scan(src)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +323,13 @@ class Scope:
 class Parser:
     def __init__(self, src: str, supply: NameSupply,
                  scope: Scope | None = None) -> None:
-        self.toks = tokenize(src)
-        self.pos = 0
-        self.supply = supply
-        self.scope = scope.copy() if scope is not None else Scope()
         # Bracket depth before each token: application may not continue
         # across a line break at depth 0, so consecutive top-level items
         # do not glue together.
-        self.depth = []
-        d = 0
-        for t in self.toks:
-            self.depth.append(d)
-            if t.kind in ("(", "["):
-                d += 1
-            elif t.kind in (")", "]"):
-                d -= 1
+        self.toks, self.depth = _scan(src)
+        self.pos = 0
+        self.supply = supply
+        self.scope = scope.copy() if scope is not None else Scope()
 
     # -- token plumbing ----------------------------------------------------
 

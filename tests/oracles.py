@@ -10,7 +10,8 @@ checker confirms under the witness valuation. `subeffect_fixpoint` is the
 plain closure fixpoint that the compiled replay scopes are compared against.
 The recursive walks over `Type` at the end are the reference that
 `effects.map_type`, `effects.walk_type` and their callers are compared
-against.
+against; `props_rec` is the same for `formulas.props`, and
+`tokenize_chars`, the character-at-a-time lexer, for `syntax.tokenize`.
 """
 from __future__ import annotations
 
@@ -25,15 +26,15 @@ from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                          Scheme, TVar, Type, constraint_set, effect_props,
                          join, map_type, subst_constraints, subst_effect,
                          subst_type)
-from efl.formulas import (BOT, TOP, Formula, Prop, Top, Valuation, conj2,
-                          disj2, evaluate, impl)
+from efl.formulas import (BOT, TOP, And, Formula, Implies, Or, Prop, Top,
+                          Valuation, conj2, disj2, evaluate, impl)
 from efl.inference import Config, ShapeError, subtype, tr_type
 from efl.names import KIND_EFF, KIND_TYPE, Name, NameSupply
 from efl.solver import sat
-from efl.syntax import (EfApp, ELam, Expr, Lam, Let, Program, SArrow, SEJoin,
-                        SEPure, SEVar, SEWild, SForallEff, SForallTyp, STVar,
-                        SynEffect, SynType, TLam, TyApp, Var, App, Scope,
-                        Parser, parse_program)
+from efl.syntax import (KEYWORDS, EfApp, ELam, Expr, Lam, Let, Program,
+                        SArrow, SEJoin, SEPure, SEVar, SEWild, SForallEff,
+                        SForallTyp, STVar, SynEffect, SynType, TLam, TyApp,
+                        Var, App, Scope, Parser, SourceError, parse_program)
 from helpers import erase_guards
 
 # ---------------------------------------------------------------------------
@@ -727,3 +728,60 @@ def names_in_type_rec(t: Type) -> set[Name]:
     if isinstance(t, (ForallTyp, ForallEff)):
         return {t.binder} | names_in_type_rec(t.body)
     raise TypeError(f"not a type: {t!r}")
+
+
+def props_rec(phi: Formula) -> frozenset[Name]:
+    if isinstance(phi, Prop):
+        return frozenset((phi.name,))
+    if isinstance(phi, (And, Or, Implies)):
+        return props_rec(phi.lhs) | props_rec(phi.rhs)
+    return frozenset()
+
+
+# ---------------------------------------------------------------------------
+# Character-at-a-time lexer
+# ---------------------------------------------------------------------------
+
+_PUNCT = ("=>", "->", "\\/", "(", ")", "[", "]", ":", ".", "=", "_")
+
+
+def tokenize_chars(src: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) of each token of src, ending with eof."""
+    toks: list[tuple[str, str, int, int]] = []
+    line, col, i = 1, 1, 0
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("--", i):
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and (src[j].isalnum() or src[j] in "_'"):
+                j += 1
+            word = src[i:j]
+            kind = "kw" if word in KEYWORDS else "ident"
+            toks.append((kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        for p in _PUNCT:
+            if src.startswith(p, i):
+                toks.append((p, p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise SourceError(f"unexpected character {c!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks

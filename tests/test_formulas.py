@@ -4,10 +4,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from efl.formulas import (BOT, TOP, And, Implies, Or, Valuation, conj,
+from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, Valuation, conj,
                           conj2, disj2, evaluate, impl, neg, props)
+from efl.names import KIND_PROP, Name
 from helpers import (Names, all_valuations, disj, formulas_equivalent,
                      tautology)
+from oracles import props_rec, random_guard
 
 
 def test_builders_fold_units(ns):
@@ -120,3 +122,60 @@ def test_builders_preserve_semantics(seed):
         assert evaluate(impl(a, b), rho) == ((not evaluate(a, rho))
                                              or evaluate(b, rho))
         assert evaluate(neg(a), rho) == (not evaluate(a, rho))
+
+
+def _rebuilt(phi):
+    """An equal copy of phi that shares no node with it."""
+    if isinstance(phi, Prop):
+        return Prop(phi.name)
+    if isinstance(phi, (And, Or, Implies)):
+        return type(phi)(_rebuilt(phi.lhs), _rebuilt(phi.rhs))
+    return phi
+
+
+def _as_tuples(phi):
+    """phi with each connective replaced by the pair of its operands: its
+    hash is the one the plain frozen dataclasses computed recursively."""
+    if isinstance(phi, (And, Or, Implies)):
+        return (_as_tuples(phi.lhs), _as_tuples(phi.rhs))
+    return phi
+
+
+def _left_chain(n: int):
+    """p0 /\\ p1 /\\ ... /\\ p(n-1), nested to the left, n distinct props."""
+    names = [Name(f"p{i}", KIND_PROP, i) for i in range(n)]
+    out = Prop(names[0])
+    for name in names[1:]:
+        out = And(out, Prop(name))
+    return out, names
+
+
+def test_connective_hash_is_the_structural_hash():
+    ns = Names()
+    rng = random.Random(20)
+    pool = [ns.prop(t) for t in "pqrst"]
+    binary = 0
+    for _ in range(600):
+        f = random_guard(rng, pool, depth=5)
+        copy = _rebuilt(f)
+        assert copy == f and hash(copy) == hash(f)
+        assert hash(f) == hash(_as_tuples(f))
+        if isinstance(f, (And, Or, Implies)):
+            binary += 1
+            assert copy is not f
+            assert hash(f) == hash((f.lhs, f.rhs))
+        assert props(f) == props_rec(f)
+    assert binary >= 100
+
+
+def test_connectives_differ_by_kind_not_by_hash(ns):
+    p, q = ns.p("p"), ns.p("q")
+    assert And(p, q) != Or(p, q) and Or(p, q) != Implies(p, q)
+    assert hash(And(p, q)) == hash(Or(p, q)) == hash((p, q))
+    assert len({And(p, q), Or(p, q), Implies(p, q), And(p, q)}) == 3
+
+
+def test_hash_and_props_of_deep_chains():
+    chain, names = _left_chain(100_000)
+    assert hash(chain) == hash((chain.lhs, chain.rhs))
+    assert props(chain) == frozenset(names)

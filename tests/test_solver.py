@@ -9,7 +9,7 @@ from efl.driver import Discharger
 from efl.effects import Effect, constraint_set
 from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, Valuation, conj,
                           conj2, disj2, evaluate, impl, neg, props)
-from efl.names import Name
+from efl.names import KIND_PROP, Name
 from efl.solver import (SolverSession, _Solver, discharge_toplevel, sat,
                         simplify_constraints)
 from efl.declarative import subeffect_holds
@@ -85,6 +85,27 @@ def test_sat_agrees_with_truth_tables(seed):
     if model is not None:
         assert evaluate(phi, model)
 
+
+def test_tseitin_encodes_a_deep_chain_with_three_clauses_per_and():
+    n = 20_000
+    chain = Prop(Name("p0", KIND_PROP, 0))
+    for i in range(1, n):
+        chain = And(chain, Prop(Name(f"p{i}", KIND_PROP, i)))
+    s = _Solver()
+    root = s.literal(chain)
+    assert s.nvars == 2 * n - 1
+    assert len(s._clauses) == 3 * (n - 1) and not s._units
+    assert s.literal(chain) == root
+    assert len(s._clauses) == 3 * (n - 1)
+
+
+def test_tseitin_shares_one_variable_between_equal_subformulas(ns):
+    p, q, r = ns.p("p"), ns.p("q"), ns.p("r")
+    s = _Solver()
+    root = s.literal(Or(And(p, Implies(q, r)), And(p, Implies(q, r))))
+    assert s.nvars == 6 and len(s._clauses) == 9
+    assert s.literal(And(Prop(p.name), Implies(q, Prop(r.name)))) == root - 1
+    assert s.nvars == 6 and len(s._clauses) == 9
 
 # -- top-level discharge -------------------------------------------------------
 

@@ -1,9 +1,12 @@
 """Lexing, parsing, scope resolution and pretty-printing."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efl.names import NameSupply
 from efl.syntax import (App, Lam, Parser, Scope, SourceError, parse_program,
                         tokenize)
+from helpers import SOURCES, chain_source, g_example_source
+from oracles import gen_program, tokenize_chars
 
 PRELUDE = """effect IO
 effect DB
@@ -37,6 +40,69 @@ def test_tokenize_error_position():
     assert str(exc.value) == "line 1, col 9: unexpected character '$'"
     assert exc.value.line == 1 and exc.value.col == 9
 
+
+def _lexed(lex, src: str):
+    """The (kind, text, line, col) stream of src, or its error and place."""
+    try:
+        return [tuple(t) for t in lex(src)]
+    except SourceError as e:
+        return ("error", str(e), e.line, e.col)
+
+
+def _depths(toks) -> list[int]:
+    out, d = [], 0
+    for kind, _, _, _ in toks:
+        out.append(d)
+        d += (kind in ("(", "[")) - (kind in (")", "]"))
+    return out
+
+
+def _assert_lexes_like_the_oracle(src: str) -> None:
+    want = _lexed(tokenize_chars, src)
+    assert _lexed(tokenize, src) == want
+    if want[0] != "error":
+        assert Parser(src, NameSupply()).depth == _depths(want)
+
+
+def test_tokenize_agrees_with_the_character_lexer_on_programs():
+    sources = ([src for _, src in SOURCES]
+               + [g_example_source(40), chain_source(12)]
+               + [gen_program(seed, mode=mode) for seed in range(40)
+                  for mode in ("constrained", "constraint-free")])
+    for src in sources:
+        _assert_lexes_like_the_oracle(src)
+        # Cut short: the eof token after a comment, a bare '-' or '\\'.
+        for cut in range(0, len(src), max(1, len(src) // 25)):
+            _assert_lexes_like_the_oracle(src[:cut])
+
+
+_PIECES = ["let", "in", "fn", "x", "x'", "_x", "f_1", "é", "½", "٣", "x½",
+           "é٣", "Ⅻ", "²", "(", ")", "[", "]", "=>", "->", "=", ">", "-",
+           "--", "\\/", "\\", "/", ":", ".", "_", " ", "\t", "\r", "\n",
+           "\r\n", "$", "\f", "\u00a0"]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_PIECES) | st.characters(), max_size=30))
+def test_tokenize_agrees_with_the_character_lexer_on_strings(pieces):
+    _assert_lexes_like_the_oracle("".join(pieces))
+
+
+@pytest.mark.parametrize("src,want", [
+    ("½", "line 1, col 1: unexpected character '½'"),
+    ("x ½y", "line 1, col 3: unexpected character '½'"),
+    ("a\n  ٣", "line 2, col 3: unexpected character '٣'"),
+])
+def test_words_start_only_at_letters(src, want):
+    with pytest.raises(SourceError) as exc:
+        tokenize(src)
+    assert str(exc.value) == want
+
+
+def test_eof_after_a_trailing_comment_sits_at_the_comment():
+    assert tuple(tokenize("x  -- done")[-1]) == ("eof", "", 1, 4)
+    assert [t.text for t in tokenize("x½ é٣ _x")] == [
+        "x½", "é٣", "_", "x", ""]
 
 def test_guard_syntax_is_output_only():
     with pytest.raises(SourceError):
