@@ -12,14 +12,13 @@ import sys
 from pathlib import Path
 
 from .declarative import CertificateError
-from .driver import (Discharger, check_program, display_scheme,
-                     display_type_and_effect, prepare_definition,
-                     prepare_expression, render_cert, verify_certificates,
-                     wrapped_cert)
-from .effects import Scheme, mono, sorted_constraints
-from .inference import Config, InferError, tr_type
-from .names import Name, NameSupply
-from .solver import SolverSession, simplify_constraints
+from .driver import (TopLevel, check_program, display_scheme,
+                     display_type_and_effect, render_cert,
+                     verify_certificates, wrapped_cert)
+from .effects import sorted_constraints
+from .inference import Config, InferError
+from .names import NameSupply
+from .solver import simplify_constraints
 from .syntax import Parser, Scope, SourceError, parse_program
 
 
@@ -87,13 +86,9 @@ class Repl:
     ones leave it untouched."""
 
     def __init__(self, config: Config) -> None:
-        self.config = config
         self.supply = NameSupply()
         self.scope = Scope()
-        self.gamma: dict[Name, Scheme] = {}
-        self.session = SolverSession()
-        self.discharger = Discharger((), self.supply)
-        self.omega = set()
+        self.top = TopLevel((), self.supply, config)
 
     def handle(self, line: str) -> str | None:
         """Process one input line; returns the text to print (or None)."""
@@ -103,8 +98,8 @@ class Repl:
         if line in (":quit", ":q"):
             raise EOFError
         if line == ":constraints":
-            protected = frozenset(self.discharger.rigid)
-            simplified = simplify_constraints(frozenset(self.omega),
+            protected = frozenset(self.top.discharger.rigid)
+            simplified = simplify_constraints(frozenset(self.top.omega),
                                               protected)
             if not simplified:
                 return "(no constraints)"
@@ -121,13 +116,12 @@ class Repl:
         try:
             expr = parser.parse_expr()
             parser.expect("eof", "end of input")
-            res, phi = prepare_expression(self.gamma, expr, self.supply,
-                                          self.config, self.discharger)
+            res = self.top.type_of(expr)
         except SourceError as ex:
             return f"parse error: {ex}"
         except InferError as ex:
             return f"error: {ex}"
-        if not self.session.admits(phi):
+        if res is None:
             return "error: effect constraints unsatisfiable"
         return display_type_and_effect(res.type, res.effect)
 
@@ -137,42 +131,28 @@ class Repl:
             kind, name, payload = parser.parse_repl_item()
         except SourceError as ex:
             return f"parse error: {ex}"
-        if kind == "effect":
-            self.discharger.add_rigid(name)
-            self.scope = parser.scope
-            return f"effect {name.text}"
-        if kind == "type":
-            self.scope = parser.scope
-            return f"type {name.text}"
-        if kind == "extern":
-            _, _, t = tr_type(payload, self.supply)
-            self.gamma[name] = mono(t)
-            self.scope = parser.scope
-            return f"{name.text} : {t}"
-        if kind == "def":
-            try:
-                rec, phi = prepare_definition(self.gamma, name, payload,
-                                              self.supply, self.config,
-                                              self.discharger)
-            except InferError as ex:
-                return f"error: {ex}"
-            if not self.session.push(phi):
-                return ("error: effect constraints unsatisfiable; "
-                        "input rejected")
-            self.gamma[name] = rec.gen.scheme
-            self.omega |= rec.gen.omega_p
-            self.scope = parser.scope
-            return f"{name.text} : {display_scheme(rec.gen.scheme)}"
-        # bare expression
+        rejected = "error: effect constraints unsatisfiable; input rejected"
         try:
-            res, phi = prepare_expression(self.gamma, payload, self.supply,
-                                          self.config, self.discharger)
+            if kind == "expr":
+                res = self.top.add_expression(payload)
+                if res is None:
+                    return rejected
+                return "it : " + display_type_and_effect(res.type, res.effect)
+            if kind == "def":
+                rec = self.top.add_definition(name, payload)
+                if rec is None:
+                    return rejected
+                out = f"{name.text} : {display_scheme(rec.gen.scheme)}"
+            elif kind == "extern":
+                out = f"{name.text} : {self.top.add_extern(name, payload)}"
+            else:
+                if kind == "effect":
+                    self.top.discharger.add_rigid(name)
+                out = f"{kind} {name.text}"
         except InferError as ex:
             return f"error: {ex}"
-        if not self.session.push(phi):
-            return "error: effect constraints unsatisfiable; input rejected"
-        self.omega |= res.constraints
-        return "it : " + display_type_and_effect(res.type, res.effect)
+        self.scope = parser.scope
+        return out
 
 
 def cmd_repl(args: argparse.Namespace) -> int:

@@ -8,7 +8,8 @@ before discharge: each one is re-expressed as a guarded join over the rigid
 constants with fresh persistent "membership" propositions, so the solver gets
 to pick which constants the variable stands for. On success the session's
 model is the witness valuation under which every emitted certificate must
-replay.
+replay. `TopLevel` holds this state; `check_program` feeds it a program's
+items and the REPL one input at a time.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .inference import (Config, Generalized, InferError, InferResult,
                         generalize, infer, tr_type)
 from .names import KIND_EFF, KIND_PROP, Name, NameSupply
 from .solver import SolverSession, discharge_toplevel, simplify_constraints
-from .syntax import Expr, Program
+from .syntax import Expr, Program, SynType
 
 
 class Discharger:
@@ -177,7 +178,6 @@ def render_cert(c: Cert) -> str:
 class DefRecord:
     name: Name
     expr: Expr
-    gamma_before: dict
     res: InferResult
     gen: Generalized
 
@@ -188,16 +188,13 @@ class CheckOutcome:
     stdout_lines: list[str]
     error: str | None
     exit_code: int
-    rigid: tuple[Name, ...] = ()
-    gamma: dict = field(default_factory=dict)
-    defs: list = field(default_factory=list)
+    externs: dict = field(default_factory=dict)
     omega: frozenset = frozenset()
     formula: Formula = TOP
     witness: Valuation | None = None
     records: list = field(default_factory=list)
     main: InferResult | None = None
     main_expr: Expr | None = None
-    main_gamma: dict = field(default_factory=dict)
     discharger: Discharger | None = None
 
     def stdout(self) -> str:
@@ -213,7 +210,7 @@ def prepare_definition(gamma: dict, name: Name, expr: Expr,
     gen = generalize(res, supply, config)
     phi = conj2(res.formula,
                 conj2(gen.formula, discharger.formula_for(gen.omega_p)))
-    return DefRecord(name, expr, dict(gamma), res, gen), phi
+    return DefRecord(name, expr, res, gen), phi
 
 
 def prepare_expression(gamma: dict, expr: Expr, supply: NameSupply,
@@ -225,82 +222,106 @@ def prepare_expression(gamma: dict, expr: Expr, supply: NameSupply,
     return res, phi
 
 
+class TopLevel:
+    """The state a sequence of top-level items builds up: the environment
+    gamma, the discharger, the solver session and the accumulated omega.
+
+    `efl check` feeds it a program's items in order and `efl repl` one input
+    at a time. An input it rejects, by InferError or by a None result for
+    unsatisfiable constraints, leaves it unchanged.
+    """
+
+    def __init__(self, rigid: tuple[Name, ...], supply: NameSupply,
+                 config: Config) -> None:
+        self.supply = supply
+        self.config = config
+        self.discharger = Discharger(rigid, supply)
+        self.session = SolverSession()
+        self.gamma: dict[Name, Scheme] = {}
+        self.omega: set[Constraint] = set()
+
+    def add_extern(self, name: Name, st: SynType) -> Type:
+        _, _, t = tr_type(st, self.supply)
+        self.gamma[name] = mono(t)
+        return t
+
+    def add_definition(self, name: Name, expr: Expr) -> DefRecord | None:
+        rec, phi = prepare_definition(self.gamma, name, expr, self.supply,
+                                      self.config, self.discharger)
+        if not self.session.push(phi):
+            return None
+        self.omega |= rec.gen.omega_p
+        self.gamma[name] = rec.gen.scheme
+        return rec
+
+    def add_expression(self, expr: Expr) -> InferResult | None:
+        res, phi = prepare_expression(self.gamma, expr, self.supply,
+                                      self.config, self.discharger)
+        if not self.session.push(phi):
+            return None
+        self.omega |= res.constraints
+        return res
+
+    def type_of(self, expr: Expr) -> InferResult | None:
+        """Infer expr as add_expression would, committing nothing."""
+        res, phi = prepare_expression(self.gamma, expr, self.supply,
+                                      self.config, self.discharger)
+        return res if self.session.admits(phi) else None
+
+
 def check_program(program: Program, supply: NameSupply,
                   config: Config | None = None,
                   display_simplify: bool = True) -> CheckOutcome:
     """Infer, generalize, discharge and report every definition in order."""
-    config = config or Config()
-    rigid = tuple(program.effects)
-    discharger = Discharger(rigid, supply)
-    session = SolverSession()
-    gamma: dict[Name, Scheme] = {}
-    lines: list[str] = []
-    defs: list[tuple[Name, Scheme]] = []
-    records: list[DefRecord] = []
-    omega_acc: set[Constraint] = set()
-
-    def failure(status: str, message: str, code: int) -> CheckOutcome:
-        return CheckOutcome(status, lines, message, code, rigid=rigid,
-                            gamma=gamma, defs=defs,
-                            omega=frozenset(omega_acc),
-                            formula=session.formula, witness=None,
-                            records=records, discharger=discharger)
-
+    top = TopLevel(program.effects, supply, config or Config())
     for name, st in program.externs:
-        _, _, t = tr_type(st, supply)
-        gamma[name] = mono(t)
+        top.add_extern(name, st)
+    externs = dict(top.gamma)
+    lines: list[str] = []
+    records: list[DefRecord] = []
+
+    def outcome(status: str = "ok", error: str | None = None,
+                main: InferResult | None = None) -> CheckOutcome:
+        return CheckOutcome(
+            status, lines, error, 0 if error is None else 1, externs=externs,
+            omega=frozenset(top.omega), formula=top.session.formula,
+            witness=None if error else top.session.model(), records=records,
+            main=main, main_expr=program.main, discharger=top.discharger)
 
     for name, expr in program.defs:
         try:
-            rec, phi = prepare_definition(gamma, name, expr, supply, config,
-                                          discharger)
+            rec = top.add_definition(name, expr)
         except InferError as ex:
-            return failure("infer-error",
-                           f"error: in definition '{name.text}': {ex}", 1)
-        if not session.push(phi):
-            return failure(
+            return outcome("infer-error",
+                           f"error: in definition '{name.text}': {ex}")
+        if rec is None:
+            return outcome(
                 "unsat",
                 f"error: effect constraints unsatisfiable at definition "
-                f"'{name.text}'", 1)
-        omega_acc |= rec.gen.omega_p
-        gamma[name] = rec.gen.scheme
-        defs.append((name, rec.gen.scheme))
+                f"'{name.text}'")
         records.append(rec)
         lines.append(f"{name.text} : "
                      f"{display_scheme(rec.gen.scheme, display_simplify)}")
 
-    main_res: InferResult | None = None
-    main_gamma = dict(gamma)
-    if program.main is not None:
-        try:
-            main_res, phi = prepare_expression(gamma, program.main, supply,
-                                               config, discharger)
-        except InferError as ex:
-            return failure("infer-error",
-                           f"error: in final expression: {ex}", 1)
-        if not session.push(phi):
-            return failure("unsat",
-                           "error: effect constraints unsatisfiable in the "
-                           "final expression", 1)
-        omega_acc |= main_res.constraints
-        lines.append("it : " + display_type_and_effect(main_res.type,
-                                                       main_res.effect))
-
-    witness = session.model()
-    assert witness is not None  # every push above was satisfiable
-    return CheckOutcome("ok", lines, None, 0, rigid=rigid, gamma=gamma,
-                        defs=defs, omega=frozenset(omega_acc),
-                        formula=session.formula, witness=witness,
-                        records=records, main=main_res,
-                        main_expr=program.main, main_gamma=main_gamma,
-                        discharger=discharger)
+    if program.main is None:
+        return outcome()
+    try:
+        res = top.add_expression(program.main)
+    except InferError as ex:
+        return outcome("infer-error", f"error: in final expression: {ex}")
+    if res is None:
+        return outcome("unsat", "error: effect constraints unsatisfiable in "
+                                "the final expression")
+    lines.append("it : " + display_type_and_effect(res.type, res.effect))
+    return outcome(main=res)
 
 
 def total_valuation(outcome: CheckOutcome, certs: list[Cert]) -> Valuation:
-    """The witness extended (default false) over every relevant proposition;
-    certs are the definitions' wrapped certificates, in record order."""
-    all_props: set[Name] = set(props(outcome.formula))
-    all_props |= constraints_props(outcome.omega)
+    """The witness extended (default false) over every proposition replay
+    may read; certs are the definitions' wrapped certificates, in record
+    order. The witness already maps every proposition of the session
+    formula."""
+    all_props: set[Name] = set(constraints_props(outcome.omega))
     for rec, cert in zip(outcome.records, certs):
         all_props |= cert_props(cert)
         all_props |= scheme_props(rec.gen.scheme)
@@ -319,20 +340,25 @@ def wrapped_cert(rec: DefRecord) -> Cert:
 
 def verify_certificates(outcome: CheckOutcome) -> None:
     """Replay every certificate under the witness; CertificateError on any
-    mismatch. Only meaningful for an "ok" outcome."""
+    mismatch. Only meaningful for an "ok" outcome.
+
+    Each definition replays under the externs and the definitions before
+    it: every `let` binds a freshly minted Name, so none shadows another."""
     certs = [wrapped_cert(rec) for rec in outcome.records]
     rho = total_valuation(outcome, certs)
     scope = ReplayScope(outcome.omega, rho)
+    gamma = dict(outcome.externs)
     for rec, cert in zip(outcome.records, certs):
         scheme = rec.gen.scheme
         t, e = check_certificate(scope.extend(scheme.constraints), rho,
-                                 rec.gamma_before, rec.expr, cert)
+                                 gamma, rec.expr, cert)
         if t != scheme.body or not e.is_pure():
             raise CertificateError(
                 "toplevel", f"definition '{rec.name.text}' derived {t} @ "
                             f"[{e}], expected its scheme body, pure")
+        gamma[rec.name] = scheme
     if outcome.main is not None:
-        t, e = check_certificate(scope, rho, outcome.main_gamma,
+        t, e = check_certificate(scope, rho, gamma,
                                  outcome.main_expr, outcome.main.cert)
         if t != outcome.main.type or e != outcome.main.effect:
             raise CertificateError(

@@ -314,12 +314,6 @@ def free_eff_vars_constraints(omega: Iterable[Constraint]) -> frozenset[Name]:
     return out
 
 
-def free_eff_vars_scheme(s: Scheme) -> frozenset[Name]:
-    inner = free_eff_vars_type(s.body) | free_eff_vars_constraints(
-        s.constraints)
-    return inner - set(s.binders)
-
-
 def type_props(t: Type) -> frozenset[Name]:
     out: set[Name] = set()
     for node, _ in walk_type(t):

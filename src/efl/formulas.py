@@ -54,26 +54,36 @@ class _Binary(Formula):
     def __hash__(self) -> int:
         return self._hash
 
+    def __str__(self) -> str:
+        """Fully parenthesized infix, written by one explicit-stack walk so
+        that a session formula as deep as the program prints."""
+        out = ["("]
+        stack: list[Formula | str] = [")", self.rhs, self.OP, self.lhs]
+        while stack:
+            f = stack.pop()
+            if type(f) is str:
+                out.append(f)
+            elif isinstance(f, _Binary):
+                out.append("(")
+                stack += (")", f.rhs, f.OP, f.lhs)
+            else:
+                out.append(str(f))
+        return "".join(out)
+
 
 class And(_Binary):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"({self.lhs} /\\ {self.rhs})"
+    OP = " /\\ "
 
 
 class Or(_Binary):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"({self.lhs} \\/ {self.rhs})"
+    OP = " \\/ "
 
 
 class Implies(_Binary):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"({self.lhs} => {self.rhs})"
+    OP = " => "
 
 
 TOP = Top()
@@ -185,11 +195,6 @@ class Valuation:
 
     def names(self) -> frozenset[Name]:
         return frozenset(self._map)
-
-    def extended(self, more: Mapping[Name, bool]) -> "Valuation":
-        out = dict(self._map)
-        out.update(more)
-        return Valuation(out)
 
     def defaulted(self, names: Iterable[Name], value: bool = False) -> "Valuation":
         """Extend with a default for any of `names` not already covered."""

@@ -326,19 +326,3 @@ class SolverSession:
             return None
         return Valuation({p: m.get(i, False)
                           for p, i in self._solver.ids.items()})
-
-    def fixed(self) -> Valuation:
-        """The propositions of the formula that take one polarity in every
-        model (its backbone), each with that polarity.
-
-        Computed on demand: one model, then one probe per proposition for a
-        model that flips it.
-        """
-        model = self.model()
-        out = {}
-        for p in sorted(props(self._formula), key=Name.key):
-            i = self._solver.ids[p]
-            flip = -i if model[p] else i
-            if self._solver.solve((*self._roots, flip)) is None:
-                out[p] = model[p]
-        return Valuation(out)

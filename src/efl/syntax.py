@@ -293,10 +293,6 @@ def _scan(src: str) -> tuple[list[Token], list[int]]:
     return toks, depth
 
 
-def tokenize(src: str) -> list[Token]:
-    return _scan(src)[0]
-
-
 # ---------------------------------------------------------------------------
 # Parser with scope resolution
 # ---------------------------------------------------------------------------
@@ -556,34 +552,42 @@ class Parser:
 
     # -- programs ------------------------------------------------------------
 
+    def parse_decl(self, alone: bool = False):
+        """A declaration, if one starts here: ('effect', name, None),
+        ('type', name, None) or ('extern', name, syntype); else None.
+
+        With alone, the declaration must end the input. `effect` and `type`
+        mint their name before that check and `extern` after it; REPL
+        transcripts print uids, so they depend on this order.
+        """
+        kinds = {"effect": KIND_EFF, "type": KIND_TYPE, "extern": KIND_EXPR}
+        t = self.peek()
+        if t.kind != "kw" or t.text not in kinds:
+            return None
+        self.next()
+        kind = kinds[t.text]
+        tok = self.ident()
+        self._check_fresh_decl(kind, tok)
+        if kind != KIND_EXPR:
+            name = self.bind(kind, tok)
+            if alone:
+                self.expect("eof", "end of input")
+            return (t.text, name, None)
+        self.expect(":")
+        ty = self.parse_type()
+        if not type_is_wildcard_free(ty):
+            raise SourceError(
+                f"extern {tok.text!r} has a wildcard in its type",
+                tok.line, tok.col)
+        if alone:
+            self.expect("eof", "end of input")
+        return ("extern", self.bind(KIND_EXPR, tok), ty)
+
     def parse_program(self) -> Program:
-        effects: list[Name] = []
-        types: list[Name] = []
-        externs: list[tuple[Name, SynType]] = []
-        while True:
-            if self.at_kw("effect"):
-                self.next()
-                tok = self.ident()
-                self._check_fresh_decl(KIND_EFF, tok)
-                effects.append(self.bind(KIND_EFF, tok))
-            elif self.at_kw("type"):
-                self.next()
-                tok = self.ident()
-                self._check_fresh_decl(KIND_TYPE, tok)
-                types.append(self.bind(KIND_TYPE, tok))
-            elif self.at_kw("extern"):
-                self.next()
-                tok = self.ident()
-                self._check_fresh_decl(KIND_EXPR, tok)
-                self.expect(":")
-                ty = self.parse_type()
-                if not type_is_wildcard_free(ty):
-                    raise SourceError(
-                        f"extern {tok.text!r} has a wildcard in its type",
-                        tok.line, tok.col)
-                externs.append((self.bind(KIND_EXPR, tok), ty))
-            else:
-                break
+        decls: dict[str, list] = {"effect": [], "type": [], "extern": []}
+        while (decl := self.parse_decl()) is not None:
+            word, name, ty = decl
+            decls[word].append(name if ty is None else (name, ty))
         defs: list[tuple[Name, Expr]] = []
         main: Expr | None = None
         while self.peek().kind != "eof":
@@ -608,8 +612,8 @@ class Parser:
         if t.kind != "eof":
             raise SourceError(f"unexpected {t.text!r} after program end",
                               t.line, t.col)
-        return Program(tuple(effects), tuple(types), tuple(externs),
-                       tuple(defs), main)
+        return Program(tuple(decls["effect"]), tuple(decls["type"]),
+                       tuple(decls["extern"]), tuple(defs), main)
 
     def _check_fresh_decl(self, kind: str, tok: Token) -> None:
         if tok.text in self.scope.table(kind):
@@ -623,32 +627,9 @@ class Parser:
         ('effect', name, None), ('type', name, None),
         ('extern', name, syntype).
         """
-        if self.at_kw("effect"):
-            self.next()
-            tok = self.ident()
-            self._check_fresh_decl(KIND_EFF, tok)
-            name = self.bind(KIND_EFF, tok)
-            self.expect("eof", "end of input")
-            return ("effect", name, None)
-        if self.at_kw("type"):
-            self.next()
-            tok = self.ident()
-            self._check_fresh_decl(KIND_TYPE, tok)
-            name = self.bind(KIND_TYPE, tok)
-            self.expect("eof", "end of input")
-            return ("type", name, None)
-        if self.at_kw("extern"):
-            self.next()
-            tok = self.ident()
-            self._check_fresh_decl(KIND_EXPR, tok)
-            self.expect(":")
-            ty = self.parse_type()
-            if not type_is_wildcard_free(ty):
-                raise SourceError(
-                    f"extern {tok.text!r} has a wildcard in its type",
-                    tok.line, tok.col)
-            self.expect("eof", "end of input")
-            return ("extern", self.bind(KIND_EXPR, tok), ty)
+        decl = self.parse_decl(alone=True)
+        if decl is not None:
+            return decl
         if self.at_kw("let"):
             save = self.pos
             self.next()

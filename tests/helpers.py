@@ -7,13 +7,14 @@ from typing import Iterable, Iterator, Mapping
 
 from efl.declarative import CertificateError, check_certificate, subtype_holds
 from efl.driver import CheckOutcome, Discharger, check_program
-from efl.effects import Constraint, Effect, effect_of, effect_props
+from efl.effects import (Constraint, Effect, Scheme, effect_of, effect_props,
+                         free_eff_vars_constraints, free_eff_vars_type)
 from efl.formulas import (BOT, TOP, Formula, Prop, Valuation, disj2, evaluate,
                           props)
 from efl.inference import Config
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply
-from efl.solver import _Solver
-from efl.syntax import parse_program
+from efl.solver import SolverSession, _Solver
+from efl.syntax import Token, _scan, parse_program
 
 _uids = itertools.count(10_000)
 
@@ -82,6 +83,32 @@ def disj(parts: Iterable[Formula]) -> Formula:
 def to_formula(e: Effect, alpha: Name) -> Formula:
     """Presence of alpha in e, as a formula over the guards' props."""
     return e.guard_of(alpha)
+
+
+def tokenize(src: str) -> list[Token]:
+    return _scan(src)[0]
+
+
+def free_eff_vars_scheme(s: Scheme) -> frozenset[Name]:
+    inner = free_eff_vars_type(s.body) | free_eff_vars_constraints(
+        s.constraints)
+    return inner - set(s.binders)
+
+
+def fixed(session: SolverSession) -> Valuation:
+    """The propositions of the session formula that take one polarity in
+    every model (its backbone), each with that polarity.
+
+    One model, then one probe per proposition for a model that flips it.
+    """
+    model = session.model()
+    out = {}
+    for p in sorted(props(session.formula), key=Name.key):
+        i = session._solver.ids[p]
+        flip = -i if model[p] else i
+        if session._solver.solve((*session._roots, flip)) is None:
+            out[p] = model[p]
+    return Valuation(out)
 
 
 def erase_guards(e: Effect, rho: Valuation) -> Effect:

@@ -10,8 +10,11 @@ checker confirms under the witness valuation. `subeffect_fixpoint` is the
 plain closure fixpoint that the compiled replay scopes are compared against.
 The recursive walks over `Type` at the end are the reference that
 `effects.map_type`, `effects.walk_type` and their callers are compared
-against; `props_rec` is the same for `formulas.props`, and
-`tokenize_chars`, the character-at-a-time lexer, for `syntax.tokenize`.
+against; `props_rec` is the same for `formulas.props`, `formula_str_rec`
+for the printing of formulas, and `tokenize_chars`, the
+character-at-a-time lexer, for the regex lexer (`helpers.tokenize`).
+`total_valuation_over_formula` is `driver.total_valuation` as it was when
+it also defaulted every proposition of the session formula.
 """
 from __future__ import annotations
 
@@ -20,14 +23,15 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from efl.declarative import entails, subtype_holds
-from efl.driver import Discharger, check_program, verify_certificates
+from efl.declarative import cert_props, entails, subtype_holds
+from efl.driver import (CheckOutcome, Discharger, check_program,
+                        verify_certificates)
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                         Scheme, TVar, Type, constraint_set, effect_props,
-                         join, map_type, subst_constraints, subst_effect,
-                         subst_type)
+                         Scheme, TVar, Type, constraint_set, constraints_props,
+                         effect_props, join, map_type, scheme_props,
+                         subst_constraints, subst_effect, subst_type)
 from efl.formulas import (BOT, TOP, And, Formula, Implies, Or, Prop, Top,
-                          Valuation, conj2, disj2, evaluate, impl)
+                          Valuation, conj2, disj2, evaluate, impl, props)
 from efl.inference import Config, ShapeError, subtype, tr_type
 from efl.names import KIND_EFF, KIND_TYPE, Name, NameSupply
 from efl.solver import sat
@@ -736,6 +740,29 @@ def props_rec(phi: Formula) -> frozenset[Name]:
     if isinstance(phi, (And, Or, Implies)):
         return props_rec(phi.lhs) | props_rec(phi.rhs)
     return frozenset()
+
+
+def formula_str_rec(phi: Formula) -> str:
+    if isinstance(phi, And):
+        return f"({formula_str_rec(phi.lhs)} /\\ {formula_str_rec(phi.rhs)})"
+    if isinstance(phi, Or):
+        return f"({formula_str_rec(phi.lhs)} \\/ {formula_str_rec(phi.rhs)})"
+    if isinstance(phi, Implies):
+        return f"({formula_str_rec(phi.lhs)} => {formula_str_rec(phi.rhs)})"
+    return str(phi)
+
+
+def total_valuation_over_formula(outcome: CheckOutcome,
+                                 certs: list) -> Valuation:
+    all_props: set[Name] = set(props(outcome.formula))
+    all_props |= constraints_props(outcome.omega)
+    for rec, cert in zip(outcome.records, certs):
+        all_props |= cert_props(cert)
+        all_props |= scheme_props(rec.gen.scheme)
+    if outcome.main is not None:
+        all_props |= cert_props(outcome.main.cert)
+    base = outcome.witness if outcome.witness is not None else Valuation({})
+    return base.defaulted(sorted(all_props, key=Name.key))
 
 
 # ---------------------------------------------------------------------------

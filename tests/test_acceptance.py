@@ -29,8 +29,8 @@ from efl.cli import main
 from efl.declarative import match_type, subeffect_holds, subtype_holds
 from efl.driver import (check_program, total_valuation, verify_certificates)
 from efl.effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar,
-                         constraint_set, constraints_props,
-                         free_eff_vars_scheme, join, omega_to_formula,
+                         constraint_set, constraints_props, join,
+                         omega_to_formula,
                          subst_constraints, type_props)
 from efl.formulas import (BOT, TOP, And, Bot, Implies, Or, Prop, Top,
                           Valuation, conj2, disj2, evaluate, impl, props)
@@ -39,7 +39,8 @@ from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply
 from efl.solver import SolverSession, discharge_toplevel, sat
 from efl.syntax import (SArrow, SEJoin, SEPure, SEVar, SEWild, SForallEff,
                         SForallTyp, STVar, parse_program)
-from helpers import all_valuations, erase_guards, sat_enumerate, to_formula
+from helpers import (all_valuations, erase_guards, fixed,
+                     free_eff_vars_scheme, sat_enumerate, to_formula)
 from oracles import (concretize_scheme, derivation_search_subeffect,
                      end_to_end_soundness, gen_program,
                      has_wildcard_under_quantifier, parse_closed_type,
@@ -188,7 +189,8 @@ def _rank2_instantiations(failures: list[str]) -> None:
     if outcome.status != "ok":
         failures.append(f"g_example status {outcome.status}")
         return
-    scheme = next(s for n, s in outcome.defs if n.text == "g")
+    scheme = next(r.gen.scheme for r in outcome.records
+                  if r.name.text == "g")
     names = list(program.effects) + list(program.types)
     t_later = parse_closed_type(
         "(forall eff a. Int ->[a] Int) ->[DB] Int", names, supply)
@@ -197,7 +199,7 @@ def _rank2_instantiations(failures: list[str]) -> None:
     t_bad = parse_closed_type(
         "(forall eff a. Int ->[DB] Int) ->[DB] Int", names, supply)
     admits = lambda targets: scheme_admits_instances(  # noqa: E731
-        scheme, outcome.formula, targets, outcome.rigid, supply,
+        scheme, outcome.formula, targets, outcome.discharger.rigid, supply,
         outcome.discharger)
     if not admits([t_later]):
         failures.append("g: polymorphic-callback instance unreachable")
@@ -217,7 +219,8 @@ def _call_now_or_later_scheme(failures: list[str]) -> None:
     if outcome.status != "ok":
         failures.append(f"call_now_or_later status {outcome.status}")
         return
-    scheme = next(s for n, s in outcome.defs if n.text == "callNowOrLater")
+    scheme = next(r.gen.scheme for r in outcome.records
+                  if r.name.text == "callNowOrLater")
     io = next(n for n in program.effects if n.text == "IO")
     db = next(n for n in program.effects if n.text == "DB")
     unit = TVar(next(n for n in program.types if n.text == "Unit"))
@@ -229,9 +232,9 @@ def _call_now_or_later_scheme(failures: list[str]) -> None:
         Arrow(bool_t, PURE,
               Arrow(Arrow(unit, a, unit), join(a, Effect.var(db)), unit)))
 
-    survivors = sorted(free_eff_vars_scheme(scheme) - set(outcome.rigid),
-                       key=Name.key)
     discharger = outcome.discharger
+    survivors = sorted(free_eff_vars_scheme(scheme) - set(discharger.rigid),
+                       key=Name.key)
     formula_props = props(outcome.formula)
     equivalent_under_some_witness = False
     for model in sat_enumerate(outcome.formula, limit=64):
@@ -523,7 +526,7 @@ def test_criterion_6_sat_engine_agreement():
                 values = {rho[name] for rho in models}
                 if len(values) == 1:
                     forced[name] = values.pop()
-            if dict(session.fixed().items()) != forced:
+            if dict(fixed(session).items()) != forced:
                 replay_errors += 1
                 break
     if replay_errors:

@@ -256,7 +256,7 @@ class SatCheckedSession(SolverSession):
 
 def _checked_repl(mode="constrained"):
     repl = Repl(Config(mode=mode))
-    repl.session = SatCheckedSession()
+    repl.top.session = SatCheckedSession()
     return repl
 
 
@@ -279,8 +279,8 @@ def test_repl_type_answers_agree_with_fresh_solver():
         "Unit @ [IO]", "error: effect constraints unsatisfiable",
         "error: effect constraints unsatisfiable; input rejected",
         "Unit ->[IO] Unit @ []", "it : Unit @ [IO]"]
-    assert repl.session.verdicts == [True, True, False, True, False, False,
-                                     True, True]
+    assert repl.top.session.verdicts == [True, True, False, True, False,
+                                         False, True, True]
 
 
 @pytest.mark.parametrize("mode", ["constrained", "constraint-free"])

@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, Scheme,
                          TVar, arrow_count, constraint_set, effect_of,
-                         effect_props, free_eff_vars_effect,
-                         free_eff_vars_scheme, guard, join, mono,
-                         omega_to_formula, subst_effect, subst_type)
-from efl.formulas import BOT, TOP, And, Implies, Or, conj2, disj2, evaluate
+                         effect_props, free_eff_vars_effect, guard, join,
+                         mono, omega_to_formula, subst_effect, subst_type)
+from efl.formulas import (BOT, TOP, And, Implies, Or, Valuation, conj2, disj2,
+                          evaluate)
 from efl.names import NameSupply
 from helpers import (Names, all_valuations, con, effects_equal,
-                     erase_guards, to_formula)
+                     erase_guards, free_eff_vars_scheme, to_formula)
 from oracles import random_effect, random_guard
 
 
@@ -75,7 +75,7 @@ def test_subst_to_pure_erases_atom(ns):
 def test_erase_guards(ns):
     p, q = ns.prop("p"), ns.prop("q")
     e = join(ns.atom("a", ns.p("p")), ns.atom("b", ns.p("q")), ns.ev("c"))
-    rho = next(iter(all_valuations([p, q]))).extended({p: True, q: False})
+    rho = Valuation({p: True, q: False})
     assert erase_guards(e, rho) == join(ns.ev("a"), ns.ev("c"))
 
 

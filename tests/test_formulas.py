@@ -9,7 +9,7 @@ from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, Valuation, conj,
 from efl.names import KIND_PROP, Name
 from helpers import (Names, all_valuations, disj, formulas_equivalent,
                      tautology)
-from oracles import props_rec, random_guard
+from oracles import formula_str_rec, props_rec, random_guard
 
 
 def test_builders_fold_units(ns):
@@ -68,7 +68,6 @@ def test_valuation_helpers(ns):
     rho = Valuation({b: True})
     assert rho.defaulted([a, b])[a] is False
     assert rho.defaulted([a, b])[b] is True
-    assert rho.extended({a: True})[a] is True
     assert a not in rho and b in rho
     assert rho.names() == {b}
 
@@ -179,3 +178,21 @@ def test_hash_and_props_of_deep_chains():
     chain, names = _left_chain(100_000)
     assert hash(chain) == hash((chain.lhs, chain.rhs))
     assert props(chain) == frozenset(names)
+
+
+def test_str_agrees_with_the_recursive_printer():
+    ns = Names()
+    rng = random.Random(21)
+    pool = [ns.prop(t) for t in "pqrst"]
+    binary = 0
+    for _ in range(600):
+        f = random_guard(rng, pool, depth=rng.randint(1, 6))
+        assert str(f) == formula_str_rec(f)
+        binary += isinstance(f, (And, Or, Implies))
+    assert binary >= 100
+
+
+def test_str_of_a_deep_left_chain():
+    chain, names = _left_chain(20_000)
+    assert str(chain) == ("(" * 19_999 + "p0"
+                          + "".join(f" /\\ {n.text})" for n in names[1:]))

@@ -6,6 +6,9 @@ its scheme's constraints on top. `oracles.subeffect_fixpoint` is the closure
 it replaced: every constraint erased on every query, rules swept until
 nothing changes. Both must decide the same queries, give the same replay
 judgements on real programs, and reject the same tampered certificates.
+Each definition must also replay under the environment it was inferred
+under, and with the valuation `driver.total_valuation` gave when it still
+walked the session formula.
 """
 import random
 from collections import Counter
@@ -20,7 +23,8 @@ from efl.effects import PURE, Constraint, Effect, join
 from efl.formulas import Valuation
 from helpers import (G_BODY, G_HEADER, SOURCES, Names, check_source,
                      chain_source, g_example_source)
-from oracles import random_effect, random_guard, subeffect_fixpoint
+from oracles import (random_effect, random_guard, subeffect_fixpoint,
+                     total_valuation_over_formula)
 
 MODES = ["constrained", "constraint-free"]
 
@@ -329,3 +333,56 @@ def _erasures(monkeypatch, n):
 def test_each_constraint_is_erased_once_per_replay(monkeypatch):
     ten, twenty = _erasures(monkeypatch, 10), _erasures(monkeypatch, 20)
     assert twenty / ten < 2.5, (ten, twenty)
+
+
+# -- what a replay starts from -----------------------------------------------
+
+# SOURCES, plus a name defined twice and a program that ends in a let-in
+ENV_SOURCES = SOURCES + [
+    ("defined_twice",
+     G_HEADER + f"let g = {G_BODY}\nlet g = {G_BODY}\nlet k = g\n"),
+    ("ends_in_let_in", G_HEADER + f"let g = {G_BODY}\nlet y = g in y\n"),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name,src", ENV_SOURCES,
+                         ids=[n for n, _ in ENV_SOURCES])
+def test_each_replay_starts_from_the_inference_environment(monkeypatch, name,
+                                                           src, mode):
+    """The environment driver.infer is given for each definition and for
+    the final expression is the one check_certificate gets for it."""
+    inferred, replayed = [], []
+    infer, check = driver.infer, driver.check_certificate
+
+    def recording_infer(gamma, *args):
+        inferred.append(dict(gamma))
+        return infer(gamma, *args)
+
+    def recording_check(omega, rho, gamma, *args):
+        replayed.append(dict(gamma))
+        return check(omega, rho, gamma, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(driver, "infer", recording_infer)
+        m.setattr(driver, "check_certificate", recording_check)
+        outcome = check_source(src, mode)
+        if outcome.status != "ok":
+            assert name in dict(SOURCES)  # the two added ones are accepted
+            return
+        driver.verify_certificates(outcome)
+    assert len(inferred) == len(outcome.records) + (outcome.main is not None)
+    assert [list(g) for g in replayed] == [list(g) for g in inferred]
+    assert replayed == inferred
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name,src", SOURCES, ids=[n for n, _ in SOURCES])
+def test_total_valuation_is_unchanged_without_the_formula_walk(name, src,
+                                                               mode):
+    outcome = check_source(src, mode)
+    if outcome.status != "ok":
+        return
+    certs = [driver.wrapped_cert(rec) for rec in outcome.records]
+    assert (driver.total_valuation(outcome, certs)
+            == total_valuation_over_formula(outcome, certs))

@@ -13,7 +13,7 @@ from efl.names import KIND_PROP, Name
 from efl.solver import (SolverSession, _Solver, discharge_toplevel, sat,
                         simplify_constraints)
 from efl.declarative import subeffect_holds
-from helpers import (SOURCES, Names, all_valuations, check_source, con,
+from helpers import (SOURCES, Names, all_valuations, check_source, con, fixed,
                      formulas_equivalent, memberships, sat_enumerate,
                      tautology)
 from oracles import random_guard
@@ -252,20 +252,20 @@ def test_session_fixes_forced_literals(ns):
     p, q = ns.p("p"), ns.p("q")
     s = SolverSession()
     assert s.push(Implies(p, q))
-    assert dict(s.fixed().items()) == {}
+    assert dict(fixed(s).items()) == {}
     assert s.push(p)
-    assert dict(s.fixed().items()) == {ns.prop("p"): True, ns.prop("q"): True}
+    assert dict(fixed(s).items()) == {ns.prop("p"): True, ns.prop("q"): True}
 
 
 def test_session_rejects_contradictions_without_damage(ns):
     p, q = ns.p("p"), ns.p("q")
     s = SolverSession()
     assert s.push(p)
-    before = (s.formula, dict(s.fixed().items()))
+    before = (s.formula, dict(fixed(s).items()))
     assert not s.push(neg(p))
-    assert (s.formula, dict(s.fixed().items())) == before
+    assert (s.formula, dict(fixed(s).items())) == before
     assert s.push(q)  # the session is still usable
-    assert s.fixed()[ns.prop("q")] is True
+    assert fixed(s)[ns.prop("q")] is True
 
 
 def test_session_top_and_model(ns):
@@ -289,7 +289,7 @@ def test_session_is_deterministic(ns):
         for phi in seq:
             ok = s.push(phi)
             model = s.model()
-            trace.append((ok, tuple(s.fixed().items()),
+            trace.append((ok, tuple(fixed(s).items()),
                           tuple(model.items()) if model else None))
         outs.append(trace)
     assert outs[0] == outs[1]
@@ -326,7 +326,7 @@ def test_session_fixed_set_matches_brute_force(seed):
             accumulated = conj2(accumulated, phi)
         names = props(accumulated)
         expect = _brute_fixed(accumulated, names)
-        got = {n: v for n, v in s.fixed().items()}
+        got = {n: v for n, v in fixed(s).items()}
         assert got == expect
 
 
@@ -393,7 +393,7 @@ def test_session_agrees_with_backbone_oracle(seed):
         assert s.push(phi) == old.push(phi)
         assert s.formula == old.formula
         assert s.model() == old.model()
-        assert s.fixed() == Valuation(old.fixed)
+        assert fixed(s) == Valuation(old.fixed)
 
 
 @settings(max_examples=100)
@@ -417,7 +417,7 @@ def test_admits_commits_nothing(seed):
         phi = _random_formula(rng, atoms, 3)
         assert probed.push(phi) == plain.push(phi)
         assert probed.formula == plain.formula
-        assert probed.fixed() == plain.fixed()
+        assert fixed(probed) == fixed(plain)
         assert evaluate(probed.formula, probed.model())
 
 
@@ -433,7 +433,7 @@ def test_admits_query_contradicting_the_session(ns):
     assert s.admits(Or(r, neg(q)))
     assert s.formula == before
     assert s.push(neg(r)) and not s.push(r)
-    assert dict(s.fixed().items()) == {ns.prop("p"): True,
+    assert dict(fixed(s).items()) == {ns.prop("p"): True,
                                        ns.prop("q"): True,
                                        ns.prop("r"): False}
 

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efl.names import NameSupply
-from efl.syntax import (App, Lam, Parser, Scope, SourceError, parse_program,
-                        tokenize)
-from helpers import SOURCES, chain_source, g_example_source
+from efl.syntax import App, Lam, Parser, Scope, SourceError, parse_program
+from helpers import SOURCES, chain_source, g_example_source, tokenize
 from oracles import gen_program, tokenize_chars
 
 PRELUDE = """effect IO
