@@ -228,7 +228,8 @@ class TopLevel:
 
     `efl check` feeds it a program's items in order and `efl repl` one input
     at a time. An input it rejects, by InferError or by a None result for
-    unsatisfiable constraints, leaves it unchanged.
+    unsatisfiable constraints, leaves gamma, omega and the session formula
+    as they were.
     """
 
     def __init__(self, rigid: tuple[Name, ...], supply: NameSupply,
