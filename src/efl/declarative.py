@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                      Scheme, TVar, Type, effect_props, scheme_props,
-                      subst_constraints, subst_effect, subst_scheme,
-                      subst_type, subst_type_vars, type_props)
+                      Scheme, TVar, Type, subst_constraints, subst_effect,
+                      subst_scheme, subst_type, subst_type_vars)
 from .formulas import Valuation, evaluate
 from .names import Name
 from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SEJoin, SEPure,
@@ -212,8 +211,12 @@ def entails(omega: Iterable[Constraint], rho: Valuation,
 def subtype_holds(omega: Iterable[Constraint], rho: Valuation,
                   t1: Type, t2: Type) -> bool:
     """Structural subtyping: covariant results, contravariant parameters,
-    subeffecting on arrows, congruence under quantifiers."""
+    subeffecting on arrows, congruence under quantifiers. Subtyping is
+    reflexive under any omega, so a type is a subtype of itself without a
+    walk: a certificate shares one type object across many nodes."""
     omega = replay_scope(omega, rho)
+    if t1 is t2:
+        return True
     if isinstance(t1, TVar):
         return isinstance(t2, TVar) and t1.name == t2.name
     if isinstance(t1, Arrow):
@@ -332,32 +335,6 @@ def subst_cert(theta: Mapping[Name, Effect], cert: Cert) -> Cert:
         return CSub(subst_type(theta, cert.typ),
                     subst_effect(theta, cert.effect),
                     subst_cert(theta, cert.inner))
-    raise TypeError(f"not a certificate: {cert!r}")
-
-
-def cert_props(cert: Cert) -> frozenset[Name]:
-    """Guard propositions mentioned anywhere in the certificate."""
-    if isinstance(cert, CVar):
-        out: frozenset[Name] = frozenset()
-        for _, e in cert.theta:
-            out |= effect_props(e)
-        return out
-    if isinstance(cert, CAbs):
-        return type_props(cert.param_type) | cert_props(cert.body)
-    if isinstance(cert, CApp):
-        return cert_props(cert.fn) | cert_props(cert.arg)
-    if isinstance(cert, (CTAbs, CEAbs)):
-        return cert_props(cert.body)
-    if isinstance(cert, CTApp):
-        return cert_props(cert.fn) | type_props(cert.arg)
-    if isinstance(cert, CEApp):
-        return cert_props(cert.fn) | effect_props(cert.arg)
-    if isinstance(cert, CLet):
-        return (scheme_props(cert.scheme) | cert_props(cert.bound)
-                | cert_props(cert.body))
-    if isinstance(cert, CSub):
-        return (type_props(cert.typ) | effect_props(cert.effect)
-                | cert_props(cert.inner))
     raise TypeError(f"not a certificate: {cert!r}")
 
 

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 
 from .declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
                           CVar, Cert, CertificateError, ReplayScope,
-                          cert_props, check_certificate, subst_cert)
+                          check_certificate, subst_cert)
 from .effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar, Type,
-                      constraint_set, constraints_props,
-                      free_eff_vars_constraints, free_eff_vars_type, join,
-                      mono, scheme_props, sorted_constraints, subst_scheme,
-                      walk_type)
+                      constraint_set, free_eff_vars_constraints,
+                      free_eff_vars_type, join, mono, sorted_constraints,
+                      subst_scheme, walk_type)
 from .formulas import TOP, Formula, Prop, Valuation, conj2, props
 from .inference import (Config, Generalized, InferError, InferResult,
                         generalize, infer, tr_type)
@@ -317,19 +316,18 @@ def check_program(program: Program, supply: NameSupply,
     return outcome(main=res)
 
 
-def total_valuation(outcome: CheckOutcome, certs: list[Cert]) -> Valuation:
-    """The witness extended (default false) over every proposition replay
-    may read; certs are the definitions' wrapped certificates, in record
-    order. The witness already maps every proposition of the session
-    formula."""
-    all_props: set[Name] = set(constraints_props(outcome.omega))
-    for rec, cert in zip(outcome.records, certs):
-        all_props |= cert_props(cert)
-        all_props |= scheme_props(rec.gen.scheme)
+def total_valuation(outcome: CheckOutcome) -> Valuation:
+    """The witness extended with False over every proposition inference
+    minted for the records and the final expression. Replay reads no other:
+    a guard proposition is minted by `infer` or `generalize` and recorded in
+    its result's `props`, or is a membership proposition of the session
+    formula, which the witness maps."""
+    minted = [p for rec in outcome.records
+              for p in rec.res.props + rec.gen.props]
     if outcome.main is not None:
-        all_props |= cert_props(outcome.main.cert)
+        minted += outcome.main.props
     base = outcome.witness if outcome.witness is not None else Valuation({})
-    return base.defaulted(sorted(all_props, key=Name.key))
+    return base.defaulted(minted)
 
 
 def wrapped_cert(rec: DefRecord) -> Cert:
@@ -345,14 +343,13 @@ def verify_certificates(outcome: CheckOutcome) -> None:
 
     Each definition replays under the externs and the definitions before
     it: every `let` binds a freshly minted Name, so none shadows another."""
-    certs = [wrapped_cert(rec) for rec in outcome.records]
-    rho = total_valuation(outcome, certs)
+    rho = total_valuation(outcome)
     scope = ReplayScope(outcome.omega, rho)
     gamma = dict(outcome.externs)
-    for rec, cert in zip(outcome.records, certs):
+    for rec in outcome.records:
         scheme = rec.gen.scheme
         t, e = check_certificate(scope.extend(scheme.constraints), rho,
-                                 gamma, rec.expr, cert)
+                                 gamma, rec.expr, wrapped_cert(rec))
         if t != scheme.body or not e.is_pure():
             raise CertificateError(
                 "toplevel", f"definition '{rec.name.text}' derived {t} @ "

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .formulas import (BOT, TOP, Bot, Formula, Top, conj, conj2, disj2, impl,
-                       props)
+from .formulas import BOT, TOP, Bot, Formula, Top, conj, conj2, disj2, impl
 from .names import KIND_EFF, Name
 
 # ---------------------------------------------------------------------------
@@ -84,13 +83,6 @@ def join(*effects: Effect) -> Effect:
 def guard(e: Effect, phi: Formula) -> Effect:
     """Guard every atom of e by phi (conjoined onto existing guards)."""
     return effect_of({n: conj2(g, phi) for n, g in e.atoms})
-
-
-def effect_props(e: Effect) -> frozenset[Name]:
-    out: frozenset[Name] = frozenset()
-    for _, g in e.atoms:
-        out |= props(g)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +195,6 @@ class Constraint:
         return str(self)
 
 
-ConstraintSet = frozenset  # frozenset[Constraint]
-
-
 def constraint_set(items: Iterable[Constraint]) -> frozenset[Constraint]:
     """Build a constraint set, dropping trivial pure-LHS constraints."""
     return frozenset(c for c in items if not c.lhs.is_pure())
@@ -219,13 +208,6 @@ def omega_to_formula(omega: Iterable[Constraint], alpha: Name) -> Formula:
     """Conjunction over omega of (lhs presence => rhs presence) at alpha."""
     return conj(impl(c.lhs.guard_of(alpha), c.rhs.guard_of(alpha))
                 for c in sorted_constraints(omega))
-
-
-def constraints_props(omega: Iterable[Constraint]) -> frozenset[Name]:
-    out: frozenset[Name] = frozenset()
-    for c in omega:
-        out |= effect_props(c.lhs) | effect_props(c.rhs)
-    return out
 
 
 @dataclass(frozen=True)
@@ -291,7 +273,7 @@ def subst_type_vars(tmap: Mapping[Name, Type], t: Type) -> Type:
 
 
 # ---------------------------------------------------------------------------
-# Free variables and propositions over types
+# Free variables
 # ---------------------------------------------------------------------------
 
 
@@ -312,15 +294,3 @@ def free_eff_vars_constraints(omega: Iterable[Constraint]) -> frozenset[Name]:
     for c in omega:
         out |= free_eff_vars_effect(c.lhs) | free_eff_vars_effect(c.rhs)
     return out
-
-
-def type_props(t: Type) -> frozenset[Name]:
-    out: set[Name] = set()
-    for node, _ in walk_type(t):
-        if isinstance(node, Arrow):
-            out |= effect_props(node.effect)
-    return frozenset(out)
-
-
-def scheme_props(s: Scheme) -> frozenset[Name]:
-    return type_props(s.body) | constraints_props(s.constraints)

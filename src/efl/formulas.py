@@ -196,11 +196,11 @@ class Valuation:
     def names(self) -> frozenset[Name]:
         return frozenset(self._map)
 
-    def defaulted(self, names: Iterable[Name], value: bool = False) -> "Valuation":
-        """Extend with a default for any of `names` not already covered."""
+    def defaulted(self, names: Iterable[Name]) -> "Valuation":
+        """Extend with False for any of `names` not already covered."""
         out = dict(self._map)
         for n in names:
-            out.setdefault(n, value)
+            out.setdefault(n, False)
         return Valuation(out)
 
 

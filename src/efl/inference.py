@@ -193,6 +193,14 @@ def separate(delta_g: frozenset, omega) -> tuple[frozenset, frozenset]:
 
 @dataclass(frozen=True)
 class InferResult:
+    """What `infer` derived for an expression.
+
+    `props` is every guard proposition minted while inferring it, nested
+    generalizations included, whether or not the result still mentions it.
+    Certificate replay depends on it: `driver.total_valuation` extends the
+    witness over exactly these propositions.
+    """
+
     props: tuple[Name, ...]
     gen: tuple[Name, ...]
     type: Type
@@ -204,6 +212,10 @@ class InferResult:
 
 @dataclass(frozen=True)
 class Generalized:
+    """A generalized binding. `props` is every guard proposition minted
+    while generalizing (the constraint-free grid); replay's valuation covers
+    them through it, as for `InferResult.props`."""
+
     scheme: Scheme
     gen: tuple[Name, ...]        # variables that outlive the scheme
     props: tuple[Name, ...]      # propositions minted while generalizing

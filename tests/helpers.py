@@ -7,7 +7,7 @@ from typing import Iterable, Iterator, Mapping
 
 from efl.declarative import CertificateError, check_certificate, subtype_holds
 from efl.driver import CheckOutcome, Discharger, check_program
-from efl.effects import (Constraint, Effect, Scheme, effect_of, effect_props,
+from efl.effects import (Constraint, Effect, Scheme, effect_of,
                          free_eff_vars_constraints, free_eff_vars_type)
 from efl.formulas import (BOT, TOP, Formula, Prop, Valuation, disj2, evaluate,
                           props)
@@ -111,6 +111,14 @@ def fixed(session: SolverSession) -> Valuation:
     return Valuation(out)
 
 
+def effect_props(e: Effect) -> frozenset[Name]:
+    """The guard propositions of e's atoms."""
+    out: frozenset[Name] = frozenset()
+    for _, g in e.atoms:
+        out |= props(g)
+    return out
+
+
 def erase_guards(e: Effect, rho: Valuation) -> Effect:
     """Keep the atoms whose guard holds under rho, with guard T."""
     return effect_of({n: TOP for n, g in e.atoms if evaluate(g, rho)})
@@ -163,7 +171,7 @@ def sat_enumerate(phi: Formula, limit: int = 64) -> Iterator[Valuation]:
                            for p in names])
 
 
-# -- programs: the corpus and two generated families -------------------------
+# -- programs: the corpus and four generated families ------------------------
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 G_HEADER = ("effect IO\neffect DB\ntype Int\n"
@@ -184,6 +192,22 @@ def chain_source(n: int) -> str:
         f"g{i - 1} (efun b => fn (x : Int) => (h [eff _]) x)"
         for i in range(1, n)]
     return G_HEADER + "\n".join(defs) + "\n"
+
+
+def nest_source(n: int) -> str:
+    """f (f (... x)), n applications deep."""
+    body = "x"
+    for _ in range(n):
+        body = f"f ({body})"
+    return ("effect IO\ntype Int\nextern f : Int ->[IO] Int\n"
+            f"let r = fn (x : Int) => {body}\n")
+
+
+def spine_source(n: int) -> str:
+    """k u u ... u: one application spine with n arguments."""
+    k_type = " -> ".join(["Unit"] * (n + 1))
+    return (f"type Unit\nextern u : Unit\nextern k : {k_type}\n"
+            f"k{' u' * n}\n")
 
 
 # (name, source): every corpus program, g_example x8 and chain x5

@@ -14,7 +14,9 @@ against; `props_rec` is the same for `formulas.props`, `formula_str_rec`
 for the printing of formulas, and `tokenize_chars`, the
 character-at-a-time lexer, for the regex lexer (`helpers.tokenize`).
 `total_valuation_over_formula` is `driver.total_valuation` as it was when
-it also defaulted every proposition of the session formula.
+it walked the certificates, schemes and omega for their guard propositions
+(`cert_props`, `scheme_props`, `constraints_props`, `type_props`) and also
+defaulted every proposition of the session formula.
 """
 from __future__ import annotations
 
@@ -23,13 +25,14 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from efl.declarative import cert_props, entails, subtype_holds
+from efl.declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs,
+                             CTApp, CVar, Cert, entails, subtype_holds)
 from efl.driver import (CheckOutcome, Discharger, check_program,
                         verify_certificates)
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                         Scheme, TVar, Type, constraint_set, constraints_props,
-                         effect_props, join, map_type, scheme_props,
-                         subst_constraints, subst_effect, subst_type)
+                         Scheme, TVar, Type, constraint_set, join, map_type,
+                         subst_constraints, subst_effect, subst_type,
+                         walk_type)
 from efl.formulas import (BOT, TOP, And, Formula, Implies, Or, Prop, Top,
                           Valuation, conj2, disj2, evaluate, impl, props)
 from efl.inference import Config, ShapeError, subtype, tr_type
@@ -39,7 +42,7 @@ from efl.syntax import (KEYWORDS, EfApp, ELam, Expr, Lam, Let, Program,
                         SArrow, SEJoin, SEPure, SEVar, SEWild, SForallEff,
                         SForallTyp, STVar, SynEffect, SynType, TLam, TyApp,
                         Var, App, Scope, Parser, SourceError, parse_program)
-from helpers import erase_guards
+from helpers import effect_props, erase_guards
 
 # ---------------------------------------------------------------------------
 # Bounded derivation search for subeffecting
@@ -750,6 +753,51 @@ def formula_str_rec(phi: Formula) -> str:
     if isinstance(phi, Implies):
         return f"({formula_str_rec(phi.lhs)} => {formula_str_rec(phi.rhs)})"
     return str(phi)
+
+
+def constraints_props(omega: Iterable[Constraint]) -> frozenset[Name]:
+    out: frozenset[Name] = frozenset()
+    for c in omega:
+        out |= effect_props(c.lhs) | effect_props(c.rhs)
+    return out
+
+
+def type_props(t: Type) -> frozenset[Name]:
+    out: set[Name] = set()
+    for node, _ in walk_type(t):
+        if isinstance(node, Arrow):
+            out |= effect_props(node.effect)
+    return frozenset(out)
+
+
+def scheme_props(s: Scheme) -> frozenset[Name]:
+    return type_props(s.body) | constraints_props(s.constraints)
+
+
+def cert_props(cert: Cert) -> frozenset[Name]:
+    """Guard propositions mentioned anywhere in the certificate."""
+    if isinstance(cert, CVar):
+        out: frozenset[Name] = frozenset()
+        for _, e in cert.theta:
+            out |= effect_props(e)
+        return out
+    if isinstance(cert, CAbs):
+        return type_props(cert.param_type) | cert_props(cert.body)
+    if isinstance(cert, CApp):
+        return cert_props(cert.fn) | cert_props(cert.arg)
+    if isinstance(cert, (CTAbs, CEAbs)):
+        return cert_props(cert.body)
+    if isinstance(cert, CTApp):
+        return cert_props(cert.fn) | type_props(cert.arg)
+    if isinstance(cert, CEApp):
+        return cert_props(cert.fn) | effect_props(cert.arg)
+    if isinstance(cert, CLet):
+        return (scheme_props(cert.scheme) | cert_props(cert.bound)
+                | cert_props(cert.body))
+    if isinstance(cert, CSub):
+        return (type_props(cert.typ) | effect_props(cert.effect)
+                | cert_props(cert.inner))
+    raise TypeError(f"not a certificate: {cert!r}")
 
 
 def total_valuation_over_formula(outcome: CheckOutcome,

@@ -29,9 +29,8 @@ from efl.cli import main
 from efl.declarative import match_type, subeffect_holds, subtype_holds
 from efl.driver import (check_program, total_valuation, verify_certificates)
 from efl.effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar,
-                         constraint_set, constraints_props, join,
-                         omega_to_formula,
-                         subst_constraints, type_props)
+                         constraint_set, join, omega_to_formula,
+                         subst_constraints)
 from efl.formulas import (BOT, TOP, And, Bot, Implies, Or, Prop, Top,
                           Valuation, conj2, disj2, evaluate, impl, props)
 from efl.inference import Config, ShapeError, separate, subtype, tr_type
@@ -41,11 +40,11 @@ from efl.syntax import (SArrow, SEJoin, SEPure, SEVar, SEWild, SForallEff,
                         SForallTyp, STVar, parse_program)
 from helpers import (all_valuations, erase_guards, fixed,
                      free_eff_vars_scheme, sat_enumerate, to_formula)
-from oracles import (concretize_scheme, derivation_search_subeffect,
-                     end_to_end_soundness, gen_program,
-                     has_wildcard_under_quantifier, parse_closed_type,
-                     random_effect, random_type_pair,
-                     scheme_admits_instances, schemes_equivalent)
+from oracles import (concretize_scheme, constraints_props,
+                     derivation_search_subeffect, end_to_end_soundness,
+                     gen_program, has_wildcard_under_quantifier,
+                     parse_closed_type, random_effect, random_type_pair,
+                     scheme_admits_instances, schemes_equivalent, type_props)
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 

@@ -1,16 +1,19 @@
 """Declarative judgements under a fixed valuation, and certificate replay."""
+import random
+
 import pytest
 
 from efl.declarative import (CAbs, CApp, CertificateError, CLet, CSub, CVar,
-                             cert_props, check_certificate, entails,
+                             check_certificate, entails,
                              match_effect, match_type, subeffect_holds,
                              subst_cert, subtype_holds)
 from efl.effects import (PURE, Arrow, Effect, ForallEff, Scheme, TVar, join,
-                         mono)
+                         map_type, mono)
 from efl.formulas import TOP, Valuation
-from efl.names import KIND_EXPR, NameSupply
+from efl.names import KIND_EFF, KIND_EXPR, KIND_PROP, KIND_TYPE, NameSupply
 from efl.syntax import App, Lam, Scope, Var, parse_expr, parse_type
 from helpers import Names, certificate_valid, con, types_equivalent
+from oracles import cert_props, random_effect, random_type
 
 RHO0 = Valuation({})
 
@@ -165,6 +168,28 @@ def test_types_equivalent_uses_assumptions(ns):
     omega = [con(x, y), con(y, x)]
     assert types_equivalent(omega, RHO0, Arrow(u, x, u), Arrow(u, y, u))
     assert not types_equivalent([], RHO0, Arrow(u, x, u), Arrow(u, y, u))
+
+
+def test_subtype_of_one_object_agrees_with_an_equal_copy():
+    """t <= t is answered without a walk when both sides are one object;
+    a walk against an equal but distinct copy must give the same answer."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        supply = NameSupply()
+        atoms = [supply.fresh(KIND_EFF, t) for t in ("IO", "DB", "e")]
+        tvars = [supply.fresh(KIND_TYPE, t) for t in ("Unit", "Int")]
+        props = [supply.fresh(KIND_PROP) for _ in range(3)]
+        t = random_type(rng, supply, atoms, tvars, props, [],
+                        depth=rng.randint(1, 6))
+        copy = map_type(t, lambda e: Effect(e.atoms),
+                        lambda v: TVar(v.name))
+        assert copy == t and copy is not t
+        omega = [con(random_effect(rng, atoms, props),
+                     random_effect(rng, atoms, props))
+                 for _ in range(rng.randint(0, 4))]
+        rho = Valuation({p: rng.random() < 0.5 for p in props})
+        assert (subtype_holds(omega, rho, t, t)
+                == subtype_holds(omega, rho, t, copy)), seed
 
 
 # -- certificates ------------------------------------------------------------

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, Scheme,
                          TVar, arrow_count, constraint_set, effect_of,
-                         effect_props, free_eff_vars_effect, guard, join,
+                         free_eff_vars_effect, guard, join,
                          mono, omega_to_formula, subst_effect, subst_type)
 from efl.formulas import (BOT, TOP, And, Implies, Or, Valuation, conj2, disj2,
                           evaluate)
 from efl.names import NameSupply
-from helpers import (Names, all_valuations, con, effects_equal,
+from helpers import (Names, all_valuations, con, effect_props, effects_equal,
                      erase_guards, free_eff_vars_scheme, to_formula)
 from oracles import random_effect, random_guard
 

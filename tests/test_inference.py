@@ -1,7 +1,7 @@
 """Effect reconstruction: annotation translation, subtyping, generalization."""
 import pytest
 
-from efl.declarative import (CAbs, CApp, CEApp, CLet, CSub, CVar, cert_props,
+from efl.declarative import (CAbs, CApp, CEApp, CLet, CSub, CVar,
                              check_certificate)
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, Scheme,
                          TVar, constraint_set, join, mono)
@@ -12,6 +12,7 @@ from efl.inference import (Config, GenLimitError, InferError, ShapeError,
 from efl.names import KIND_EFF, KIND_EXPR, NameSupply
 from efl.syntax import Scope, parse_expr, parse_type
 from helpers import Names, con, formulas_equivalent
+from oracles import cert_props
 
 CF = Config(mode="constraint-free")
 

@@ -7,10 +7,13 @@ it replaced: every constraint erased on every query, rules swept until
 nothing changes. Both must decide the same queries, give the same replay
 judgements on real programs, and reject the same tampered certificates.
 Each definition must also replay under the environment it was inferred
-under, and with the valuation `driver.total_valuation` gave when it still
-walked the session formula.
+under. `driver.total_valuation` reads the propositions inference recorded as
+minted; it must agree with the old walk over certificates, schemes, omega
+and the session formula wherever that walk reaches, and every proposition
+checking mints must be in the record.
 """
 import random
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -20,11 +23,16 @@ from efl import declarative, driver
 from efl.declarative import (CSub, CVar, Cert, CertificateError, ReplayScope,
                              subeffect_holds)
 from efl.effects import PURE, Constraint, Effect, join
-from efl.formulas import Valuation
-from helpers import (G_BODY, G_HEADER, SOURCES, Names, check_source,
-                     chain_source, g_example_source)
-from oracles import (random_effect, random_guard, subeffect_fixpoint,
-                     total_valuation_over_formula)
+from efl.formulas import Valuation, props
+from efl.inference import Config
+from efl.names import KIND_PROP, NameSupply
+from efl.syntax import parse_program
+from helpers import (G_BODY, G_HEADER, SOURCES, Names, chain_source,
+                     check_source, g_example_source, memberships,
+                     nest_source, spine_source)
+from oracles import (cert_props, constraints_props, gen_program,
+                     random_effect, random_guard, scheme_props,
+                     subeffect_fixpoint, total_valuation_over_formula)
 
 MODES = ["constrained", "constraint-free"]
 
@@ -376,13 +384,103 @@ def test_each_replay_starts_from_the_inference_environment(monkeypatch, name,
     assert replayed == inferred
 
 
+# SOURCES, a spine and a nest 50 deep, and a batch of random programs
+DOMAIN_SOURCES = SOURCES + [("spine_x50", spine_source(50)),
+                            ("nest_x50", nest_source(50)),
+                            ("random", None)]
+
+
+def _programs(src, mode, count):
+    """src alone, or `count` random programs of the mode when src is None."""
+    if src is not None:
+        return [src]
+    return [gen_program(seed, mode=mode) for seed in range(count)]
+
+
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("name,src", SOURCES, ids=[n for n, _ in SOURCES])
+@pytest.mark.parametrize("name,src", DOMAIN_SOURCES,
+                         ids=[n for n, _ in DOMAIN_SOURCES])
 def test_total_valuation_is_unchanged_without_the_formula_walk(name, src,
                                                                mode):
-    outcome = check_source(src, mode)
-    if outcome.status != "ok":
-        return
-    certs = [driver.wrapped_cert(rec) for rec in outcome.records]
-    assert (driver.total_valuation(outcome, certs)
-            == total_valuation_over_formula(outcome, certs))
+    """The minted-proposition record covers what the old walk over the
+    certificates, schemes, omega and session formula found, with the same
+    values. What it adds is False and read by none of them."""
+    for source in _programs(src, mode, 100):
+        outcome = check_source(source, mode)
+        if outcome.status != "ok":
+            continue
+        certs = [driver.wrapped_cert(rec) for rec in outcome.records]
+        rho = driver.total_valuation(outcome)
+        oracle = total_valuation_over_formula(outcome, certs)
+        assert all(rho[p] == v for p, v in oracle.items())
+        read = props(outcome.formula) | constraints_props(outcome.omega)
+        for rec, cert in zip(outcome.records, certs):
+            read |= cert_props(cert) | scheme_props(rec.gen.scheme)
+        if outcome.main is not None:
+            read |= cert_props(outcome.main.cert)
+        extra = rho.names() - oracle.names()
+        assert not any(rho[p] for p in extra)
+        assert extra.isdisjoint(read)
+
+
+def _minted_props(monkeypatch, src, mode):
+    """The outcome of checking src and every proposition the supply minted
+    while checking it."""
+    minted = []
+    fresh = NameSupply.fresh
+
+    def recording(self, kind, text=None):
+        name = fresh(self, kind, text)
+        if kind == KIND_PROP:
+            minted.append(name)
+        return name
+
+    supply = NameSupply()
+    program = parse_program(src, supply)
+    with monkeypatch.context() as m:
+        m.setattr(NameSupply, "fresh", recording)
+        outcome = driver.check_program(program, supply, Config(mode=mode))
+    return outcome, minted
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name,src", DOMAIN_SOURCES,
+                         ids=[n for n, _ in DOMAIN_SOURCES])
+def test_every_minted_proposition_is_recorded(monkeypatch, name, src, mode):
+    """Each proposition minted while checking an accepted program is in
+    its records' or final expression's `props`, or is a membership
+    proposition of the discharger, which the witness maps."""
+    for source in _programs(src, mode, 200):
+        outcome, minted = _minted_props(monkeypatch, source, mode)
+        if outcome.status != "ok":
+            continue
+        recorded = set(memberships(outcome.discharger))
+        for rec in outcome.records:
+            recorded |= set(rec.res.props) | set(rec.gen.props)
+        if outcome.main is not None:
+            recorded |= set(outcome.main.props)
+        assert set(minted) <= recorded
+
+
+def test_spine_replay_walks_each_shared_type_once():
+    """Each of spine x300's argument nodes carries the rest of the spine's
+    type, the same object its parent checks against, so subtyping is
+    answered without walking it. Calls are counted by a profile hook, which
+    adds no frame to replay's recursion."""
+    n = 300
+    outcome = check_source(spine_source(n))
+    assert outcome.status == "ok"
+    code = declarative.subtype_holds.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        driver.verify_certificates(outcome)
+    finally:
+        sys.setprofile(None)
+    assert 0 < calls < 10 * n

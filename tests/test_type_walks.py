@@ -4,11 +4,12 @@ import random
 from efl.driver import _names_in_type
 from efl.effects import (Arrow, ForallEff, ForallTyp, TVar, arrow_count,
                          free_eff_vars_type, subst_type, subst_type_vars,
-                         type_props, walk_type)
+                         walk_type)
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, NameSupply
 from oracles import (arrow_count_rec, free_eff_vars_type_rec,
                      names_in_type_rec, random_effect, random_type,
-                     subst_type_rec, subst_type_vars_rec, type_props_rec)
+                     subst_type_rec, subst_type_vars_rec, type_props,
+                     type_props_rec)
 
 
 def _case(seed: int):
