@@ -58,15 +58,15 @@ class Discharger:
 
     def eliminate_effect(self, e: Effect) -> Effect:
         rigid = set(self.rigid)
-        out = PURE
+        parts = []
         for v, g in e.atoms:
             if v in rigid:
-                out = join(out, Effect(((v, g),)))
+                parts.append(Effect(((v, g),)))
             else:
                 for c in self.rigid:
-                    atom = Effect(((c, conj2(g, Prop(self.membership(v, c)))),))
-                    out = join(out, atom)
-        return out
+                    parts.append(Effect(
+                        ((c, conj2(g, Prop(self.membership(v, c)))),)))
+        return join(*parts)
 
     def eliminate(self, omega) -> frozenset:
         return constraint_set(

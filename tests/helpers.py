@@ -106,7 +106,7 @@ def fixed(session: SolverSession) -> Valuation:
     for p in sorted(props(session.formula), key=Name.key):
         i = session._solver.ids[p]
         flip = -i if model[p] else i
-        if session._solver.solve((*session._roots, flip)) is None:
+        if not session._solver.satisfiable((flip,)):
             out[p] = model[p]
     return Valuation(out)
 
@@ -160,10 +160,9 @@ def sat_enumerate(phi: Formula, limit: int = 64) -> Iterator[Valuation]:
         solver.var_of(p)
     root = solver.literal(phi)
     for _ in range(limit):
-        model = solver.solve((root,))
-        if model is None:
+        if not solver.satisfiable((root,)):
             return
-        rho = Valuation({p: model.get(solver.ids[p], False) for p in names})
+        rho = Valuation({p: solver.value(solver.ids[p]) for p in names})
         yield rho
         if not names:
             return

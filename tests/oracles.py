@@ -17,6 +17,8 @@ character-at-a-time lexer, for the regex lexer (`helpers.tokenize`).
 it walked the certificates, schemes and omega for their guard propositions
 (`cert_props`, `scheme_props`, `constraints_props`, `type_props`) and also
 defaulted every proposition of the session formula.
+`whole_clause_solve` is `solver._Solver.solve` as it was before it ran one
+component at a time: one DPLL over every clause and unit a solver holds.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from efl.formulas import (BOT, TOP, And, Formula, Implies, Or, Prop, Top,
                           Valuation, conj2, disj2, evaluate, impl, props)
 from efl.inference import Config, ShapeError, subtype, tr_type
 from efl.names import KIND_EFF, KIND_TYPE, Name, NameSupply
-from efl.solver import sat
+from efl.solver import _Solver, sat
 from efl.syntax import (KEYWORDS, EfApp, ELam, Expr, Lam, Let, Program,
                         SArrow, SEJoin, SEPure, SEVar, SEWild, SForallEff,
                         SForallTyp, STVar, SynEffect, SynType, TLam, TyApp,
@@ -811,6 +813,121 @@ def total_valuation_over_formula(outcome: CheckOutcome,
         all_props |= cert_props(outcome.main.cert)
     base = outcome.witness if outcome.witness is not None else Valuation({})
     return base.defaulted(sorted(all_props, key=Name.key))
+
+
+# ---------------------------------------------------------------------------
+# Whole-clause-set DPLL
+# ---------------------------------------------------------------------------
+
+
+def whole_clause_solve(solver: _Solver,
+                       assumptions: Iterable[int] = ()) -> dict[int, bool] | None:
+    """A model of every clause and unit clause of solver together with the
+    assumptions (var -> bool over variables 1..nvars), or None.
+
+    The same static decision order as the solver (most occurrences first,
+    then variable id), False first, chronological backtracking, so the
+    model is the lexicographically least one in that order. Reads the
+    clauses as given and keeps its own watch lists, so the solver's state
+    is left as it was.
+    """
+    if solver._unsat:
+        return None
+    clauses = solver._clauses
+    pairs = [[c[0], c[1]] for c in clauses]
+    watches: dict[int, list[int]] = {}
+    for ci, c in enumerate(clauses):
+        watches.setdefault(c[0], []).append(ci)
+        watches.setdefault(c[1], []).append(ci)
+    assign: dict[int, bool] = {}
+    trail: list[int] = []
+
+    def value(lit: int) -> bool | None:
+        v = assign.get(abs(lit))
+        return None if v is None else (v if lit > 0 else not v)
+
+    def enqueue(lit: int) -> bool:
+        v = value(lit)
+        if v is not None:
+            return v
+        assign[abs(lit)] = lit > 0
+        trail.append(lit)
+        return True
+
+    def propagate(start: int) -> bool:
+        i = start
+        while i < len(trail):
+            falsified = -trail[i]
+            i += 1
+            ws = watches.get(falsified)
+            if not ws:
+                continue
+            keep: list[int] = []
+            conflict = False
+            for k, ci in enumerate(ws):
+                pair = pairs[ci]
+                if pair[0] == falsified:
+                    pair[0], pair[1] = pair[1], pair[0]
+                other = pair[0]
+                if value(other) is True:
+                    keep.append(ci)
+                    continue
+                moved = False
+                for cand in clauses[ci]:
+                    if (cand != other and cand != falsified
+                            and value(cand) is not False):
+                        pair[1] = cand
+                        watches.setdefault(cand, []).append(ci)
+                        moved = True
+                        break
+                if moved:
+                    continue
+                keep.append(ci)
+                ov = value(other)
+                if ov is False:
+                    keep.extend(ws[k + 1:])
+                    conflict = True
+                    break
+                if ov is None:
+                    enqueue(other)
+            watches[falsified] = keep
+            if conflict:
+                return False
+        return True
+
+    for lit in (*solver._units, *assumptions):
+        if not enqueue(lit):
+            return None
+    if not propagate(0):
+        return None
+
+    order = sorted(range(1, solver.nvars + 1),
+                   key=lambda v: (-solver._occ.get(v, 0), v))
+    decisions: list[tuple[int, int, bool, int]] = []
+    cursor = 0
+    while True:
+        while cursor < len(order) and order[cursor] in assign:
+            cursor += 1
+        if cursor == len(order):
+            return assign
+        var = order[cursor]
+        decisions.append((len(trail), var, False, cursor))
+        enqueue(-var)
+        start = len(trail) - 1
+        while not propagate(start):
+            while decisions:
+                tlen, dv, flipped, cur = decisions.pop()
+                for lit in trail[tlen:]:
+                    del assign[abs(lit)]
+                del trail[tlen:]
+                cursor = cur
+                if not flipped:
+                    decisions.append((tlen, dv, True, cur))
+                    enqueue(dv)
+                    start = tlen
+                    break
+            else:
+                return None
 
 
 # ---------------------------------------------------------------------------

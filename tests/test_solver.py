@@ -353,28 +353,30 @@ class BackboneSession:
 
     def push(self, phi):
         root = self.solver.literal(phi)
-        if self.solver.solve((*self.assumptions(), root)) is None:
+        if not self.solver.satisfiable((*self.assumptions(), root)):
             return False
         self.roots.append(root)
         self.formula = conj2(self.formula, phi)
-        pool = [self.solver.solve(tuple(self.assumptions()))]
+        pool = [self.model()]
         for p in sorted(props(self.formula), key=Name.key):
-            i = self.solver.ids[p]
-            values = {m.get(i, False) for m in pool}
+            values = {m[p] for m in pool}
             if p in self.fixed or len(values) == 2:
                 continue
             value = values.pop()
-            flipped = self.solver.solve((*self.assumptions(),
-                                         -i if value else i))
-            if flipped is not None:
-                pool.append(flipped)
+            i = self.solver.ids[p]
+            if self.solver.satisfiable((*self.assumptions(),
+                                        -i if value else i)):
+                pool.append(self._read())
             else:
                 self.fixed[p] = value
         return True
 
     def model(self):
-        m = self.solver.solve(tuple(self.assumptions()))
-        return Valuation({p: m.get(i, False)
+        self.solver.satisfiable(tuple(self.assumptions()))
+        return self._read()
+
+    def _read(self):
+        return Valuation({p: self.solver.value(i)
                           for p, i in self.solver.ids.items()})
 
 
