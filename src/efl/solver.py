@@ -77,8 +77,7 @@ class _Solver:
         # roots of the components a query must look at even when none of
         # its assumptions falls in them: stale ones, and those whose model
         # was found under probe literals or does not exist
-        self._stale: set[int] = set()
-        self._probed: set[int] = set()
+        self._recheck: set[int] = set()
         self._unsat = False
 
     def fresh_var(self) -> int:
@@ -105,15 +104,14 @@ class _Solver:
     def _invalidate(self, root: int) -> None:
         comp = self._comps[root]
         comp.key = comp.order = None
-        self._stale.add(root)
-        self._probed.discard(root)
+        self._recheck.add(root)
 
     def _touch(self, v: int) -> int:
         """The root of v's component, made if v has none yet."""
         root = self._find(v)
         if root not in self._comps:
             self._comps[root] = _Component(root)
-            self._stale.add(root)
+            self._recheck.add(root)
         return root
 
     def _union(self, a: int, b: int) -> int:
@@ -126,8 +124,7 @@ class _Solver:
         big, small = comps[a], comps.pop(b)
         big.vars.extend(small.vars)
         big.units.extend(small.units)
-        self._stale.discard(b)
-        self._probed.discard(b)
+        self._recheck.discard(b)
         self._invalidate(a)
         return a
 
@@ -258,7 +255,7 @@ class _Solver:
                     and comp.key == frozenset((lit,))):
                 comp.units.append(lit)
                 comp.key = frozenset()
-                self._probed.discard(root)
+                self._recheck.discard(root)
                 return
         self._assert(lit)
 
@@ -279,17 +276,16 @@ class _Solver:
                 groups.setdefault(self._touch(abs(lit)), set()).add(lit)
             elif fixed != (lit > 0):
                 return False
-        for root in groups.keys() | self._stale | self._probed:
+        for root in groups.keys() | self._recheck:
             comp = self._comps[root]
             key = frozenset(groups.get(root, ()))
             if comp.key != key:
                 comp.key = key
                 comp.model = self.solve(comp)
-                self._stale.discard(root)
                 if key or comp.model is None:
-                    self._probed.add(root)
+                    self._recheck.add(root)
                 else:
-                    self._probed.discard(root)
+                    self._recheck.discard(root)
             if comp.model is None:
                 return False
         return True
