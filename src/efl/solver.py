@@ -115,6 +115,8 @@ class _Solver:
         return root
 
     def _union(self, a: int, b: int) -> int:
+        """Merge two components, the smaller into the larger; the new
+        root. The caller invalidates it."""
         if a == b:
             return a
         comps = self._comps
@@ -125,7 +127,6 @@ class _Solver:
         big.vars.extend(small.vars)
         big.units.extend(small.units)
         self._recheck.discard(b)
-        self._invalidate(a)
         return a
 
     def _assert(self, lit: int) -> None:
@@ -165,7 +166,7 @@ class _Solver:
         self._clauses.append(tuple(out))
         # the decision order counts every literal as given, so a variable's
         # place does not depend on which literals the fixed ones drop
-        occ, fixed, comps = self._occ, self._fixed, self._comps
+        occ, fixed = self._occ, self._fixed
         live: list[int] = []
         satisfied = False
         for lit in out:
@@ -174,13 +175,14 @@ class _Solver:
             value = fixed.get(v)
             if value is None:
                 live.append(lit)
-                root = self._find(v)
-                if root in comps:
-                    self._invalidate(root)
             elif value == (lit > 0):
                 satisfied = True
         if satisfied:
             self._pair.append(None)
+            for lit in live:
+                root = self._find(abs(lit))
+                if root in self._comps:
+                    self._invalidate(root)
         elif len(live) < 2:
             self._pair.append(None)
             if live:
@@ -191,6 +193,7 @@ class _Solver:
             root = self._touch(abs(live[0]))
             for lit in live[1:]:
                 root = self._union(root, self._touch(abs(lit)))
+            self._invalidate(root)
             idx = len(self._pair)
             self._pair.append([live[0], live[1]])
             self._watches.setdefault(live[0], []).append(idx)
