@@ -13,10 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efl import driver
-from efl.cli import Repl
 from efl.formulas import (BOT, TOP, And, Implies, Or, Valuation, neg,
                           props)
-from efl.inference import Config
 from efl.names import Name
 from efl.solver import SolverSession, _Solver
 from helpers import (SOURCES, Names, chain_source, check_source, fixed,
@@ -37,9 +35,6 @@ class CheckedSession(SolverSession):
     def __init__(self) -> None:
         super().__init__()
         self.roots: list[int] = []
-        CheckedSession.made.append(self)
-
-    made: list["CheckedSession"] = []
 
     def admits(self, phi):
         got = super().admits(phi)
@@ -195,9 +190,15 @@ def test_raw_clauses_agree_with_whole_clause_dpll(seed):
 
 @pytest.fixture
 def checked(monkeypatch):
-    monkeypatch.setattr(driver, "SolverSession", CheckedSession)
-    monkeypatch.setattr(CheckedSession, "made", [])
-    return CheckedSession.made
+    """The sessions the driver makes while the test runs, each checked."""
+    made = []
+
+    def make():
+        made.append(CheckedSession())
+        return made[-1]
+
+    monkeypatch.setattr(driver, "SolverSession", make)
+    return made
 
 
 FAMILIES = [(f"g_example_x{n}", g_example_source(n)) for n in (1, 3, 8, 20)] \
@@ -225,16 +226,6 @@ def test_repl_sessions_agree_with_whole_clause_dpll(checked, name, mode):
     (session,) = checked
     if len(props(session.formula)) <= 200:
         assert_fixed_agrees(session)
-
-
-def test_repl_session_is_checked(checked):
-    """The REPL's `:type` probes reach the checked session."""
-    repl = Repl(Config())
-    for line in ("effect IO", "type Int", "extern f : Int ->[IO] Int",
-                 ":type fn (x : Int) => f x", "let g = fn (x : Int) => f x"):
-        repl.handle(line)
-    (session,) = checked
-    assert len(session.roots) == 1 and session._solver.nvars > 0
 
 
 # -- linear work on independent definitions ------------------------------------
