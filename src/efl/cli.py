@@ -104,16 +104,15 @@ class Repl:
             if not simplified:
                 return "(no constraints)"
             return "\n".join(str(c) for c in sorted_constraints(simplified))
-        if line.startswith(":type"):
-            rest = line[len(":type"):]
-            return self._show_type(rest)
+        if line.split(maxsplit=1)[0] == ":type":
+            return self._show_type(line[len(":type"):])
         if line.startswith(":"):
             return f"error: unknown command {line.split()[0]!r}"
         return self._handle_item(line)
 
     def _show_type(self, src: str) -> str:
-        parser = Parser(src, self.supply, self.scope)
         try:
+            parser = Parser(src, self.supply, self.scope)
             expr = parser.parse_expr()
             parser.expect("eof", "end of input")
             res = self.top.type_of(expr)
@@ -126,8 +125,8 @@ class Repl:
         return display_type_and_effect(res.type, res.effect)
 
     def _handle_item(self, line: str) -> str:
-        parser = Parser(line, self.supply, self.scope)
         try:
+            parser = Parser(line, self.supply, self.scope)
             kind, name, payload = parser.parse_repl_item()
         except SourceError as ex:
             return f"parse error: {ex}"

@@ -27,28 +27,13 @@ from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       subst_scheme, subst_type, subst_type_vars)
 from .formulas import Valuation, evaluate
 from .names import Name
-from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SEJoin, SEPure,
-                     SEVar, SEWild, SForallEff, SForallTyp, STVar, SynEffect,
-                     SynType, TLam, TyApp, Var)
+from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SForallEff,
+                     SForallTyp, STVar, SynEffect, SynType, TLam, TyApp, Var,
+                     effect_parts)
 
 # ---------------------------------------------------------------------------
 # Matching surface annotations against internal types/effects
 # ---------------------------------------------------------------------------
-
-
-def _effect_parts(se: SynEffect) -> tuple[set[Name], bool]:
-    """Named variables of a surface effect and whether it has a wildcard."""
-    if isinstance(se, SEVar):
-        return {se.name}, False
-    if isinstance(se, SEPure):
-        return set(), False
-    if isinstance(se, SEWild):
-        return set(), True
-    if isinstance(se, SEJoin):
-        l, wl = _effect_parts(se.lhs)
-        r, wr = _effect_parts(se.rhs)
-        return l | r, wl or wr
-    raise TypeError(f"not a surface effect: {se!r}")
 
 
 def match_effect(se: SynEffect, eff: Effect, rho: Valuation) -> bool:
@@ -57,7 +42,7 @@ def match_effect(se: SynEffect, eff: Effect, rho: Valuation) -> bool:
     A wildcard component absorbs any leftover atoms; without one the named
     variables must be exactly the atoms of eff (after guard erasure).
     """
-    named, wild = _effect_parts(se)
+    named, wild = effect_parts(se)
     atoms = erased_atoms(eff, rho)
     if wild:
         return named <= atoms

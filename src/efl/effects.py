@@ -204,10 +204,12 @@ def sorted_constraints(omega: Iterable[Constraint]) -> list[Constraint]:
     return sorted(omega, key=Constraint.key)
 
 
-def omega_to_formula(omega: Iterable[Constraint], alpha: Name) -> Formula:
-    """Conjunction over omega of (lhs presence => rhs presence) at alpha."""
-    return conj(impl(c.lhs.guard_of(alpha), c.rhs.guard_of(alpha))
-                for c in sorted_constraints(omega))
+def omega_to_formula(omega: Iterable[Constraint], *alphas: Name) -> Formula:
+    """Conjunction over omega of (lhs presence => rhs presence) at alpha,
+    one conjunct per alpha in order; omega is sorted once for all of them."""
+    cs = sorted_constraints(omega)
+    return conj(conj(impl(c.lhs.guard_of(a), c.rhs.guard_of(a)) for c in cs)
+                for a in alphas)
 
 
 @dataclass(frozen=True)

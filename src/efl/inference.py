@@ -21,7 +21,7 @@ from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       Scheme, TVar, Type, arrow_count, constraint_set, guard,
                       join, mono, omega_to_formula, subst_constraints,
                       subst_effect, subst_type, subst_type_vars)
-from .formulas import TOP, Formula, Prop, conj, conj2
+from .formulas import TOP, Formula, Prop, conj2
 from .names import KIND_EFF, KIND_PROP, Name, NameSupply
 from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SEJoin, SEPure,
                      SEVar, SEWild, SForallEff, SForallTyp, STVar, SynEffect,
@@ -40,10 +40,13 @@ class GenLimitError(InferError):
     """Constraint-free generalization exceeded the minted-variable cap."""
 
 
+# The most bound variables one constraint-free generalization may mint.
+MAX_GEN_VARS = 2 ** 16
+
+
 @dataclass(frozen=True)
 class Config:
     mode: str = "constrained"  # or "constraint-free"
-    max_gen_vars: int = 2 ** 16
 
     def __post_init__(self) -> None:
         if self.mode not in ("constrained", "constraint-free"):
@@ -248,10 +251,10 @@ def generalize(res: InferResult, supply: NameSupply,
         return Generalized(Scheme((), frozenset(), res.type), (), (), om,
                            TOP, {})
     n = 2 ** arrow_count(res.type)
-    if n > config.max_gen_vars:
+    if n > MAX_GEN_VARS:
         raise GenLimitError(
             f"constraint-free generalization wants {n} bound variables "
-            f"(cap {config.max_gen_vars}); annotate the binding or use "
+            f"(cap {MAX_GEN_VARS}); annotate the binding or use "
             f"constrained mode")
     gammas = [supply.fresh(KIND_EFF) for _ in range(n)]
     theta = {}
@@ -268,7 +271,7 @@ def generalize(res: InferResult, supply: NameSupply,
         theta[a] = parts
     om1 = subst_constraints(theta, om)
     propagated = subst_constraints({g: PURE for g in gammas}, om1)
-    extra = conj(omega_to_formula(om1, g) for g in gammas)
+    extra = omega_to_formula(om1, *gammas)
     scheme = Scheme(tuple(gammas), frozenset(), subst_type(theta, res.type))
     return Generalized(scheme, tuple(betas), tuple(grid_props), propagated,
                        extra, theta)

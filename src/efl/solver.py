@@ -428,10 +428,7 @@ def sat(phi: Formula) -> Valuation | None:
 
 def discharge_toplevel(delta_top: Iterable[Name], omega) -> Formula:
     """The formula stating omega holds at every declared effect constant."""
-    out: Formula = TOP
-    for a in sorted(set(delta_top), key=Name.key):
-        out = conj2(out, omega_to_formula(omega, a))
-    return out
+    return omega_to_formula(omega, *sorted(set(delta_top), key=Name.key))
 
 
 def simplify_constraints(omega, protected: frozenset) -> frozenset:

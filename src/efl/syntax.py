@@ -3,6 +3,9 @@
 A program is a prelude of declarations (`effect N`, `type N`,
 `extern f : S`) followed by definitions (`let x = e`) and at most one final
 expression. A top-level `let` with an `in` clause is the final expression.
+Each construct has one production: `Parser.parse_expr` alone parses `let`,
+and programs and REPL inputs read their items through it, learning from it
+when a `let` had no `in` and so is a definition.
 
 The parser resolves every identifier occurrence to the globally unique Name
 minted for its binder, so later passes never deal with strings. Parse and
@@ -206,19 +209,28 @@ class Program:
     main: Expr | None
 
 
-def effect_is_wildcard_free(se: SynEffect) -> bool:
-    if isinstance(se, SEWild):
-        return False
-    if isinstance(se, SEJoin):
-        return (effect_is_wildcard_free(se.lhs)
-                and effect_is_wildcard_free(se.rhs))
-    return True
+def effect_parts(se: SynEffect) -> tuple[set[Name], bool]:
+    """The named variables of a surface effect and whether it has a wildcard."""
+    names: set[Name] = set()
+    wild = False
+    todo = [se]
+    while todo:
+        se = todo.pop()
+        if isinstance(se, SEVar):
+            names.add(se.name)
+        elif isinstance(se, SEJoin):
+            todo += (se.rhs, se.lhs)
+        elif isinstance(se, SEWild):
+            wild = True
+        elif not isinstance(se, SEPure):
+            raise TypeError(f"not a surface effect: {se!r}")
+    return names, wild
 
 
 def type_is_wildcard_free(st: SynType) -> bool:
     if isinstance(st, SArrow):
         return (type_is_wildcard_free(st.param)
-                and effect_is_wildcard_free(st.effect)
+                and not effect_parts(st.effect)[1]
                 and type_is_wildcard_free(st.result))
     if isinstance(st, (SForallTyp, SForallEff)):
         return type_is_wildcard_free(st.body)
@@ -329,8 +341,8 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -338,19 +350,20 @@ class Parser:
             self.pos += 1
         return t
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def expected(self, what: str) -> SourceError:
+        """The error for finding the next token where `what` belongs."""
         t = self.peek()
-        if t.kind != kind and not (kind == "kw" and t.kind == "kw"):
-            wanted = what or repr(kind)
-            raise SourceError(f"expected {wanted}, found {t.text or 'end of input'!r}",
-                              t.line, t.col)
+        return SourceError(f"expected {what}, found {t.text or 'end of input'!r}",
+                           t.line, t.col)
+
+    def expect(self, kind: str, what: str | None = None) -> Token:
+        if self.peek().kind != kind:
+            raise self.expected(what or repr(kind))
         return self.next()
 
     def expect_kw(self, word: str) -> Token:
-        t = self.peek()
-        if t.kind != "kw" or t.text != word:
-            raise SourceError(f"expected {word!r}, found {t.text or 'end of input'!r}",
-                              t.line, t.col)
+        if not self.at_kw(word):
+            raise self.expected(repr(word))
         return self.next()
 
     def at_kw(self, word: str) -> bool:
@@ -358,11 +371,7 @@ class Parser:
         return t.kind == "kw" and t.text == word
 
     def ident(self) -> Token:
-        t = self.peek()
-        if t.kind != "ident":
-            raise SourceError(f"expected identifier, found {t.text or 'end of input'!r}",
-                              t.line, t.col)
-        return self.next()
+        return self.expect("ident", "identifier")
 
     # -- scope helpers -----------------------------------------------------
 
@@ -405,8 +414,7 @@ class Parser:
         if t.kind == "ident":
             self.next()
             return SEVar(self.lookup(KIND_EFF, t))
-        raise SourceError(f"expected an effect, found {t.text or 'end of input'!r}",
-                          t.line, t.col)
+        raise self.expected("an effect")
 
     # -- types ---------------------------------------------------------------
 
@@ -428,25 +436,19 @@ class Parser:
         t = self.peek()
         if self.at_kw("forall"):
             self.next()
-            kind_tok = self.peek()
-            if self.at_kw("typ"):
-                self.next()
-                saved = self.scope.copy()
-                binder = self.bind(KIND_TYPE, self.ident())
-                self.expect(".")
-                body = self.parse_type()
-                self.scope = saved
+            kind_tok = self.next()
+            kind = {"typ": KIND_TYPE, "eff": KIND_EFF}.get(kind_tok.text)
+            if kind is None:
+                raise SourceError("expected 'typ' or 'eff' after 'forall'",
+                                  kind_tok.line, kind_tok.col)
+            saved = self.scope.copy()
+            binder = self.bind(kind, self.ident())
+            self.expect(".")
+            body = self.parse_type()
+            self.scope = saved
+            if kind == KIND_TYPE:
                 return SForallTyp(binder, body)
-            if self.at_kw("eff"):
-                self.next()
-                saved = self.scope.copy()
-                binder = self.bind(KIND_EFF, self.ident())
-                self.expect(".")
-                body = self.parse_type()
-                self.scope = saved
-                return SForallEff(binder, body)
-            raise SourceError("expected 'typ' or 'eff' after 'forall'",
-                              kind_tok.line, kind_tok.col)
+            return SForallEff(binder, body)
         if t.kind == "(":
             self.next()
             ty = self.parse_type()
@@ -455,55 +457,53 @@ class Parser:
         if t.kind == "ident":
             self.next()
             return STVar(self.lookup(KIND_TYPE, t))
-        raise SourceError(f"expected a type, found {t.text or 'end of input'!r}",
-                          t.line, t.col)
+        raise self.expected("a type")
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        if self.at_kw("fn"):
+    def parse_expr(self, toplevel: bool = False):
+        """An expression.
+
+        At toplevel, a `let` without `in` is a definition instead: it comes
+        back as (the name's token, the bound expression), the name not yet
+        bound, so the caller decides when it is minted. Each binder form
+        restores the scope inline, adding no frame per nesting level.
+        """
+        word = self.peek().text  # a keyword never lexes as an identifier
+        if word == "fn":
             self.next()
             self.expect("(")
-            param_tok = self.ident()
+            tok = self.ident()
             self.expect(":")
             ann = self.parse_type()
             self.expect(")")
             self.expect("=>")
-            saved = self.scope.copy()
-            param = self.bind(KIND_EXPR, param_tok)
-            body = self.parse_expr()
-            self.scope = saved
-            return Lam(param, ann, body)
-        if self.at_kw("tfun"):
+            kind = KIND_EXPR
+        elif word == "tfun" or word == "efun":
             self.next()
-            binder_tok = self.ident()
+            tok = self.ident()
             self.expect("=>")
-            saved = self.scope.copy()
-            binder = self.bind(KIND_TYPE, binder_tok)
-            body = self.parse_expr()
-            self.scope = saved
-            return TLam(binder, body)
-        if self.at_kw("efun"):
+            kind = KIND_TYPE if word == "tfun" else KIND_EFF
+        elif word == "let":
             self.next()
-            binder_tok = self.ident()
-            self.expect("=>")
-            saved = self.scope.copy()
-            binder = self.bind(KIND_EFF, binder_tok)
-            body = self.parse_expr()
-            self.scope = saved
-            return ELam(binder, body)
-        if self.at_kw("let"):
-            self.next()
-            name_tok = self.ident()
+            tok = self.ident()
             self.expect("=")
             bound = self.parse_expr()
+            if toplevel and not self.at_kw("in"):
+                return tok, bound
             self.expect_kw("in")
-            saved = self.scope.copy()
-            name = self.bind(KIND_EXPR, name_tok)
-            body = self.parse_expr()
-            self.scope = saved
+            kind = KIND_EXPR
+        else:
+            return self.parse_app()
+        saved = self.scope.copy()
+        name = self.bind(kind, tok)
+        body = self.parse_expr()
+        self.scope = saved
+        if word == "fn":
+            return Lam(name, ann, body)
+        if word == "let":
             return Let(name, bound, body)
-        return self.parse_app()
+        return (TLam if word == "tfun" else ELam)(name, body)
 
     def _continues_application(self) -> bool:
         """Juxtaposition stops at a line break outside any brackets."""
@@ -516,21 +516,17 @@ class Parser:
         while self._continues_application():
             t = self.peek()
             if t.kind == "[":
-                nxt = self.peek(1)
-                if nxt.kind == "kw" and nxt.text in ("type", "eff"):
-                    self.next()
-                    self.next()
-                    if nxt.text == "type":
-                        arg_t = self.parse_type()
-                        self.expect("]")
-                        out = TyApp(out, arg_t)
-                    else:
-                        arg_e = self.parse_effect()
-                        self.expect("]")
-                        out = EfApp(out, arg_e)
-                    continue
-                raise SourceError("expected 'type' or 'eff' after '['",
-                                  nxt.line, nxt.col)
+                self.next()
+                nxt = self.next()
+                if nxt.text == "type":
+                    out = TyApp(out, self.parse_type())
+                elif nxt.text == "eff":
+                    out = EfApp(out, self.parse_effect())
+                else:
+                    raise SourceError("expected 'type' or 'eff' after '['",
+                                      nxt.line, nxt.col)
+                self.expect("]")
+                continue
             if t.kind == "ident" or t.kind == "(":
                 out = App(out, self.parse_atom_expr())
                 continue
@@ -547,8 +543,7 @@ class Parser:
             e = self.parse_expr()
             self.expect(")")
             return e
-        raise SourceError(f"expected an expression, found {t.text or 'end of input'!r}",
-                          t.line, t.col)
+        raise self.expected("an expression")
 
     # -- programs ------------------------------------------------------------
 
@@ -567,7 +562,9 @@ class Parser:
         self.next()
         kind = kinds[t.text]
         tok = self.ident()
-        self._check_fresh_decl(kind, tok)
+        if tok.text in self.scope.table(kind):
+            raise SourceError(f"duplicate declaration of {tok.text!r}",
+                              tok.line, tok.col)
         if kind != KIND_EXPR:
             name = self.bind(kind, tok)
             if alone:
@@ -591,34 +588,18 @@ class Parser:
         defs: list[tuple[Name, Expr]] = []
         main: Expr | None = None
         while self.peek().kind != "eof":
-            if self.at_kw("let"):
-                self.next()
-                name_tok = self.ident()
-                self.expect("=")
-                bound = self.parse_expr()
-                if self.at_kw("in"):
-                    self.next()
-                    saved = self.scope.copy()
-                    name = self.bind(KIND_EXPR, name_tok)
-                    body = self.parse_expr()
-                    self.scope = saved
-                    main = Let(name, bound, body)
-                    break
-                defs.append((self.bind(KIND_EXPR, name_tok), bound))
-            else:
-                main = self.parse_expr()
+            item = self.parse_expr(toplevel=True)
+            if isinstance(item, Expr):
+                main = item
                 break
+            tok, bound = item
+            defs.append((self.bind(KIND_EXPR, tok), bound))
         t = self.peek()
         if t.kind != "eof":
             raise SourceError(f"unexpected {t.text!r} after program end",
                               t.line, t.col)
         return Program(tuple(decls["effect"]), tuple(decls["type"]),
                        tuple(decls["extern"]), tuple(defs), main)
-
-    def _check_fresh_decl(self, kind: str, tok: Token) -> None:
-        if tok.text in self.scope.table(kind):
-            raise SourceError(f"duplicate declaration of {tok.text!r}",
-                              tok.line, tok.col)
 
     def parse_repl_item(self):
         """One REPL input.
@@ -630,24 +611,12 @@ class Parser:
         decl = self.parse_decl(alone=True)
         if decl is not None:
             return decl
-        if self.at_kw("let"):
-            save = self.pos
-            self.next()
-            name_tok = self.ident()
-            self.expect("=")
-            bound = self.parse_expr()
-            if self.at_kw("in"):
-                # A let-in is an ordinary expression; reparse as one.
-                self.pos = save
-                e = self.parse_expr()
-                self.expect("eof", "end of input")
-                return ("expr", None, e)
-            self.expect("eof", "end of input")
-            name = self.bind(KIND_EXPR, name_tok)
-            return ("def", name, bound)
-        e = self.parse_expr()
+        item = self.parse_expr(toplevel=True)
         self.expect("eof", "end of input")
-        return ("expr", None, e)
+        if isinstance(item, Expr):
+            return ("expr", None, item)
+        tok, bound = item
+        return ("def", self.bind(KIND_EXPR, tok), bound)
 
 
 def parse_program(src: str, supply: NameSupply) -> Program:

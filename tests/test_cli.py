@@ -8,7 +8,9 @@ import pytest
 from efl.cli import Repl, main
 from efl.formulas import conj2
 from efl.inference import Config
+from efl.names import NameSupply
 from efl.solver import SolverSession, sat
+from efl.syntax import Parser
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 ALL_PROGRAMS = sorted(PROGRAMS.glob("*.efl"))
@@ -90,6 +92,17 @@ def test_check_verify_every_fixture(capsys):
         assert "certificates: verified" in out
 
 
+def test_check_verify_passes_lets_nested_900_deep(capsys, tmp_path):
+    """Each `let … in` level costs the parser one frame, so this depth stays
+    below the recursion limit through checking and replay."""
+    src = tmp_path / "lets.efl"
+    src.write_text("type Unit\nextern u : Unit\n" + "let a = u in " * 900
+                   + "a\n")
+    code, out, _ = _run(capsys, "check", "--verify", str(src))
+    assert code == 0
+    assert out.endswith("certificates: verified\n")
+
+
 def test_check_dump_formula(capsys):
     code, out, err = _run(capsys, "check", "--dump-formula",
                           str(PROGRAMS / "identity.efl"))
@@ -132,6 +145,18 @@ def test_check_is_deterministic(capsys):
         first = _run(capsys, "check", str(path))
         second = _run(capsys, "check", str(path))
         assert first == second, path.name
+
+
+def test_readme_example_is_the_corpus_file_and_its_output():
+    readme = (PROGRAMS.parent / "README.md").read_text()
+    label = "```\n-- programs/call_now_or_later.efl\n"
+    start = readme.index(label) + len(label)
+    block = readme[start:readme.index("```", start)]
+    assert block == (PROGRAMS / "call_now_or_later.efl").read_text()
+    shown = readme.split("$ efl check programs/call_now_or_later.efl\n")[1]
+    golden = PROGRAMS.parent / "tests" / "golden"
+    expected = (golden / "call_now_or_later.constrained.out").read_text()
+    assert shown.splitlines()[0] == expected.splitlines()[0]
 
 
 # -- the repl ------------------------------------------------------------------
@@ -186,6 +211,47 @@ def test_repl_unknown_command():
     repl = Repl(Config())
     assert repl.handle(":frobnicate now") == \
         "error: unknown command ':frobnicate'"
+
+
+def test_repl_type_command_is_a_whole_word():
+    repl = Repl(Config())
+    for line in ("type Unit", "extern u : Unit"):
+        repl.handle(line)
+    assert repl.handle(":type u") == "Unit @ []"
+    assert repl.handle(":type\tu") == "Unit @ []"
+    assert repl.handle(":typeu") == "error: unknown command ':typeu'"
+    assert repl.handle(":types") == "error: unknown command ':types'"
+
+
+def test_repl_reports_a_bad_character_as_a_parse_error():
+    repl = Repl(Config())
+    for line in ("type Unit", "extern u : Unit"):
+        repl.handle(line)
+    assert repl.handle("u > u") == \
+        "parse error: line 1, col 3: unexpected character '>'"
+    out = repl.handle(":type u > u")
+    assert out.startswith("parse error: ")
+    assert out.endswith("unexpected character '>'")
+    assert repl.handle("u") == "it : Unit @ []"
+
+
+def test_repl_let_in_mints_each_binder_once(monkeypatch):
+    """A `let … in` input binds the names parse_expr binds on its text."""
+    src = "let w = fn (x : Unit) => fn (y : Unit) => x in w u u"
+    repl = Repl(Config())
+    for line in ("type Unit", "extern u : Unit"):
+        repl.handle(line)
+    bound = []
+    bind = Parser.bind
+
+    def recording_bind(parser, kind, tok):
+        bound.append(tok.text)
+        return bind(parser, kind, tok)
+    monkeypatch.setattr(Parser, "bind", recording_bind)
+    Parser(src, NameSupply(), repl.scope).parse_expr()
+    by_parse_expr, bound[:] = bound[:], []
+    assert repl.handle(src) == "it : Unit @ []"
+    assert bound == by_parse_expr == ["x", "y", "w"]
 
 
 def test_repl_quit_raises_eof():

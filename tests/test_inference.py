@@ -323,13 +323,14 @@ def test_cf_generalize_mints_one_binder_per_arrow_subset(ns, supply):
 
 
 def test_cf_generalization_cap(ns, supply):
+    """A 17-arrow annotation asks for at least 2**17 grid binders, over the
+    2**16 cap, which is checked before any of them is minted."""
     u, io, scope, gamma = _ctx(ns, supply)
-    expr = parse_expr(
-        "let w = fn (k : Unit ->[_] Unit) => fn (g : Unit ->[_] Unit) => "
-        "fn (x : Unit) => k (g x) in w", supply, scope)
-    with pytest.raises(GenLimitError, match="annotate the binding"):
-        infer(gamma, expr, supply, Config(mode="constraint-free",
-                                          max_gen_vars=4))
+    ann = "Unit ->[_] " * 17 + "Unit"
+    expr = parse_expr(f"let w = fn (k : {ann}) => k in w", supply, scope)
+    with pytest.raises(GenLimitError,
+                       match=r"\(cap 65536\); annotate the binding"):
+        infer(gamma, expr, supply, CF)
 
 
 def test_config_rejects_unknown_mode():

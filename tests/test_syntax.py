@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efl.names import NameSupply
-from efl.syntax import App, Lam, Parser, Scope, SourceError, parse_program
+from efl.syntax import (App, Lam, Parser, Scope, SForallEff, SourceError,
+                        parse_program)
 from helpers import SOURCES, chain_source, g_example_source, tokenize
 from oracles import gen_program, tokenize_chars
 
@@ -240,3 +241,23 @@ def test_repl_scope_is_isolated_until_adopted():
     # the caller's scope is untouched until it adopts parser.scope
     assert "IO" not in scope.eff
     assert "IO" in parser.scope.eff
+
+
+# -- nesting depth ---------------------------------------------------------------
+# Each binder form restores its scope inline, so one more level of nesting
+# costs the parser one frame (two for a quantifier: parse_type and
+# parse_type_atom). These sizes sit below the recursion limit only while
+# that holds.
+
+
+def test_nested_fn_900_deep_parses():
+    prog = _parse("fn (x : Unit) => " * 900 + "x")
+    assert isinstance(prog.main, Lam)
+
+
+def test_nested_forall_eff_450_deep_parses():
+    prog = _parse("extern h : " + "forall eff e. " * 450 + "Unit\nh")
+    ty, depth = prog.externs[-1][1], 0
+    while isinstance(ty, SForallEff):
+        ty, depth = ty.body, depth + 1
+    assert depth == 450
