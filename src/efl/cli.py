@@ -91,23 +91,28 @@ class Repl:
         self.top = TopLevel((), self.supply, config)
 
     def handle(self, line: str) -> str | None:
-        """Process one input line; returns the text to print (or None)."""
-        line = line.strip()
-        if not line:
+        """Process one input line; returns the text to print (or None).
+
+        Error columns count from the start of the input line: the text is
+        parsed where it stands, a `:type` command blanked out."""
+        line = line.rstrip()
+        command = line.lstrip()
+        if not command:
             return None
-        if line in (":quit", ":q"):
+        if command in (":quit", ":q"):
             raise EOFError
-        if line == ":constraints":
+        if command == ":constraints":
             protected = frozenset(self.top.discharger.rigid)
             simplified = simplify_constraints(frozenset(self.top.omega),
                                               protected)
             if not simplified:
                 return "(no constraints)"
             return "\n".join(str(c) for c in sorted_constraints(simplified))
-        if line.split(maxsplit=1)[0] == ":type":
-            return self._show_type(line[len(":type"):])
-        if line.startswith(":"):
-            return f"error: unknown command {line.split()[0]!r}"
+        if command.split(maxsplit=1)[0] == ":type":
+            end = line.index(":type") + len(":type")
+            return self._show_type(" " * end + line[end:])
+        if command.startswith(":"):
+            return f"error: unknown command {command.split()[0]!r}"
         return self._handle_item(line)
 
     def _show_type(self, src: str) -> str:

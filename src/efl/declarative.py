@@ -294,32 +294,48 @@ class CertificateError(Exception):
         self.rule = rule
 
 
+def _rebuilt(cert: Cert, *children) -> Cert:
+    """cert itself if every child is the field it replaces (compared with
+    `is`: `==` would walk whole subtrees), else a new node of its class."""
+    if all(new is old for new, old in zip(children, vars(cert).values())):
+        return cert
+    return type(cert)(*children)
+
+
 def subst_cert(theta: Mapping[Name, Effect], cert: Cert) -> Cert:
-    """Apply an effect substitution to every annotation stored in cert."""
+    """Apply an effect substitution to every annotation stored in cert.
+
+    A substitution that changes nothing returns its argument: a node whose
+    children all come back as the same objects is returned itself."""
+    if not theta:
+        return cert
     if isinstance(cert, CVar):
-        return CVar(tuple((n, subst_effect(theta, e)) for n, e in cert.theta))
+        inst = tuple((n, subst_effect(theta, e)) for n, e in cert.theta)
+        if all(new is old for (_, new), (_, old) in zip(inst, cert.theta)):
+            return cert
+        return CVar(inst)
     if isinstance(cert, CAbs):
-        return CAbs(subst_type(theta, cert.param_type),
-                    subst_cert(theta, cert.body))
+        return _rebuilt(cert, subst_type(theta, cert.param_type),
+                        subst_cert(theta, cert.body))
     if isinstance(cert, CApp):
-        return CApp(subst_cert(theta, cert.fn), subst_cert(theta, cert.arg))
-    if isinstance(cert, CTAbs):
-        return CTAbs(subst_cert(theta, cert.body))
-    if isinstance(cert, CEAbs):
-        return CEAbs(subst_cert(theta, cert.body))
+        return _rebuilt(cert, subst_cert(theta, cert.fn),
+                        subst_cert(theta, cert.arg))
+    if isinstance(cert, (CTAbs, CEAbs)):
+        return _rebuilt(cert, subst_cert(theta, cert.body))
     if isinstance(cert, CTApp):
-        return CTApp(subst_cert(theta, cert.fn), subst_type(theta, cert.arg))
+        return _rebuilt(cert, subst_cert(theta, cert.fn),
+                        subst_type(theta, cert.arg))
     if isinstance(cert, CEApp):
-        return CEApp(subst_cert(theta, cert.fn),
-                     subst_effect(theta, cert.arg))
+        return _rebuilt(cert, subst_cert(theta, cert.fn),
+                        subst_effect(theta, cert.arg))
     if isinstance(cert, CLet):
-        return CLet(subst_scheme(theta, cert.scheme),
-                    subst_cert(theta, cert.bound),
-                    subst_cert(theta, cert.body))
+        return _rebuilt(cert, subst_scheme(theta, cert.scheme),
+                        subst_cert(theta, cert.bound),
+                        subst_cert(theta, cert.body))
     if isinstance(cert, CSub):
-        return CSub(subst_type(theta, cert.typ),
-                    subst_effect(theta, cert.effect),
-                    subst_cert(theta, cert.inner))
+        return _rebuilt(cert, subst_type(theta, cert.typ),
+                        subst_effect(theta, cert.effect),
+                        subst_cert(theta, cert.inner))
     raise TypeError(f"not a certificate: {cert!r}")
 
 

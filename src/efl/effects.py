@@ -6,6 +6,12 @@ variable. The empty set is the pure effect. Join merges atom sets (guards of a
 shared variable are or-ed), and guarding an effect and-s the formula onto
 every atom. Atoms whose guard folds to F are dropped; under any valuation they
 contribute nothing.
+
+A substitution that changes nothing returns its argument: an effect, type,
+constraint, constraint set or scheme that no mapped variable reaches comes
+back as the same object, and so does every unchanged subtree of a type. The
+result equals a full rebuild either way; the sharing saves the copies and
+keeps identity shortcuts such as `declarative.subtype_holds`'s working.
 """
 from __future__ import annotations
 
@@ -137,16 +143,20 @@ class ForallEff(Type):
 def map_type(t: Type, eff: Callable[[Effect], Effect],
              tvar: Callable[[TVar], Type]) -> Type:
     """Rebuild t with every arrow effect mapped by eff and every type
-    variable by tvar; binders are kept as they are."""
+    variable by tvar; binders are kept as they are. A node whose children
+    all come back as the same objects is returned itself, not rebuilt."""
     if isinstance(t, Arrow):
-        return Arrow(map_type(t.param, eff, tvar), eff(t.effect),
-                     map_type(t.result, eff, tvar))
+        param = map_type(t.param, eff, tvar)
+        effect = eff(t.effect)
+        result = map_type(t.result, eff, tvar)
+        if param is t.param and effect is t.effect and result is t.result:
+            return t
+        return Arrow(param, effect, result)
     if isinstance(t, TVar):
         return tvar(t)
-    if isinstance(t, ForallEff):
-        return ForallEff(t.binder, map_type(t.body, eff, tvar))
-    if isinstance(t, ForallTyp):
-        return ForallTyp(t.binder, map_type(t.body, eff, tvar))
+    if isinstance(t, (ForallEff, ForallTyp)):
+        body = map_type(t.body, eff, tvar)
+        return t if body is t.body else type(t)(t.binder, body)
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -241,9 +251,16 @@ EffSubst = Mapping[Name, Effect]
 
 
 def subst_effect(theta: EffSubst, e: Effect) -> Effect:
-    """Replace atoms by their images, pushing the atom's guard inward."""
-    return join(*(guard(theta[name], g) if name in theta
-                  else Effect(((name, g),)) for name, g in e.atoms))
+    """Replace atoms by their images, pushing the atom's guard inward.
+
+    e itself when theta maps none of its atoms: an effect is kept in normal
+    form (sorted, one atom per variable, no F guard), so rebuilding it
+    would give an equal copy."""
+    images = [theta.get(name) for name, _ in e.atoms]
+    if not any(images):  # an Effect is always true, even the pure one
+        return e
+    return join(*(Effect((atom,)) if image is None else guard(image, atom[1])
+                  for atom, image in zip(e.atoms, images)))
 
 
 def _same(x):
@@ -251,22 +268,35 @@ def _same(x):
 
 
 def subst_type(theta: EffSubst, t: Type) -> Type:
+    if not theta:
+        return t
     # Binder ids are globally unique, so capture is impossible.
     return map_type(t, lambda e: subst_effect(theta, e), _same)
 
 
 def subst_constraint(theta: EffSubst, c: Constraint) -> Constraint:
-    return Constraint(subst_effect(theta, c.lhs), subst_effect(theta, c.rhs))
+    lhs, rhs = subst_effect(theta, c.lhs), subst_effect(theta, c.rhs)
+    return c if lhs is c.lhs and rhs is c.rhs else Constraint(lhs, rhs)
 
 
 def subst_constraints(theta: EffSubst,
                       omega: Iterable[Constraint]) -> frozenset[Constraint]:
-    return constraint_set(subst_constraint(theta, c) for c in omega)
+    """The substituted set; omega itself when it is a frozenset whose
+    members all come back as themselves and none has a pure LHS."""
+    out = [subst_constraint(theta, c) for c in omega]
+    if (isinstance(omega, frozenset)
+            and all(new is old for new, old in zip(out, omega))
+            and not any(c.lhs.is_pure() for c in out)):
+        return omega
+    return constraint_set(out)
 
 
 def subst_scheme(theta: EffSubst, s: Scheme) -> Scheme:
-    return Scheme(s.binders, subst_constraints(theta, s.constraints),
-                  subst_type(theta, s.body))
+    constraints = subst_constraints(theta, s.constraints)
+    body = subst_type(theta, s.body)
+    if constraints is s.constraints and body is s.body:
+        return s
+    return Scheme(s.binders, constraints, body)
 
 
 def subst_type_vars(tmap: Mapping[Name, Type], t: Type) -> Type:

@@ -23,9 +23,9 @@ from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       subst_effect, subst_type, subst_type_vars)
 from .formulas import TOP, Formula, Prop, conj2
 from .names import KIND_EFF, KIND_PROP, Name, NameSupply
-from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SEJoin, SEPure,
-                     SEVar, SEWild, SForallEff, SForallTyp, STVar, SynEffect,
-                     SynType, TLam, TyApp, Var)
+from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SEVar, SEWild,
+                     SForallEff, SForallTyp, STVar, SynEffect, SynType, TLam,
+                     TyApp, Var, effect_leaves)
 
 
 class InferError(Exception):
@@ -64,19 +64,17 @@ def purity(e: Effect) -> Constraint:
 
 def tr_effect(se: SynEffect,
               supply: NameSupply) -> tuple[tuple[Name, ...], Effect]:
-    """Translate a surface effect; wildcards become fresh variables."""
-    if isinstance(se, SEVar):
-        return (), Effect.var(se.name)
-    if isinstance(se, SEPure):
-        return (), PURE
-    if isinstance(se, SEWild):
-        a = supply.fresh(KIND_EFF)
-        return (a,), Effect.var(a)
-    if isinstance(se, SEJoin):
-        g1, e1 = tr_effect(se.lhs, supply)
-        g2, e2 = tr_effect(se.rhs, supply)
-        return g1 + g2, join(e1, e2)
-    raise TypeError(f"not a surface effect: {se!r}")
+    """Translate a surface effect; wildcards become fresh variables, minted
+    left to right."""
+    gen: list[Name] = []
+    parts: list[Effect] = []
+    for leaf in effect_leaves(se):
+        if isinstance(leaf, SEVar):
+            parts.append(Effect.var(leaf.name))
+        elif isinstance(leaf, SEWild):
+            gen.append(supply.fresh(KIND_EFF))
+            parts.append(Effect.var(gen[-1]))
+    return tuple(gen), join(*parts)
 
 
 def _rebind_under(alpha: Name, gen: tuple[Name, ...], supply: NameSupply

@@ -1,8 +1,10 @@
 """Globally unique names and the fresh-name supply.
 
 Every binder occurrence in a program, and every variable minted during
-inference, gets its own Name with a unique id. Equality is by id, so plain
-dictionary substitution is capture-avoiding: a substitution can only ever
+inference, gets its own Name with a unique id. A Name compares and hashes
+by its text, kind and id together; ids are unique within a run, so two names
+of one run are equal exactly when their ids are. Plain dictionary
+substitution is therefore capture-avoiding: a substitution can only ever
 mention ids that are in scope where it was built.
 """
 from __future__ import annotations

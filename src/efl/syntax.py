@@ -64,7 +64,7 @@ class SEJoin(SynEffect):
     rhs: SynEffect
 
     def __str__(self) -> str:
-        return f"{self.lhs} \\/ {self.rhs}"
+        return " \\/ ".join(map(str, effect_leaves(self)))
 
 
 class SynType:
@@ -209,22 +209,26 @@ class Program:
     main: Expr | None
 
 
-def effect_parts(se: SynEffect) -> tuple[set[Name], bool]:
-    """The named variables of a surface effect and whether it has a wildcard."""
-    names: set[Name] = set()
-    wild = False
+def effect_leaves(se: SynEffect) -> list[SynEffect]:
+    """The operands of a surface effect's joins, left to right."""
+    leaves: list[SynEffect] = []
     todo = [se]
     while todo:
         se = todo.pop()
-        if isinstance(se, SEVar):
-            names.add(se.name)
-        elif isinstance(se, SEJoin):
+        if isinstance(se, SEJoin):
             todo += (se.rhs, se.lhs)
-        elif isinstance(se, SEWild):
-            wild = True
-        elif not isinstance(se, SEPure):
+        elif isinstance(se, (SEVar, SEWild, SEPure)):
+            leaves.append(se)
+        else:
             raise TypeError(f"not a surface effect: {se!r}")
-    return names, wild
+    return leaves
+
+
+def effect_parts(se: SynEffect) -> tuple[set[Name], bool]:
+    """The named variables of a surface effect and whether it has a wildcard."""
+    leaves = effect_leaves(se)
+    return ({leaf.name for leaf in leaves if isinstance(leaf, SEVar)},
+            any(isinstance(leaf, SEWild) for leaf in leaves))
 
 
 def type_is_wildcard_free(st: SynType) -> bool:

@@ -13,6 +13,12 @@ The recursive walks over `Type` at the end are the reference that
 against; `props_rec` is the same for `formulas.props`, `formula_str_rec`
 for the printing of formulas, and `tokenize_chars`, the
 character-at-a-time lexer, for the regex lexer (`helpers.tokenize`).
+`subst_type_rec` and `subst_type_vars_rec` also rebuild every node, as
+`map_type` did before it returned unchanged nodes themselves; with
+`subst_effect_rebuild`, `subst_constraints_rebuild`, `subst_scheme_rebuild`
+and `subst_cert_rebuild` they are the rebuild-always substitutions that the
+identity-preserving ones in `efl.effects` and `efl.declarative` are compared
+against.
 `total_valuation_over_formula` is `driver.total_valuation` as it was when
 it walked the certificates, schemes and omega for their guard propositions
 (`cert_props`, `scheme_props`, `constraints_props`, `type_props`) and also
@@ -32,9 +38,9 @@ from efl.declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs,
 from efl.driver import (CheckOutcome, Discharger, check_program,
                         verify_certificates)
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                         Scheme, TVar, Type, constraint_set, join, map_type,
-                         subst_constraints, subst_effect, subst_type,
-                         walk_type)
+                         Scheme, TVar, Type, constraint_set, guard, join,
+                         map_type, subst_constraints, subst_effect,
+                         subst_type, walk_type)
 from efl.formulas import (BOT, TOP, And, Formula, Implies, Or, Prop, Top,
                           Valuation, conj2, disj2, evaluate, impl, props)
 from efl.inference import Config, ShapeError, subtype, tr_type
@@ -672,7 +678,7 @@ def subst_type_rec(theta: Mapping[Name, Effect], t: Type) -> Type:
         return t
     if isinstance(t, Arrow):
         return Arrow(subst_type_rec(theta, t.param),
-                     subst_effect(theta, t.effect),
+                     subst_effect_rebuild(theta, t.effect),
                      subst_type_rec(theta, t.result))
     if isinstance(t, ForallTyp):
         return ForallTyp(t.binder, subst_type_rec(theta, t.body))
@@ -813,6 +819,59 @@ def total_valuation_over_formula(outcome: CheckOutcome,
         all_props |= cert_props(outcome.main.cert)
     base = outcome.witness if outcome.witness is not None else Valuation({})
     return base.defaulted(sorted(all_props, key=Name.key))
+
+
+# ---------------------------------------------------------------------------
+# Rebuild-always substitutions: the reference for the identity fast paths
+# ---------------------------------------------------------------------------
+
+
+def subst_effect_rebuild(theta: Mapping[Name, Effect], e: Effect) -> Effect:
+    return join(*(guard(theta[name], g) if name in theta
+                  else Effect(((name, g),)) for name, g in e.atoms))
+
+
+def subst_constraints_rebuild(theta: Mapping[Name, Effect],
+                              omega: Iterable[Constraint]
+                              ) -> frozenset[Constraint]:
+    return constraint_set(Constraint(subst_effect_rebuild(theta, c.lhs),
+                                     subst_effect_rebuild(theta, c.rhs))
+                          for c in omega)
+
+
+def subst_scheme_rebuild(theta: Mapping[Name, Effect], s: Scheme) -> Scheme:
+    return Scheme(s.binders, subst_constraints_rebuild(theta, s.constraints),
+                  subst_type_rec(theta, s.body))
+
+
+def subst_cert_rebuild(theta: Mapping[Name, Effect], cert: Cert) -> Cert:
+    def eff(e: Effect) -> Effect:
+        return subst_effect_rebuild(theta, e)
+
+    def typ(t: Type) -> Type:
+        return subst_type_rec(theta, t)
+
+    def sub(c: Cert) -> Cert:
+        return subst_cert_rebuild(theta, c)
+
+    if isinstance(cert, CVar):
+        return CVar(tuple((n, eff(e)) for n, e in cert.theta))
+    if isinstance(cert, CAbs):
+        return CAbs(typ(cert.param_type), sub(cert.body))
+    if isinstance(cert, CApp):
+        return CApp(sub(cert.fn), sub(cert.arg))
+    if isinstance(cert, (CTAbs, CEAbs)):
+        return type(cert)(sub(cert.body))
+    if isinstance(cert, CTApp):
+        return CTApp(sub(cert.fn), typ(cert.arg))
+    if isinstance(cert, CEApp):
+        return CEApp(sub(cert.fn), eff(cert.arg))
+    if isinstance(cert, CLet):
+        return CLet(subst_scheme_rebuild(theta, cert.scheme), sub(cert.bound),
+                    sub(cert.body))
+    if isinstance(cert, CSub):
+        return CSub(typ(cert.typ), eff(cert.effect), sub(cert.inner))
+    raise TypeError(f"not a certificate: {cert!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,20 @@ def test_check_verify_passes_lets_nested_900_deep(capsys, tmp_path):
     assert out.endswith("certificates: verified\n")
 
 
+def test_check_accepts_a_join_of_1500_atoms(capsys, tmp_path):
+    """Surface joins are walked with an explicit stack, so an annotation's
+    length does not meet the recursion limit."""
+    wide = " \\/ ".join(["E"] * 1500)
+    src = tmp_path / "wide.efl"
+    src.write_text(f"effect E\ntype Unit\nextern k : Unit ->[{wide}] Unit\n"
+                   f"let f = fn (h : Unit ->[{wide}] Unit) => h\n"
+                   f"f k\n")
+    code, out, err = _run(capsys, "check", "--verify", str(src))
+    assert (code, err) == (0, "")
+    assert out == ("f : (Unit ->[E] Unit) ->[] Unit ->[E] Unit\n"
+                   "it : Unit ->[E] Unit @ []\ncertificates: verified\n")
+
+
 def test_check_dump_formula(capsys):
     code, out, err = _run(capsys, "check", "--dump-formula",
                           str(PROGRAMS / "identity.efl"))
@@ -233,6 +247,19 @@ def test_repl_reports_a_bad_character_as_a_parse_error():
     assert out.startswith("parse error: ")
     assert out.endswith("unexpected character '>'")
     assert repl.handle("u") == "it : Unit @ []"
+
+
+def test_repl_error_columns_count_from_the_start_of_the_line():
+    repl = Repl(Config())
+    for line in ("type Unit", "extern u : Unit"):
+        repl.handle(line)
+    unbound = "parse error: line 1, col {}: unbound variable 'zz'"
+    assert repl.handle(":type   zz") == unbound.format(9)
+    assert repl.handle("  zz") == unbound.format(3)
+    assert repl.handle("  :type zz\n") == unbound.format(9)
+    assert repl.handle("\tlet w = zz") == unbound.format(10)
+    assert repl.handle(" :type u > u") == \
+        "parse error: line 1, col 10: unexpected character '>'"
 
 
 def test_repl_let_in_mints_each_binder_once(monkeypatch):

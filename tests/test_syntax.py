@@ -261,3 +261,10 @@ def test_nested_forall_eff_450_deep_parses():
     while isinstance(ty, SForallEff):
         ty, depth = ty.body, depth + 1
     assert depth == 450
+
+
+def test_join_of_1500_atoms_prints_as_written():
+    wide = " \\/ ".join(["IO", "(DB \\/ IO)", "_", "pure"] * 375)
+    prog = _parse(f"let h = fn (k : Unit ->[{wide}] Unit) => k\nu")
+    assert str(prog.defs[0][1].ann.effect) == wide.replace("(", "") \
+        .replace(")", "")
