@@ -14,11 +14,10 @@ from pathlib import Path
 from .declarative import CertificateError
 from .driver import (TopLevel, check_program, display_scheme,
                      display_type_and_effect, render_cert,
-                     verify_certificates, wrapped_cert)
+                     simplify_constraints, verify_certificates, wrapped_cert)
 from .effects import sorted_constraints
 from .inference import Config, InferError
 from .names import NameSupply
-from .solver import simplify_constraints
 from .syntax import Parser, Scope, SourceError, parse_program
 
 

@@ -3,9 +3,10 @@
 Everything here is indexed by a valuation rho for the guard propositions: an
 answer is relative to one choice of guards. Under rho a constraint set is a
 set of propositional Horn rules over effect atoms, and subeffecting is
-closure under them. A `ReplayScope` compiles a constraint set once per
+closure under them. A `ReplayScope` is a constraint set compiled under one
 valuation: each constraint's guards are erased once and the rules are
-indexed by the atoms of their right-hand side. Each query propagates from
+indexed by the atoms of their right-hand side. Every replay query takes a
+scope and reads its rho from it. Each query propagates from
 its start set by counting down the rules' missing atoms (Dowling & Gallier,
 JLP 1984), in time linear in the rules it touches, and stops once its goal
 is covered. `derivation_search_subeffect` in `tests/oracles.py` is the
@@ -95,7 +96,6 @@ class ReplayScope:
     erased RHS and counts down as those atoms get covered; a rule whose RHS
     erases to nothing fires unconditionally. `extend` layers further
     constraints on top, erasing only those and sharing the layers below.
-    Iterating a scope yields its constraints, so it serves as an omega.
     """
 
     def __init__(self, omega: Iterable[Constraint], rho: Valuation,
@@ -121,10 +121,6 @@ class ReplayScope:
                         + ((index,) if index else ()))
         self.free = ((parent.free if parent else ())
                      + ((frozenset(free),) if free else ()))
-
-    def __iter__(self):
-        for own in self.sets:
-            yield from own
 
     def extend(self, omega: Iterable[Constraint]) -> "ReplayScope":
         """This scope with omega added; itself if omega adds nothing."""
@@ -159,66 +155,50 @@ class ReplayScope:
         return not missing
 
 
-def replay_scope(omega: Iterable[Constraint],
-                 rho: Valuation) -> ReplayScope:
-    """omega compiled under rho; a scope compiled under rho is kept."""
-    if isinstance(omega, ReplayScope):
-        if omega.rho is not rho and omega.rho != rho:
-            raise ValueError("scope was compiled under another valuation")
-        return omega
-    return ReplayScope(omega, rho)
-
-
-def subeffect_holds(omega: Iterable[Constraint], rho: Valuation,
-                    e1: Effect, e2: Effect) -> bool:
-    """Decide omega |- e1 <= e2 under rho.
+def subeffect_holds(scope: ReplayScope, e1: Effect, e2: Effect) -> bool:
+    """Decide omega |- e1 <= e2 under rho, both compiled into scope.
 
     After erasing guards everything is a set of atoms and each assumption
     l <= r a Horn rule (see `ReplayScope`). Starting from the atoms of e2,
     fire every rule whose erased RHS is covered to also cover its erased
     LHS, until e1 is covered or nothing more fires. Each step is justified
     by assumption + join + transitivity, and every declarative rule
-    preserves coveredness, so this is exactly the subeffect relation. omega
-    may be a scope compiled under rho, which is then queried as it is.
+    preserves coveredness, so this is exactly the subeffect relation.
     """
-    scope = replay_scope(omega, rho)
+    rho = scope.rho
     goal, start = erased_atoms(e1, rho), erased_atoms(e2, rho)
     return goal <= start or scope.covers(start, goal)
 
 
-def entails(omega: Iterable[Constraint], rho: Valuation,
-            omega2: Iterable[Constraint]) -> bool:
-    """omega |- every constraint of omega2, under rho."""
-    scope = replay_scope(omega, rho)
-    return all(subeffect_holds(scope, rho, c.lhs, c.rhs) for c in omega2)
+def entails(scope: ReplayScope, omega2: Iterable[Constraint]) -> bool:
+    """omega |- every constraint of omega2, under rho (both in scope)."""
+    return all(subeffect_holds(scope, c.lhs, c.rhs) for c in omega2)
 
 
-def subtype_holds(omega: Iterable[Constraint], rho: Valuation,
-                  t1: Type, t2: Type) -> bool:
+def subtype_holds(scope: ReplayScope, t1: Type, t2: Type) -> bool:
     """Structural subtyping: covariant results, contravariant parameters,
     subeffecting on arrows, congruence under quantifiers. Subtyping is
     reflexive under any omega, so a type is a subtype of itself without a
     walk: a certificate shares one type object across many nodes."""
-    omega = replay_scope(omega, rho)
     if t1 is t2:
         return True
     if isinstance(t1, TVar):
         return isinstance(t2, TVar) and t1.name == t2.name
     if isinstance(t1, Arrow):
         return (isinstance(t2, Arrow)
-                and subtype_holds(omega, rho, t2.param, t1.param)
-                and subeffect_holds(omega, rho, t1.effect, t2.effect)
-                and subtype_holds(omega, rho, t1.result, t2.result))
+                and subtype_holds(scope, t2.param, t1.param)
+                and subeffect_holds(scope, t1.effect, t2.effect)
+                and subtype_holds(scope, t1.result, t2.result))
     if isinstance(t1, ForallTyp):
         if not isinstance(t2, ForallTyp):
             return False
         body2 = subst_type_vars({t2.binder: TVar(t1.binder)}, t2.body)
-        return subtype_holds(omega, rho, t1.body, body2)
+        return subtype_holds(scope, t1.body, body2)
     if isinstance(t1, ForallEff):
         if not isinstance(t2, ForallEff):
             return False
         body2 = subst_type({t2.binder: Effect.var(t1.binder)}, t2.body)
-        return subtype_holds(omega, rho, t1.body, body2)
+        return subtype_holds(scope, t1.body, body2)
     raise TypeError(f"not a type: {t1!r}")
 
 
@@ -339,22 +319,20 @@ def subst_cert(theta: Mapping[Name, Effect], cert: Cert) -> Cert:
     raise TypeError(f"not a certificate: {cert!r}")
 
 
-def check_certificate(omega: Iterable[Constraint], rho: Valuation,
-                      gamma: Mapping[Name, Scheme], expr: Expr,
-                      cert: Cert) -> tuple[Type, Effect]:
+def check_certificate(scope: ReplayScope, gamma: Mapping[Name, Scheme],
+                      expr: Expr, cert: Cert) -> tuple[Type, Effect]:
     """Replay the derivation; return the judgement it proves.
 
-    Raises CertificateError naming the first failing rule. The caller must
-    supply a rho covering every guard proposition in omega, gamma and cert.
-    omega may be a scope compiled under rho (`ReplayScope`).
+    Raises CertificateError naming the first failing rule. The scope's rho
+    must cover every guard proposition in its omega, gamma and cert.
     """
-    omega = replay_scope(omega, rho)
+    rho = scope.rho
     if isinstance(cert, CSub):
-        t_in, e_in = check_certificate(omega, rho, gamma, expr, cert.inner)
-        if not subtype_holds(omega, rho, t_in, cert.typ):
+        t_in, e_in = check_certificate(scope, gamma, expr, cert.inner)
+        if not subtype_holds(scope, t_in, cert.typ):
             raise CertificateError("sub", f"{t_in} is not a subtype of "
                                           f"{cert.typ}")
-        if not subeffect_holds(omega, rho, e_in, cert.effect):
+        if not subeffect_holds(scope, e_in, cert.effect):
             raise CertificateError("sub", f"[{e_in}] is not a subeffect of "
                                           f"[{cert.effect}]")
         return cert.typ, cert.effect
@@ -370,7 +348,7 @@ def check_certificate(omega: Iterable[Constraint], rho: Valuation,
             raise CertificateError("var", "instantiation does not cover the "
                                           "scheme's binders")
         inst = subst_constraints(theta, scheme.constraints)
-        if not entails(omega, rho, inst):
+        if not entails(scope, inst):
             raise CertificateError("var", "instantiated scheme constraints "
                                           "not entailed")
         return subst_type(theta, scheme.body), PURE
@@ -383,16 +361,14 @@ def check_certificate(omega: Iterable[Constraint], rho: Valuation,
                                           f"match {cert.param_type}")
         inner = dict(gamma)
         inner[expr.param] = Scheme((), frozenset(), cert.param_type)
-        t_body, e_body = check_certificate(omega, rho, inner, expr.body,
-                                           cert.body)
+        t_body, e_body = check_certificate(scope, inner, expr.body, cert.body)
         return Arrow(cert.param_type, e_body, t_body), PURE
 
     if isinstance(expr, App):
         if not isinstance(cert, CApp):
             raise CertificateError("app", "certificate shape mismatch")
-        t_fn, e_fn = check_certificate(omega, rho, gamma, expr.fn, cert.fn)
-        t_arg, e_arg = check_certificate(omega, rho, gamma, expr.arg,
-                                         cert.arg)
+        t_fn, e_fn = check_certificate(scope, gamma, expr.fn, cert.fn)
+        t_arg, e_arg = check_certificate(scope, gamma, expr.arg, cert.arg)
         if not isinstance(t_fn, Arrow):
             raise CertificateError("app", f"applied a non-function: {t_fn}")
         if t_fn.param != t_arg:
@@ -407,8 +383,8 @@ def check_certificate(omega: Iterable[Constraint], rho: Valuation,
         if not isinstance(cert, CLet):
             raise CertificateError("let", "certificate shape mismatch")
         scheme = cert.scheme
-        t1, e1 = check_certificate(omega.extend(scheme.constraints), rho,
-                                   gamma, expr.bound, cert.bound)
+        t1, e1 = check_certificate(scope.extend(scheme.constraints), gamma,
+                                   expr.bound, cert.bound)
         if t1 != scheme.body:
             raise CertificateError("let", f"bound type {t1} is not the "
                                           f"scheme body {scheme.body}")
@@ -416,13 +392,12 @@ def check_certificate(omega: Iterable[Constraint], rho: Valuation,
             raise CertificateError("let", "bound expression is not pure")
         inner = dict(gamma)
         inner[expr.name] = scheme
-        return check_certificate(omega, rho, inner, expr.body, cert.body)
+        return check_certificate(scope, inner, expr.body, cert.body)
 
     if isinstance(expr, TLam):
         if not isinstance(cert, CTAbs):
             raise CertificateError("tabs", "certificate shape mismatch")
-        t_body, e_body = check_certificate(omega, rho, gamma, expr.body,
-                                           cert.body)
+        t_body, e_body = check_certificate(scope, gamma, expr.body, cert.body)
         if not e_body.is_pure():
             raise CertificateError("tabs", "body is not pure")
         return ForallTyp(expr.binder, t_body), PURE
@@ -430,8 +405,7 @@ def check_certificate(omega: Iterable[Constraint], rho: Valuation,
     if isinstance(expr, ELam):
         if not isinstance(cert, CEAbs):
             raise CertificateError("eabs", "certificate shape mismatch")
-        t_body, e_body = check_certificate(omega, rho, gamma, expr.body,
-                                           cert.body)
+        t_body, e_body = check_certificate(scope, gamma, expr.body, cert.body)
         if not e_body.is_pure():
             raise CertificateError("eabs", "body is not pure")
         return ForallEff(expr.binder, t_body), PURE
@@ -439,7 +413,7 @@ def check_certificate(omega: Iterable[Constraint], rho: Valuation,
     if isinstance(expr, TyApp):
         if not isinstance(cert, CTApp):
             raise CertificateError("tapp", "certificate shape mismatch")
-        t_fn, e_fn = check_certificate(omega, rho, gamma, expr.fn, cert.fn)
+        t_fn, e_fn = check_certificate(scope, gamma, expr.fn, cert.fn)
         if not isinstance(t_fn, ForallTyp):
             raise CertificateError("tapp", f"type-applied a non-forall: "
                                            f"{t_fn}")
@@ -451,7 +425,7 @@ def check_certificate(omega: Iterable[Constraint], rho: Valuation,
     if isinstance(expr, EfApp):
         if not isinstance(cert, CEApp):
             raise CertificateError("eapp", "certificate shape mismatch")
-        t_fn, e_fn = check_certificate(omega, rho, gamma, expr.fn, cert.fn)
+        t_fn, e_fn = check_certificate(scope, gamma, expr.fn, cert.fn)
         if not isinstance(t_fn, ForallEff):
             raise CertificateError("eapp", f"effect-applied a non-forall: "
                                            f"{t_fn}")

@@ -21,13 +21,14 @@ from .declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
                           check_certificate, subst_cert)
 from .effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar, Type,
                       constraint_set, free_eff_vars_constraints,
-                      free_eff_vars_type, join, mono, sorted_constraints,
-                      subst_scheme, walk_type)
-from .formulas import TOP, Formula, Prop, Valuation, conj2, props
+                      free_eff_vars_type, join, mono, omega_to_formula,
+                      sorted_constraints, subst_scheme, walk_type)
+from .formulas import (TOP, Formula, Prop, Valuation, conj2, disj2, neg,
+                       props)
 from .inference import (Config, Generalized, InferError, InferResult,
-                        generalize, infer, tr_type)
+                        generalize, infer, normalize, tr_type)
 from .names import KIND_EFF, KIND_PROP, Name, NameSupply
-from .solver import SolverSession, discharge_toplevel, simplify_constraints
+from .solver import SolverSession, satisfiable
 from .syntax import Expr, Program, SynType
 
 
@@ -76,7 +77,7 @@ class Discharger:
 
     def formula_for(self, omega) -> Formula:
         """Discharge omega over the rigid constants, survivors eliminated."""
-        return discharge_toplevel(self.rigid, self.eliminate(omega))
+        return omega_to_formula(self.eliminate(omega), *self.rigid)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +110,41 @@ def _display_letters() -> itertools.chain:
     return itertools.chain(alphabet,
                            (f"{c}{i}" for i in itertools.count(1)
                             for c in alphabet))
+
+
+def simplify_constraints(omega, protected: frozenset) -> frozenset:
+    """Smaller constraint set entailing (and entailed by, when every variable
+    is protected) the original.
+
+    Drops constraints whose RHS already covers the LHS atom guard-wise,
+    merges constraints sharing variable and RHS by or-ing guards, and drops
+    constraints bounding an unprotected variable that occurs nowhere else.
+    """
+    kept: list[Constraint] = []
+    for c in sorted_constraints(normalize(omega)):
+        v, psi = c.lhs.atoms[0]
+        if satisfiable(conj2(psi, neg(c.rhs.guard_of(v)))):
+            kept.append(c)
+
+    groups: dict[tuple[Name, Effect], Formula] = {}
+    for c in kept:
+        v, psi = c.lhs.atoms[0]
+        key = (v, c.rhs)
+        groups[key] = disj2(groups[key], psi) if key in groups else psi
+    merged = [Constraint(Effect(((v, g),)), rhs)
+              for (v, rhs), g in groups.items()]
+
+    occurrences: dict[Name, int] = {}
+    for c in merged:
+        for n in c.lhs.atom_names() | c.rhs.atom_names():
+            occurrences[n] = occurrences.get(n, 0) + 1
+    out = []
+    for c in merged:
+        v, _ = c.lhs.atoms[0]
+        if v not in protected and occurrences[v] == 1:
+            continue
+        out.append(c)
+    return frozenset(out)
 
 
 def display_scheme(s: Scheme, simplify: bool = True) -> str:
@@ -343,21 +379,20 @@ def verify_certificates(outcome: CheckOutcome) -> None:
 
     Each definition replays under the externs and the definitions before
     it: every `let` binds a freshly minted Name, so none shadows another."""
-    rho = total_valuation(outcome)
-    scope = ReplayScope(outcome.omega, rho)
+    scope = ReplayScope(outcome.omega, total_valuation(outcome))
     gamma = dict(outcome.externs)
     for rec in outcome.records:
         scheme = rec.gen.scheme
-        t, e = check_certificate(scope.extend(scheme.constraints), rho,
-                                 gamma, rec.expr, wrapped_cert(rec))
+        t, e = check_certificate(scope.extend(scheme.constraints), gamma,
+                                 rec.expr, wrapped_cert(rec))
         if t != scheme.body or not e.is_pure():
             raise CertificateError(
                 "toplevel", f"definition '{rec.name.text}' derived {t} @ "
                             f"[{e}], expected its scheme body, pure")
         gamma[rec.name] = scheme
     if outcome.main is not None:
-        t, e = check_certificate(scope, rho, gamma,
-                                 outcome.main_expr, outcome.main.cert)
+        t, e = check_certificate(scope, gamma, outcome.main_expr,
+                                 outcome.main.cert)
         if t != outcome.main.type or e != outcome.main.effect:
             raise CertificateError(
                 "toplevel", "final expression's certificate derives a "

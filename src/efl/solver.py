@@ -1,4 +1,8 @@
-"""SAT-based discharge of guard formulas.
+"""The SAT engine: satisfiability and witness models of guard formulas.
+
+It sees formulas only, never effects: `driver` builds the discharge
+formulas. `satisfiable` decides one formula in a solver of its own;
+`SolverSession` accumulates a session's formulas and reads the witness.
 
 A hand-rolled solver is plenty here: discharge formulas mention a few dozen
 to a few hundred propositions and are heavy on implications, so unit
@@ -20,10 +24,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .effects import Constraint, Effect, omega_to_formula, sorted_constraints
 from .formulas import (TOP, And, Bot, Formula, Implies, Or, Prop, Top,
-                       Valuation, conj2, disj2, neg, props)
-from .inference import normalize
+                       Valuation, conj2)
 from .names import Name
 
 
@@ -411,60 +413,10 @@ class _Solver:
                     return None
 
 
-def sat(phi: Formula) -> Valuation | None:
-    """A model of phi over its named propositions, or None if UNSAT."""
+def satisfiable(phi: Formula) -> bool:
+    """Whether phi has a model, decided in a solver of its own."""
     solver = _Solver()
-    for p in sorted(props(phi), key=Name.key):
-        solver.var_of(p)
-    if not solver.satisfiable((solver.literal(phi),)):
-        return None
-    return Valuation({p: solver.value(i) for p, i in solver.ids.items()})
-
-
-# ---------------------------------------------------------------------------
-# Discharge and simplification
-# ---------------------------------------------------------------------------
-
-
-def discharge_toplevel(delta_top: Iterable[Name], omega) -> Formula:
-    """The formula stating omega holds at every declared effect constant."""
-    return omega_to_formula(omega, *sorted(set(delta_top), key=Name.key))
-
-
-def simplify_constraints(omega, protected: frozenset) -> frozenset:
-    """Smaller constraint set entailing (and entailed by, when every variable
-    is protected) the original.
-
-    Drops constraints whose RHS already covers the LHS atom guard-wise,
-    merges constraints sharing variable and RHS by or-ing guards, and drops
-    constraints bounding an unprotected variable that occurs nowhere else.
-    """
-    kept: list[Constraint] = []
-    for c in sorted_constraints(normalize(omega)):
-        v, psi = c.lhs.atoms[0]
-        if sat(conj2(psi, neg(c.rhs.guard_of(v)))) is None:
-            continue
-        kept.append(c)
-
-    groups: dict[tuple[Name, Effect], Formula] = {}
-    for c in kept:
-        v, psi = c.lhs.atoms[0]
-        key = (v, c.rhs)
-        groups[key] = disj2(groups[key], psi) if key in groups else psi
-    merged = [Constraint(Effect(((v, g),)), rhs)
-              for (v, rhs), g in groups.items()]
-
-    occurrences: dict[Name, int] = {}
-    for c in merged:
-        for n in c.lhs.atom_names() | c.rhs.atom_names():
-            occurrences[n] = occurrences.get(n, 0) + 1
-    out = []
-    for c in merged:
-        v, _ = c.lhs.atoms[0]
-        if v not in protected and occurrences[v] == 1:
-            continue
-        out.append(c)
-    return frozenset(out)
+    return solver.satisfiable((solver.literal(phi),))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import itertools
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from efl.declarative import CertificateError, check_certificate, subtype_holds
+from efl.declarative import (CertificateError, ReplayScope, check_certificate,
+                             subtype_holds)
 from efl.driver import CheckOutcome, Discharger, check_program
 from efl.effects import (Constraint, Effect, Scheme, effect_of,
                          free_eff_vars_constraints, free_eff_vars_type)
@@ -132,14 +133,14 @@ def effects_equal(e1: Effect, e2: Effect) -> bool:
 
 
 def types_equivalent(omega, rho: Valuation, t1, t2) -> bool:
-    return (subtype_holds(omega, rho, t1, t2)
-            and subtype_holds(omega, rho, t2, t1))
+    scope = ReplayScope(omega, rho)
+    return subtype_holds(scope, t1, t2) and subtype_holds(scope, t2, t1)
 
 
 def certificate_valid(omega: frozenset, rho: Valuation, gamma: Mapping,
                       expr, cert) -> bool:
     try:
-        check_certificate(omega, rho, gamma, expr, cert)
+        check_certificate(ReplayScope(omega, rho), gamma, expr, cert)
         return True
     except CertificateError:
         return False
@@ -150,6 +151,16 @@ def memberships(d: Discharger) -> list[Name]:
     return [d._member[k] for k in sorted(d._member,
                                          key=lambda k: (k[0].key(),
                                                         k[1].key()))]
+
+
+def sat(phi: Formula) -> Valuation | None:
+    """A model of phi over its named propositions, or None if UNSAT."""
+    solver = _Solver()
+    for p in sorted(props(phi), key=Name.key):
+        solver.var_of(p)
+    if not solver.satisfiable((solver.literal(phi),)):
+        return None
+    return Valuation({p: solver.value(i) for p, i in solver.ids.items()})
 
 
 def sat_enumerate(phi: Formula, limit: int = 64) -> Iterator[Valuation]:

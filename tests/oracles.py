@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from efl.declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs,
-                             CTApp, CVar, Cert, entails, subtype_holds)
+                             CTApp, CVar, Cert, ReplayScope, entails,
+                             subtype_holds)
 from efl.driver import (CheckOutcome, Discharger, check_program,
                         verify_certificates)
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
@@ -45,12 +46,12 @@ from efl.formulas import (BOT, TOP, And, Formula, Implies, Or, Prop, Top,
                           Valuation, conj2, disj2, evaluate, impl, props)
 from efl.inference import Config, ShapeError, subtype, tr_type
 from efl.names import KIND_EFF, KIND_TYPE, Name, NameSupply
-from efl.solver import _Solver, sat
+from efl.solver import _Solver
 from efl.syntax import (KEYWORDS, EfApp, ELam, Expr, Lam, Let, Program,
                         SArrow, SEJoin, SEPure, SEVar, SEWild, SForallEff,
                         SForallTyp, STVar, SynEffect, SynType, TLam, TyApp,
                         Var, App, Scope, Parser, SourceError, parse_program)
-from helpers import effect_props, erase_guards
+from helpers import effect_props, erase_guards, sat
 
 # ---------------------------------------------------------------------------
 # Bounded derivation search for subeffecting
@@ -564,17 +565,14 @@ def scheme_more_general(s1: Scheme, s2: Scheme, base: list[Name],
     assume (e.g. top-level bounds on surviving variables). Intended for small
     guard-free schemes.
     """
-    rho = Valuation({})
-    assumptions = frozenset(ambient) | s2.constraints
+    scope = ReplayScope(frozenset(ambient) | s2.constraints, Valuation({}))
     universe = effect_universe(sorted(set(base) | set(s2.binders),
                                       key=Name.key))
     for combo in itertools.product(universe, repeat=len(s1.binders)):
         theta = dict(zip(s1.binders, combo))
-        if not entails(assumptions, rho,
-                       subst_constraints(theta, s1.constraints)):
+        if not entails(scope, subst_constraints(theta, s1.constraints)):
             continue
-        if subtype_holds(assumptions, rho,
-                         subst_type(theta, s1.body), s2.body):
+        if subtype_holds(scope, subst_type(theta, s1.body), s2.body):
             return True
     return False
 

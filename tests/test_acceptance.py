@@ -26,7 +26,8 @@ from collections import Counter
 from pathlib import Path
 
 from efl.cli import main
-from efl.declarative import match_type, subeffect_holds, subtype_holds
+from efl.declarative import (ReplayScope, match_type, subeffect_holds,
+                             subtype_holds)
 from efl.driver import (check_program, total_valuation, verify_certificates)
 from efl.effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar,
                          constraint_set, join, omega_to_formula,
@@ -35,11 +36,11 @@ from efl.formulas import (BOT, TOP, And, Bot, Implies, Or, Prop, Top,
                           Valuation, conj2, disj2, evaluate, impl, props)
 from efl.inference import Config, ShapeError, separate, subtype, tr_type
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply
-from efl.solver import SolverSession, discharge_toplevel, sat
+from efl.solver import SolverSession
 from efl.syntax import (SArrow, SEJoin, SEPure, SEVar, SEWild, SForallEff,
                         SForallTyp, STVar, parse_program)
 from helpers import (all_valuations, erase_guards, fixed,
-                     free_eff_vars_scheme, sat_enumerate, to_formula)
+                     free_eff_vars_scheme, sat, sat_enumerate, to_formula)
 from oracles import (concretize_scheme, constraints_props,
                      derivation_search_subeffect, end_to_end_soundness,
                      gen_program, has_wildcard_under_quantifier,
@@ -129,7 +130,7 @@ def test_criterion_2_subeffect_oracle_agreement():
         for e1 in sides:
             for e2 in sides:
                 for rho in rhos:
-                    got = subeffect_holds(omega, rho, e1, e2)
+                    got = subeffect_holds(ReplayScope(omega, rho), e1, e2)
                     want = derivation_search_subeffect(omega, rho, e1, e2,
                                                        depth=6)
                     total += 1
@@ -307,8 +308,7 @@ def _purity_restriction(failures: list[str]) -> None:
                         f"exit {outcome.exit_code}")
     supply = NameSupply()
     io = supply.fresh(KIND_EFF, "IO")
-    phi = discharge_toplevel((io,),
-                             frozenset({Constraint(Effect.var(io), PURE)}))
+    phi = omega_to_formula(frozenset({Constraint(Effect.var(io), PURE)}), io)
     if sat(phi) is not None:
         failures.append("IO <: pure discharged satisfiable")
 
@@ -351,7 +351,7 @@ def test_criterion_5_subtype_and_translation_soundness():
             if not evaluate(phi, rho):
                 continue
             satisfied += 1
-            if not subtype_holds(omega, rho, t1, t2):
+            if not subtype_holds(ReplayScope(omega, rho), t1, t2):
                 unsound += 1
     if unsound:
         failures.append(f"{unsound} unsound subtype results")

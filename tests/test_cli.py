@@ -9,8 +9,9 @@ from efl.cli import Repl, main
 from efl.formulas import conj2
 from efl.inference import Config
 from efl.names import NameSupply
-from efl.solver import SolverSession, sat
+from efl.solver import SolverSession
 from efl.syntax import Parser
+from helpers import sat
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 ALL_PROGRAMS = sorted(PROGRAMS.glob("*.efl"))

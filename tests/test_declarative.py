@@ -4,7 +4,7 @@ import random
 import pytest
 
 from efl.declarative import (CAbs, CApp, CertificateError, CLet, CSub, CVar,
-                             check_certificate, entails,
+                             ReplayScope, check_certificate, entails,
                              match_effect, match_type, subeffect_holds,
                              subst_cert, subtype_holds)
 from efl.effects import (PURE, Arrow, Effect, ForallEff, Scheme, TVar, join,
@@ -16,6 +16,7 @@ from helpers import Names, certificate_valid, con, types_equivalent
 from oracles import cert_props, random_effect, random_type
 
 RHO0 = Valuation({})
+EMPTY = ReplayScope((), RHO0)
 
 
 def _scope(ns, effs=("IO", "DB", "a", "b"), typs=("Unit",)):
@@ -86,30 +87,30 @@ def test_match_type_renames_quantifier_binders(ns, supply):
 
 def test_subeffect_reflexive_and_join(ns):
     x, y = ns.ev("x"), ns.ev("y")
-    assert subeffect_holds([], RHO0, x, x)
-    assert subeffect_holds([], RHO0, PURE, x)
-    assert subeffect_holds([], RHO0, x, join(x, y))
-    assert not subeffect_holds([], RHO0, join(x, y), x)
+    assert subeffect_holds(EMPTY, x, x)
+    assert subeffect_holds(EMPTY, PURE, x)
+    assert subeffect_holds(EMPTY, x, join(x, y))
+    assert not subeffect_holds(EMPTY, join(x, y), x)
 
 
 def test_subeffect_uses_assumptions(ns):
     io, db = ns.ev("IO"), ns.ev("DB")
-    omega = [con(io, db)]
-    assert subeffect_holds(omega, RHO0, join(io, db), db)
-    assert not subeffect_holds(omega, RHO0, db, io)
+    scope = ReplayScope([con(io, db)], RHO0)
+    assert subeffect_holds(scope, join(io, db), db)
+    assert not subeffect_holds(scope, db, io)
 
 
 def test_subeffect_chains_transitively(ns):
     x, y, z = ns.ev("x"), ns.ev("y"), ns.ev("z")
-    omega = [con(x, y), con(y, z)]
-    assert subeffect_holds(omega, RHO0, x, z)
-    assert not subeffect_holds(omega, RHO0, z, x)
+    scope = ReplayScope([con(x, y), con(y, z)], RHO0)
+    assert subeffect_holds(scope, x, z)
+    assert not subeffect_holds(scope, z, x)
 
 
 def test_subeffect_rule_fires_only_when_rhs_covered(ns):
     x, y, z = ns.ev("x"), ns.ev("y"), ns.ev("z")
     # x <: z cannot help the goal x <: y because z is never covered
-    assert not subeffect_holds([con(x, z)], RHO0, x, y)
+    assert not subeffect_holds(ReplayScope([con(x, z)], RHO0), x, y)
 
 
 def test_subeffect_respects_guards(ns):
@@ -118,18 +119,19 @@ def test_subeffect_respects_guards(ns):
     omega = [con(ns.atom("x", ns.p("p")), y)]
     on = Valuation({p: True})
     off = Valuation({p: False})
-    assert subeffect_holds(omega, on, x, y)
-    assert not subeffect_holds(omega, off, x, y)
+    assert subeffect_holds(ReplayScope(omega, on), x, y)
+    assert not subeffect_holds(ReplayScope(omega, off), x, y)
     # a guarded goal vanishes when its guard is false
-    assert subeffect_holds([], off, ns.atom("x", ns.p("p")), PURE)
-    assert not subeffect_holds([], on, ns.atom("x", ns.p("p")), PURE)
+    xp = ns.atom("x", ns.p("p"))
+    assert subeffect_holds(ReplayScope([], off), xp, PURE)
+    assert not subeffect_holds(ReplayScope([], on), xp, PURE)
 
 
 def test_entails(ns):
     x, y, z = ns.ev("x"), ns.ev("y"), ns.ev("z")
-    omega = [con(x, y), con(y, z)]
-    assert entails(omega, RHO0, [con(x, z), con(x, y)])
-    assert not entails(omega, RHO0, [con(z, x)])
+    scope = ReplayScope([con(x, y), con(y, z)], RHO0)
+    assert entails(scope, [con(x, z), con(x, y)])
+    assert not entails(scope, [con(z, x)])
 
 
 # -- subtyping ---------------------------------------------------------------
@@ -140,15 +142,15 @@ def test_subtype_contravariant_parameters(ns):
     io, db = ns.ev("IO"), ns.ev("DB")
     wide = Arrow(Arrow(u, join(io, db), u), PURE, u)
     narrow = Arrow(Arrow(u, io, u), PURE, u)
-    assert subtype_holds([], RHO0, wide, narrow)
-    assert not subtype_holds([], RHO0, narrow, wide)
+    assert subtype_holds(EMPTY, wide, narrow)
+    assert not subtype_holds(EMPTY, narrow, wide)
 
 
 def test_subtype_covariant_results_and_effects(ns):
     u = TVar(ns.typ("Unit"))
     io, db = ns.ev("IO"), ns.ev("DB")
-    assert subtype_holds([], RHO0, Arrow(u, io, u), Arrow(u, join(io, db), u))
-    assert not subtype_holds([], RHO0, Arrow(u, join(io, db), u),
+    assert subtype_holds(EMPTY, Arrow(u, io, u), Arrow(u, join(io, db), u))
+    assert not subtype_holds(EMPTY, Arrow(u, join(io, db), u),
                              Arrow(u, io, u))
 
 
@@ -158,7 +160,7 @@ def test_subtype_renames_effect_binders(ns, supply):
     b = supply.fresh("eff", "b")
     t1 = ForallEff(a, Arrow(u, Effect.var(a), u))
     t2 = ForallEff(b, Arrow(u, Effect.var(b), u))
-    assert subtype_holds([], RHO0, t1, t2)
+    assert subtype_holds(EMPTY, t1, t2)
     assert types_equivalent([], RHO0, t1, t2)
 
 
@@ -188,8 +190,9 @@ def test_subtype_of_one_object_agrees_with_an_equal_copy():
                      random_effect(rng, atoms, props))
                  for _ in range(rng.randint(0, 4))]
         rho = Valuation({p: rng.random() < 0.5 for p in props})
-        assert (subtype_holds(omega, rho, t, t)
-                == subtype_holds(omega, rho, t, copy)), seed
+        scope = ReplayScope(omega, rho)
+        assert (subtype_holds(scope, t, t)
+                == subtype_holds(scope, t, copy)), seed
 
 
 # -- certificates ------------------------------------------------------------
@@ -210,7 +213,7 @@ def test_certificate_application_replays(ns, supply):
     u, io, gamma, expr = _app_setup(ns, supply)
     cert = CApp(CSub(Arrow(u, io, u), io, CVar(())),
                 CSub(u, io, CVar(())))
-    t, e = check_certificate(frozenset(), RHO0, gamma, expr, cert)
+    t, e = check_certificate(EMPTY, gamma, expr, cert)
     assert t == u and e == io
     assert certificate_valid(frozenset(), RHO0, gamma, expr, cert)
 
@@ -220,7 +223,7 @@ def test_certificate_application_requires_equal_effects(ns, supply):
     # argument effect left pure: operand/operator/arrow effects must agree
     cert = CApp(CSub(Arrow(u, io, u), io, CVar(())), CVar(()))
     with pytest.raises(CertificateError) as exc:
-        check_certificate(frozenset(), RHO0, gamma, expr, cert)
+        check_certificate(EMPTY, gamma, expr, cert)
     assert exc.value.rule == "app"
 
 
@@ -229,7 +232,7 @@ def test_certificate_application_requires_exact_argument_type(ns, supply):
     bad = CApp(CSub(Arrow(Arrow(u, PURE, u), io, u), io, CVar(())),
                CSub(Arrow(u, PURE, u), io, CVar(())))
     with pytest.raises(CertificateError) as exc:
-        check_certificate(frozenset(), RHO0, gamma, expr, bad)
+        check_certificate(EMPTY, gamma, expr, bad)
     assert exc.value.rule == "sub"  # the CSub retype of f is not a supertype
 
 
@@ -238,7 +241,7 @@ def test_certificate_sub_rejects_non_subeffect(ns, supply):
     f = expr.fn.name
     shrunk = CSub(Arrow(u, io, u), PURE, CSub(Arrow(u, io, u), io, CVar(())))
     with pytest.raises(CertificateError) as exc:
-        check_certificate(frozenset(), RHO0, gamma, Var(f), shrunk)
+        check_certificate(EMPTY, gamma, Var(f), shrunk)
     assert exc.value.rule == "sub"
     assert "subeffect" in str(exc.value)
 
@@ -246,7 +249,7 @@ def test_certificate_sub_rejects_non_subeffect(ns, supply):
 def test_certificate_shape_mismatch_names_the_rule(ns, supply):
     u, io, gamma, expr = _app_setup(ns, supply)
     with pytest.raises(CertificateError) as exc:
-        check_certificate(frozenset(), RHO0, gamma, expr, CVar(()))
+        check_certificate(EMPTY, gamma, expr, CVar(()))
     assert exc.value.rule == "app"
 
 
@@ -255,13 +258,13 @@ def test_certificate_lambda_annotation_must_match(ns, supply):
     u = TVar(ns.typ("Unit"))
     expr = parse_expr("fn (x : Unit ->[IO] Unit) => x", supply, scope)
     good = CAbs(Arrow(u, ns.ev("IO"), u), CVar(()))
-    t, e = check_certificate(frozenset(), RHO0, {}, expr, good)
+    t, e = check_certificate(EMPTY, {}, expr, good)
     assert t == Arrow(Arrow(u, ns.ev("IO"), u), PURE,
                       Arrow(u, ns.ev("IO"), u))
     assert e == PURE
     bad = CAbs(u, CVar(()))
     with pytest.raises(CertificateError) as exc:
-        check_certificate(frozenset(), RHO0, {}, expr, bad)
+        check_certificate(EMPTY, {}, expr, bad)
     assert exc.value.rule == "abs"
 
 
@@ -273,13 +276,13 @@ def test_certificate_var_instantiation_checks_constraints(ns, supply):
     gamma = {w: Scheme((a,), frozenset({con(Effect.var(a), io)}),
                        Arrow(u, Effect.var(a), u))}
     good = CVar(((a, io),))
-    t, _ = check_certificate(frozenset(), RHO0, gamma, Var(w), good)
+    t, _ = check_certificate(EMPTY, gamma, Var(w), good)
     assert t == Arrow(u, io, u)
     with pytest.raises(CertificateError) as exc:
-        check_certificate(frozenset(), RHO0, gamma, Var(w), CVar(((a, db),)))
+        check_certificate(EMPTY, gamma, Var(w), CVar(((a, db),)))
     assert exc.value.rule == "var"
     with pytest.raises(CertificateError) as exc:
-        check_certificate(frozenset(), RHO0, gamma, Var(w), CVar(()))
+        check_certificate(EMPTY, gamma, Var(w), CVar(()))
     assert "binders" in str(exc.value)
 
 
@@ -297,14 +300,14 @@ def test_certificate_let_scopes_scheme_constraints(ns, supply):
     cert = CLet(scheme,
                 CSub(Arrow(u, Effect.var(b), u), PURE, CVar(())),
                 CVar(((b, io),)))
-    t, e = check_certificate(frozenset(), RHO0, gamma, expr, cert)
+    t, e = check_certificate(EMPTY, gamma, expr, cert)
     assert t == Arrow(u, io, u) and e == PURE
     # without the scheme constraint in scope, the bound retype is invalid
     bare = CLet(Scheme((b,), frozenset(), Arrow(u, Effect.var(b), u)),
                 CSub(Arrow(u, Effect.var(b), u), PURE, CVar(())),
                 CVar(((b, io),)))
     with pytest.raises(CertificateError) as exc:
-        check_certificate(frozenset(), RHO0, gamma, expr, bare)
+        check_certificate(EMPTY, gamma, expr, bare)
     assert exc.value.rule == "sub"
 
 

@@ -2,7 +2,7 @@
 import pytest
 
 from efl.declarative import (CAbs, CApp, CEApp, CLet, CSub, CVar,
-                             check_certificate)
+                             ReplayScope, check_certificate)
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, Scheme,
                          TVar, constraint_set, join, mono)
 from efl.formulas import TOP, Implies, Prop, Valuation
@@ -193,7 +193,7 @@ def test_infer_lambda_and_application(ns, supply):
     assert res.type == Arrow(u, io, u)
     assert res.effect == PURE
     assert res.constraints == frozenset() and res.formula == TOP
-    t, e = check_certificate(frozenset(), Valuation({}), gamma,
+    t, e = check_certificate(ReplayScope(frozenset(), Valuation({})), gamma,
                              parse_expr("fn (x : Unit) => launch x", supply,
                                         scope), res.cert)
     # replaying the certificate of a syntactically equal expression works
@@ -207,8 +207,8 @@ def test_infer_application_joins_effects(ns, supply):
     assert res.type == u and res.effect == io
     assert isinstance(res.cert, CApp)
     assert res.cert.fn == CSub(Arrow(u, io, u), io, res.cert.fn.inner)
-    t, e = check_certificate(frozenset(), Valuation({}), gamma, expr,
-                             res.cert)
+    t, e = check_certificate(ReplayScope(frozenset(), Valuation({})), gamma,
+                             expr, res.cert)
     assert (t, e) == (u, io)
 
 
@@ -220,8 +220,8 @@ def test_infer_effect_application_with_wildcard(ns, supply):
     beta = Effect.var(res.gen[0])
     assert res.type == Arrow(u, beta, u)
     assert res.constraints == {con(io, beta)}
-    t, e = check_certificate(res.constraints, Valuation({}), gamma, expr,
-                             res.cert)
+    t, e = check_certificate(ReplayScope(res.constraints, Valuation({})),
+                             gamma, expr, res.cert)
     assert (t, e) == (res.type, res.effect)
 
 
@@ -275,7 +275,8 @@ def test_infer_effect_abstraction_rewires_wildcards(ns, supply):
     assert param_eff.guard_of(res.gen[0]) == TOP
     assert res.effect == PURE
     rho = Valuation({}).defaulted(cert_props(res.cert))
-    t, e = check_certificate(frozenset(), rho, gamma, expr, res.cert)
+    t, e = check_certificate(ReplayScope(frozenset(), rho), gamma, expr,
+                             res.cert)
     assert (t, e) == (res.type, PURE)
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from efl.declarative import subeffect_holds
+from efl.declarative import ReplayScope, subeffect_holds
 from efl.effects import (PURE, Arrow, Effect, ForallEff, Scheme, TVar, join,
                          mono)
 from efl.formulas import TOP, Valuation
@@ -39,7 +39,7 @@ def test_search_matches_closure_on_hand_cases(ns):
         ([con(x, z)], x, y, False),
     ]
     for omega, e1, e2, expected in cases:
-        assert subeffect_holds(omega, RHO0, e1, e2) == expected
+        assert subeffect_holds(ReplayScope(omega, RHO0), e1, e2) == expected
         assert derivation_search_subeffect(omega, RHO0, e1, e2) == expected
 
 
@@ -58,7 +58,7 @@ def test_search_matches_closure_on_guarded_cases(ns):
         ([], off, x, xp, False),
     ]
     for omega, rho, e1, e2, expected in cases:
-        assert subeffect_holds(omega, rho, e1, e2) == expected
+        assert subeffect_holds(ReplayScope(omega, rho), e1, e2) == expected
         assert derivation_search_subeffect(omega, rho, e1, e2) == expected
 
 
@@ -70,7 +70,7 @@ def test_search_matches_closure_exhaustively_small(ns):
     for omega in omegas:
         for e1 in sides:
             for e2 in sides:
-                want = subeffect_holds(omega, RHO0, e1, e2)
+                want = subeffect_holds(ReplayScope(omega, RHO0), e1, e2)
                 got = derivation_search_subeffect(omega, RHO0, e1, e2)
                 assert got == want, (omega, str(e1), str(e2))
 

@@ -68,6 +68,11 @@ def _random_rho(rng, props):
     return Valuation({p: rng.random() < 0.5 for p in props})
 
 
+def _constraints(scope):
+    """The constraints compiled into scope, over all its layers."""
+    return set().union(*scope.sets)
+
+
 def _erases_rhs_only(omega, rho):
     return any(declarative.erased_atoms(c.lhs, rho)
                and not declarative.erased_atoms(c.rhs, rho) for c in omega)
@@ -79,7 +84,7 @@ def _agree(scope, omega, rho, atoms, props, rng):
         for e1 in ([Effect.var(a) for a in atoms]
                    + [random_effect(rng, atoms, props) for _ in range(3)]):
             want = subeffect_fixpoint(omega, rho, e1, e2)
-            assert subeffect_holds(scope, rho, e1, e2) == want, \
+            assert subeffect_holds(scope, e1, e2) == want, \
                 ([str(c) for c in omega], rho, str(e1), str(e2))
 
 
@@ -92,13 +97,14 @@ def test_closure_agrees_with_fixpoint_on_random_cases():
         rho = _random_rho(rng, props)
         _agree(ReplayScope(omega, rho), omega, rho, atoms, props, rng)
         e1, e2 = (random_effect(rng, atoms, props) for _ in range(2))
-        assert (subeffect_holds(omega, rho, e1, e2)
+        assert (subeffect_holds(ReplayScope(omega, rho), e1, e2)
                 == subeffect_fixpoint(omega, rho, e1, e2))
         seen["empty omega"] += not omega
         seen["RHS erases to nothing"] += _erases_rhs_only(omega, rho)
         if chain is not None:
             # The chain's ends are related only through every link.
-            seen["chain"] += subeffect_holds(omega, rho, Effect.var(chain[0]),
+            seen["chain"] += subeffect_holds(ReplayScope(omega, rho),
+                                             Effect.var(chain[0]),
                                              Effect.var(chain[-1]))
     assert min(seen[k] for k in ("empty omega", "RHS erases to nothing",
                                  "chain")) >= 30, seen
@@ -118,7 +124,7 @@ def test_scope_extended_twice_agrees_with_fixpoint_on_the_union():
         base = ReplayScope(parts[0], rho)
         once = base.extend(parts[1])
         twice = once.extend(parts[2])
-        assert set(twice) == set(omega)
+        assert _constraints(twice) == set(omega)
         # Query the layers in a random order: no answer may depend on
         # which scope was queried before.
         layers = [(base, parts[0]), (once, parts[0] + parts[1]),
@@ -127,7 +133,7 @@ def test_scope_extended_twice_agrees_with_fixpoint_on_the_union():
         for scope, union in layers:
             _agree(scope, union, rho, atoms, props, rng)
         if chain is not None and 0 < cut1 < cut2 < len(omega):
-            crossings += subeffect_holds(twice, rho, Effect.var(chain[0]),
+            crossings += subeffect_holds(twice, Effect.var(chain[0]),
                                          Effect.var(chain[-1]))
     assert crossings >= 10
 
@@ -139,16 +145,6 @@ def test_extend_without_new_constraints_is_the_same_scope(ns):
     assert scope.extend([c]) is scope
 
 
-def test_scope_is_bound_to_its_valuation(ns):
-    p = ns.prop("p")
-    on, off = Valuation({p: True}), Valuation({p: False})
-    scope = ReplayScope([Constraint(ns.atom("x", ns.p("p")), PURE)], on)
-    assert subeffect_holds(scope, Valuation({p: True}), ns.ev("y"),
-                           ns.ev("y"))
-    with pytest.raises(ValueError):
-        subeffect_holds(scope, off, ns.ev("x"), PURE)
-
-
 def test_equal_erased_rules_count_apart(ns):
     x, y, z = ns.ev("x"), ns.ev("y"), ns.ev("z")
     q = ns.prop("q")
@@ -158,8 +154,8 @@ def test_equal_erased_rules_count_apart(ns):
     omega = [Constraint(x, join(y, z)), Constraint(ns.atom("x", ns.p("q")),
                                                   join(y, z))]
     scope = ReplayScope(omega, rho)
-    assert not subeffect_holds(scope, rho, x, y)
-    assert subeffect_holds(scope, rho, x, join(y, z))
+    assert not subeffect_holds(scope, x, y)
+    assert subeffect_holds(scope, x, join(y, z))
 
 
 def test_rule_with_pure_rhs_fires_unconditionally(ns):
@@ -169,10 +165,10 @@ def test_rule_with_pure_rhs_fires_unconditionally(ns):
     # y <= z?p erases to y <= pure under rho, so y is always covered.
     omega = [Constraint(y, ns.atom("z", ns.p("p"))), Constraint(x, y)]
     scope = ReplayScope(omega, rho)
-    assert subeffect_holds(scope, rho, y, PURE)
-    assert subeffect_holds(scope, rho, x, PURE)
-    assert not subeffect_holds(scope, rho, z, PURE)
-    assert subeffect_holds(scope.extend([Constraint(z, y)]), rho, z, PURE)
+    assert subeffect_holds(scope, y, PURE)
+    assert subeffect_holds(scope, x, PURE)
+    assert not subeffect_holds(scope, z, PURE)
+    assert subeffect_holds(scope.extend([Constraint(z, y)]), z, PURE)
 
 
 # -- replay of real programs -------------------------------------------------
@@ -190,8 +186,8 @@ def _replay(outcome, monkeypatch, closure):
         judgements.append(out)
         return out
 
-    def recording_query(omega, rho, e1, e2):
-        out = closure(omega, rho, e1, e2)
+    def recording_query(scope, e1, e2):
+        out = closure(scope, e1, e2)
         queries.append((e1, e2, out))
         return out
 
@@ -205,9 +201,13 @@ def _replay(outcome, monkeypatch, closure):
     return judgements, queries, error
 
 
+def _fixpoint_query(scope, e1, e2):
+    return subeffect_fixpoint(_constraints(scope), scope.rho, e1, e2)
+
+
 def _both(outcome, monkeypatch):
     new = _replay(outcome, monkeypatch, subeffect_holds)
-    old = _replay(outcome, monkeypatch, subeffect_fixpoint)
+    old = _replay(outcome, monkeypatch, _fixpoint_query)
     assert new == old
     return new
 
@@ -367,9 +367,9 @@ def test_each_replay_starts_from_the_inference_environment(monkeypatch, name,
         inferred.append(dict(gamma))
         return infer(gamma, *args)
 
-    def recording_check(omega, rho, gamma, *args):
+    def recording_check(scope, gamma, *args):
         replayed.append(dict(gamma))
-        return check(omega, rho, gamma, *args)
+        return check(scope, gamma, *args)
 
     with monkeypatch.context() as m:
         m.setattr(driver, "infer", recording_infer)

@@ -4,17 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from efl import driver
-from efl.driver import Discharger
-from efl.effects import Effect, constraint_set
+from efl import driver, solver
+from efl.driver import Discharger, simplify_constraints
+from efl.effects import Effect, constraint_set, omega_to_formula
 from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, Valuation, conj,
                           conj2, disj2, evaluate, impl, neg, props)
 from efl.names import KIND_PROP, Name
-from efl.solver import (SolverSession, _Solver, discharge_toplevel, sat,
-                        simplify_constraints)
-from efl.declarative import subeffect_holds
+from efl.solver import SolverSession, _Solver
+from efl.declarative import ReplayScope, subeffect_holds
 from helpers import (SOURCES, Names, all_valuations, check_source, con, fixed,
-                     formulas_equivalent, memberships, sat_enumerate,
+                     formulas_equivalent, memberships, sat, sat_enumerate,
                      tautology)
 from oracles import random_guard
 
@@ -81,7 +80,7 @@ def test_sat_agrees_with_truth_tables(seed):
     names = props(phi)
     brute = any(evaluate(phi, rho) for rho in all_valuations(names))
     model = sat(phi)
-    assert (model is not None) == brute
+    assert solver.satisfiable(phi) == (model is not None) == brute
     if model is not None:
         assert evaluate(phi, model)
 
@@ -113,7 +112,7 @@ def test_tseitin_shares_one_variable_between_equal_subformulas(ns):
 def test_discharge_projects_at_each_constant(ns):
     io, db = ns.eff("IO"), ns.eff("DB")
     omega = [con(Effect.var(io), Effect.var(db))]
-    phi = discharge_toplevel([io, db], omega)
+    phi = omega_to_formula(omega, io, db)
     # at IO the constraint demands IO's presence on the right: impossible
     assert phi == BOT
     assert sat(phi) is None
@@ -121,14 +120,14 @@ def test_discharge_projects_at_each_constant(ns):
 
 def test_discharge_purity_requirement_is_unsat(ns):
     io = ns.eff("IO")
-    phi = discharge_toplevel([io], [con(Effect.var(io), Effect(()))])
+    phi = omega_to_formula([con(Effect.var(io), Effect(()))], io)
     assert sat(phi) is None
 
 
 def test_discharge_ignores_variable_only_constraints(ns):
     io = ns.eff("IO")
     x, y = ns.ev("x"), ns.ev("y")
-    assert discharge_toplevel([io], [con(x, y)]) == TOP
+    assert omega_to_formula([con(x, y)], io) == TOP
 
 
 def test_discharger_eliminates_survivors(ns, supply):
@@ -227,10 +226,12 @@ def test_simplify_preserves_entailment_when_protected(seed):
     omega = constraint_set(omega)
     simplified = simplify_constraints(omega, frozenset(vars_))
     for rho in all_valuations(guards):
+        scope = ReplayScope(simplified, rho)
         for c in omega:
-            assert subeffect_holds(simplified, rho, c.lhs, c.rhs)
+            assert subeffect_holds(scope, c.lhs, c.rhs)
+        scope = ReplayScope(omega, rho)
         for c in simplified:
-            assert subeffect_holds(omega, rho, c.lhs, c.rhs)
+            assert subeffect_holds(scope, c.lhs, c.rhs)
 
 
 @settings(max_examples=200)
