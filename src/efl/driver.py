@@ -180,28 +180,37 @@ def display_type_and_effect(t: Type, e: Effect) -> str:
 
 
 def render_cert(c: Cert) -> str:
-    """Deterministic s-expression form of a certificate (for --dump-cert)."""
-    if isinstance(c, CVar):
-        inst = ", ".join(f"{n.text} := {e}" for n, e in c.theta)
-        return f"(var {{{inst}}})"
-    if isinstance(c, CAbs):
-        return f"(abs {c.param_type} {render_cert(c.body)})"
-    if isinstance(c, CApp):
-        return f"(app {render_cert(c.fn)} {render_cert(c.arg)})"
-    if isinstance(c, CTAbs):
-        return f"(tabs {render_cert(c.body)})"
-    if isinstance(c, CEAbs):
-        return f"(eabs {render_cert(c.body)})"
-    if isinstance(c, CTApp):
-        return f"(tapp {render_cert(c.fn)} {c.arg})"
-    if isinstance(c, CEApp):
-        return f"(eapp {render_cert(c.fn)} [{c.arg}])"
-    if isinstance(c, CLet):
-        return (f"(let {c.scheme} {render_cert(c.bound)} "
-                f"{render_cert(c.body)})")
-    if isinstance(c, CSub):
-        return f"(sub {c.typ} [{c.effect}] {render_cert(c.inner)})"
-    raise TypeError(f"not a certificate: {c!r}")
+    """Deterministic s-expression form of a certificate (for --dump-cert),
+    written by one explicit-stack walk so that a certificate as deep as the
+    program prints."""
+    out: list[str] = []
+    stack: list[Cert | str] = [c]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            out.append(node)
+        elif isinstance(node, CVar):
+            inst = ", ".join(f"{n.text} := {e}" for n, e in node.theta)
+            out.append(f"(var {{{inst}}})")
+        elif isinstance(node, CAbs):
+            stack += (")", node.body, f"(abs {node.param_type} ")
+        elif isinstance(node, CApp):
+            stack += (")", node.arg, " ", node.fn, "(app ")
+        elif isinstance(node, CTAbs):
+            stack += (")", node.body, "(tabs ")
+        elif isinstance(node, CEAbs):
+            stack += (")", node.body, "(eabs ")
+        elif isinstance(node, CTApp):
+            stack += (f" {node.arg})", node.fn, "(tapp ")
+        elif isinstance(node, CEApp):
+            stack += (f" [{node.arg}])", node.fn, "(eapp ")
+        elif isinstance(node, CLet):
+            stack += (")", node.body, " ", node.bound, f"(let {node.scheme} ")
+        elif isinstance(node, CSub):
+            stack += (")", node.inner, f"(sub {node.typ} [{node.effect}] ")
+        else:
+            raise TypeError(f"not a certificate: {node!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

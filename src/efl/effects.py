@@ -99,13 +99,37 @@ def guard(e: Effect, phi: Formula) -> Effect:
 class Type:
     __slots__ = ()
 
+    def __str__(self) -> str:
+        """Arrows right-nested, a quantified or arrow parameter in
+        parentheses; written by one explicit-stack walk so that a type as
+        deep as the program prints."""
+        out: list[str] = []
+        stack: list[Type | str] = [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is str:
+                out.append(t)
+            elif isinstance(t, Arrow):
+                eff = "" if t.effect.is_pure() else str(t.effect)
+                stack += (t.result, f" ->[{eff}] ")
+                if isinstance(t.param, (Arrow, ForallTyp, ForallEff)):
+                    stack += (")", t.param, "(")
+                else:
+                    stack.append(t.param)
+            elif isinstance(t, ForallTyp):
+                out.append(f"forall typ {t.binder.text}. ")
+                stack.append(t.body)
+            elif isinstance(t, ForallEff):
+                out.append(f"forall eff {t.binder.text}. ")
+                stack.append(t.body)
+            else:
+                out.append(t.name.text)
+        return "".join(out)
+
 
 @dataclass(frozen=True)
 class TVar(Type):
     name: Name
-
-    def __str__(self) -> str:
-        return self.name.text
 
 
 @dataclass(frozen=True)
@@ -114,30 +138,17 @@ class Arrow(Type):
     effect: Effect
     result: Type
 
-    def __str__(self) -> str:
-        lhs = f"({self.param})" if isinstance(self.param, (Arrow, ForallTyp,
-                                                           ForallEff)) \
-            else str(self.param)
-        eff = "" if self.effect.is_pure() else str(self.effect)
-        return f"{lhs} ->[{eff}] {self.result}"
-
 
 @dataclass(frozen=True)
 class ForallTyp(Type):
     binder: Name
     body: Type
 
-    def __str__(self) -> str:
-        return f"forall typ {self.binder.text}. {self.body}"
-
 
 @dataclass(frozen=True)
 class ForallEff(Type):
     binder: Name
     body: Type
-
-    def __str__(self) -> str:
-        return f"forall eff {self.binder.text}. {self.body}"
 
 
 def map_type(t: Type, eff: Callable[[Effect], Effect],

@@ -11,7 +11,8 @@ plain closure fixpoint that the compiled replay scopes are compared against.
 The recursive walks over `Type` at the end are the reference that
 `effects.map_type`, `effects.walk_type` and their callers are compared
 against; `props_rec` is the same for `formulas.props`, `formula_str_rec`
-for the printing of formulas, and `tokenize_chars`, the
+for the printing of formulas, `type_str_rec` and `render_cert_rec` for the
+printing of types and certificates, and `tokenize_chars`, the
 character-at-a-time lexer, for the regex lexer (`helpers.tokenize`).
 `subst_type_rec` and `subst_type_vars_rec` also rebuild every node, as
 `map_type` did before it returned unchanged nodes themselves; with
@@ -759,6 +760,47 @@ def formula_str_rec(phi: Formula) -> str:
     if isinstance(phi, Implies):
         return f"({formula_str_rec(phi.lhs)} => {formula_str_rec(phi.rhs)})"
     return str(phi)
+
+
+def type_str_rec(t: Type) -> str:
+    if isinstance(t, TVar):
+        return t.name.text
+    if isinstance(t, Arrow):
+        lhs = type_str_rec(t.param)
+        if isinstance(t.param, (Arrow, ForallTyp, ForallEff)):
+            lhs = f"({lhs})"
+        eff = "" if t.effect.is_pure() else str(t.effect)
+        return f"{lhs} ->[{eff}] {type_str_rec(t.result)}"
+    if isinstance(t, ForallTyp):
+        return f"forall typ {t.binder.text}. {type_str_rec(t.body)}"
+    if isinstance(t, ForallEff):
+        return f"forall eff {t.binder.text}. {type_str_rec(t.body)}"
+    raise TypeError(f"not a type: {t!r}")
+
+
+def render_cert_rec(c: Cert) -> str:
+    if isinstance(c, CVar):
+        inst = ", ".join(f"{n.text} := {e}" for n, e in c.theta)
+        return f"(var {{{inst}}})"
+    if isinstance(c, CAbs):
+        return f"(abs {type_str_rec(c.param_type)} {render_cert_rec(c.body)})"
+    if isinstance(c, CApp):
+        return f"(app {render_cert_rec(c.fn)} {render_cert_rec(c.arg)})"
+    if isinstance(c, CTAbs):
+        return f"(tabs {render_cert_rec(c.body)})"
+    if isinstance(c, CEAbs):
+        return f"(eabs {render_cert_rec(c.body)})"
+    if isinstance(c, CTApp):
+        return f"(tapp {render_cert_rec(c.fn)} {type_str_rec(c.arg)})"
+    if isinstance(c, CEApp):
+        return f"(eapp {render_cert_rec(c.fn)} [{c.arg}])"
+    if isinstance(c, CLet):
+        return (f"(let {c.scheme} {render_cert_rec(c.bound)} "
+                f"{render_cert_rec(c.body)})")
+    if isinstance(c, CSub):
+        return (f"(sub {type_str_rec(c.typ)} [{c.effect}] "
+                f"{render_cert_rec(c.inner)})")
+    raise TypeError(f"not a certificate: {c!r}")
 
 
 def constraints_props(omega: Iterable[Constraint]) -> frozenset[Name]:

@@ -11,7 +11,7 @@ from efl.inference import Config
 from efl.names import NameSupply
 from efl.solver import SolverSession
 from efl.syntax import Parser
-from helpers import sat
+from helpers import sat, spine_source
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 ALL_PROGRAMS = sorted(PROGRAMS.glob("*.efl"))
@@ -137,6 +137,18 @@ def test_check_dump_cert(capsys):
     assert code == 0
     assert any(line.startswith("cert it: (")
                for line in out.splitlines())
+
+
+def test_check_dump_cert_prints_a_spine_of_400_arguments(capsys, tmp_path):
+    """Certificates and types print by explicit-stack walks, so a spine as
+    deep as the one replay passes also dumps its certificate."""
+    src = tmp_path / "spine.efl"
+    src.write_text(spine_source(400))
+    code, out, err = _run(capsys, "check", "--dump-cert", str(src))
+    assert (code, err) == (0, "")
+    assert out.count("(app ") == 400
+    assert out.startswith("it : Unit @ []\ncert it: (app ")
+    assert f"(sub {' ->[] '.join(['Unit'] * 401)} [pure] (var {{}}))" in out
 
 
 def test_check_no_simplify_keeps_redundant_constraints(capsys):

@@ -1,4 +1,5 @@
 """The shipped package holds what `efl check`/`efl repl` load, and no more."""
+import ast
 import json
 import os
 import subprocess
@@ -29,3 +30,20 @@ def test_cli_import_loads_every_module_and_exports_resolve():
              for f in PACKAGE.glob("*.py")}
     assert set(report["loaded"]) == files
     assert report["missing"] == []
+
+
+def test_solver_imports_only_formulas_and_names():
+    """The SAT engine sees formulas only: of the package it imports
+    `formulas` and `names`, nothing else."""
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                imported.add(node.module or "")
+            elif node.module and node.module.split(".")[0] == "efl":
+                imported.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.partition(".")[2] for a in node.names
+                            if a.name.split(".")[0] == "efl")
+    assert imported == {"formulas", "names"}

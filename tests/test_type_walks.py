@@ -1,15 +1,19 @@
-"""`map_type`/`walk_type` and their callers against the recursive walks."""
+"""`map_type`/`walk_type`, their callers and the printers of types and
+certificates against the recursive walks."""
 import random
 
-from efl.driver import _names_in_type
-from efl.effects import (Arrow, ForallEff, ForallTyp, TVar, arrow_count,
+import pytest
+
+from efl.driver import _names_in_type, render_cert, wrapped_cert
+from efl.effects import (PURE, Arrow, ForallEff, ForallTyp, TVar, arrow_count,
                          free_eff_vars_type, subst_type, subst_type_vars,
                          walk_type)
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, NameSupply
+from helpers import SOURCES, check_source, nest_source, spine_source
 from oracles import (arrow_count_rec, free_eff_vars_type_rec,
                      names_in_type_rec, random_effect, random_type,
-                     subst_type_rec, subst_type_vars_rec, type_props,
-                     type_props_rec)
+                     render_cert_rec, subst_type_rec, subst_type_vars_rec,
+                     type_props, type_props_rec, type_str_rec)
 
 
 def _case(seed: int):
@@ -42,6 +46,27 @@ def test_type_walks_agree_with_recursive_reference():
         assert free_eff_vars_type(t) == free_eff_vars_type_rec(t), seed
         assert arrow_count(t) == arrow_count_rec(t), seed
         assert _names_in_type(t) == names_in_type_rec(t), seed
+        assert str(t) == type_str_rec(t), seed
+
+
+@pytest.mark.parametrize("mode", ["constrained", "constraint-free"])
+def test_printers_agree_with_recursive_reference_on_programs(mode):
+    """Every certificate, scheme body and final type checking reports on
+    the corpus and the generated families prints as the recursive
+    printers print it."""
+    sources = [s for _, s in SOURCES] + [nest_source(30), spine_source(30)]
+    printed = 0
+    for src in sources:
+        outcome = check_source(src, mode)
+        certs = [(wrapped_cert(rec), rec.gen.scheme.body)
+                 for rec in outcome.records]
+        if outcome.main is not None:
+            certs.append((outcome.main.cert, outcome.main.type))
+        for cert, t in certs:
+            assert render_cert(cert) == render_cert_rec(cert)
+            assert str(t) == type_str_rec(t)
+            printed += 1
+    assert printed > len(sources)
 
 
 def test_random_types_cover_every_case():
@@ -86,3 +111,11 @@ def test_walks_are_not_limited_by_nesting_depth(ns):
     assert arrow_count(t) == 20000
     assert type_props(t) == {ns.prop("p")}
     assert free_eff_vars_type(t) == {ns.eff("a")}
+    tail = f" ->[{ns.atom('a', ns.p('p'))}] Unit"
+    assert str(t) == "(" * 19999 + "Unit" + (tail + ")") * 19999 + tail
+    right = TVar(ns.typ("Unit"))
+    for _ in range(20000):
+        right = Arrow(TVar(ns.typ("Unit")), PURE, right)
+    right = ForallTyp(ns.typ("t"), ForallEff(ns.eff("e"), right))
+    assert str(right) == ("forall typ t. forall eff e. "
+                          + " ->[] ".join(["Unit"] * 20001))
