@@ -102,28 +102,36 @@ class Type:
     def __str__(self) -> str:
         """Arrows right-nested, a quantified or arrow parameter in
         parentheses; written by one explicit-stack walk so that a type as
-        deep as the program prints."""
+        deep as the program prints. Each pass follows parameters and
+        quantifier bodies down to a type variable; what comes after each
+        parameter waits on the stack. (Dispatch is on the exact class:
+        `isinstance` makes printing a small type half again slower.)"""
         out: list[str] = []
         stack: list[Type | str] = [self]
         while stack:
             t = stack.pop()
-            if type(t) is str:
-                out.append(t)
-            elif isinstance(t, Arrow):
-                eff = "" if t.effect.is_pure() else str(t.effect)
-                stack += (t.result, f" ->[{eff}] ")
-                if isinstance(t.param, (Arrow, ForallTyp, ForallEff)):
-                    stack += (")", t.param, "(")
+            while True:
+                kind = type(t)
+                if kind is str:
+                    out.append(t)
+                    break
+                if kind is TVar:
+                    out.append(t.name.text)
+                    break
+                if kind is Arrow:
+                    stack.append(t.result)
+                    stack.append(" ->[] " if t.effect.is_pure()
+                                 else f" ->[{t.effect}] ")
+                    if type(t.param) in (Arrow, ForallTyp, ForallEff):
+                        out.append("(")
+                        stack.append(")")
+                    t = t.param
+                elif kind is ForallTyp:
+                    out.append(f"forall typ {t.binder.text}. ")
+                    t = t.body
                 else:
-                    stack.append(t.param)
-            elif isinstance(t, ForallTyp):
-                out.append(f"forall typ {t.binder.text}. ")
-                stack.append(t.body)
-            elif isinstance(t, ForallEff):
-                out.append(f"forall eff {t.binder.text}. ")
-                stack.append(t.body)
-            else:
-                out.append(t.name.text)
+                    out.append(f"forall eff {t.binder.text}. ")
+                    t = t.body
         return "".join(out)
 
 
