@@ -6,10 +6,9 @@ set of propositional Horn rules over effect atoms, and subeffecting is
 closure under them. A `ReplayScope` is a constraint set compiled under one
 valuation: each constraint's guards are erased once and the rules are
 indexed by the atoms of their right-hand side. Every replay query takes a
-scope and reads its rho from it. Each query propagates from
-its start set by counting down the rules' missing atoms (Dowling & Gallier,
-JLP 1984), in time linear in the rules it touches, and stops once its goal
-is covered. `derivation_search_subeffect` in `tests/oracles.py` is the
+scope and reads its rho from it. Each query propagates from its start set
+by counting down the rules' missing atoms (Dowling & Gallier, JLP 1984), in
+time linear in the rules it touches, and stops once its goal is covered. `derivation_search_subeffect` in `tests/oracles.py` is the
 independent bounded proof search the closure is validated against.
 
 A Certificate records the rule applied at every node of a typing derivation.
