@@ -13,7 +13,7 @@ from .driver import (CheckOutcome, Discharger, check_program, display_scheme,
                      simplify_constraints, verify_certificates)
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       Scheme, TVar, Type, guard, join, omega_to_formula)
-from .formulas import BOT, TOP, Formula, Prop, Valuation, evaluate
+from .formulas import BOT, TOP, Formula, Prop, evaluate
 from .inference import (Config, GenLimitError, InferError, InferResult,
                         ShapeError, generalize, infer, normalize, separate,
                         subtype, tr_effect, tr_type)
@@ -28,7 +28,7 @@ __all__ = [
     "Constraint", "Discharger", "Effect", "ForallEff", "ForallTyp", "Formula",
     "GenLimitError", "InferError", "InferResult", "Name", "NameSupply",
     "PURE", "Program", "Prop", "ReplayScope", "Scheme", "ShapeError",
-    "SolverSession", "SourceError", "TOP", "TVar", "Type", "Valuation",
+    "SolverSession", "SourceError", "TOP", "TVar", "Type",
     "check_certificate", "check_program",
     "display_scheme", "entails", "evaluate", "generalize",
     "guard", "infer", "join", "match_effect", "match_type", "normalize",

@@ -18,7 +18,7 @@ from .driver import (TopLevel, check_program, display_scheme,
 from .effects import sorted_constraints
 from .inference import Config, InferError
 from .names import NameSupply
-from .syntax import Parser, Scope, SourceError, parse_program
+from .syntax import Parser, SourceError, parse_program
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -86,7 +86,7 @@ class Repl:
 
     def __init__(self, config: Config) -> None:
         self.supply = NameSupply()
-        self.scope = Scope()
+        self.scope = {}
         self.top = TopLevel((), self.supply, config)
 
     def handle(self, line: str) -> str | None:

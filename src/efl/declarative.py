@@ -1,15 +1,17 @@
 """The declarative side: matching, subeffecting, subtyping, certificates.
 
-Everything here is indexed by a valuation rho for the guard propositions: an
-answer is relative to one choice of guards. Under rho a constraint set is a
-set of propositional Horn rules over effect atoms, and subeffecting is
-closure under them. A `ReplayScope` is a constraint set compiled under one
-valuation: each constraint's guards are erased once and the rules are
-indexed by the atoms of their right-hand side. Every replay query takes a
-scope and reads its rho from it. Each query propagates from its start set
-by counting down the rules' missing atoms (Dowling & Gallier, JLP 1984), in
-time linear in the rules it touches, and stops once its goal is covered. `derivation_search_subeffect` in `tests/oracles.py` is the
-independent bounded proof search the closure is validated against.
+Everything here is indexed by a valuation rho, a map from the guard
+propositions to booleans: an answer is relative to one choice of guards.
+Under rho a constraint set is a set of propositional Horn rules over effect
+atoms, and subeffecting is closure under them. A `ReplayScope` is a
+constraint set compiled under one valuation: each constraint's guards are
+erased once and the rules are indexed by the atoms of their right-hand
+side. Every replay query takes a scope and reads its rho from it. Each
+query propagates from its start set by counting down the rules' missing
+atoms (Dowling & Gallier, JLP 1984), in time linear in the rules it
+touches, and stops once its goal is covered.
+`derivation_search_subeffect` in `tests/oracles.py` is the independent
+bounded proof search the closure is validated against.
 
 A Certificate records the rule applied at every node of a typing derivation.
 `check_certificate` replays it bottom-up against the expression and recomputes
@@ -25,7 +27,7 @@ from typing import Iterable, Mapping
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       Scheme, TVar, Type, subst_constraints, subst_effect,
                       subst_scheme, subst_type, subst_type_vars)
-from .formulas import Valuation, evaluate
+from .formulas import evaluate
 from .names import Name
 from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SForallEff,
                      SForallTyp, STVar, SynEffect, SynType, TLam, TyApp, Var,
@@ -36,7 +38,8 @@ from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SForallEff,
 # ---------------------------------------------------------------------------
 
 
-def match_effect(se: SynEffect, eff: Effect, rho: Valuation) -> bool:
+def match_effect(se: SynEffect, eff: Effect,
+                 rho: Mapping[Name, bool]) -> bool:
     """Does the annotation se describe eff under rho?
 
     A wildcard component absorbs any leftover atoms; without one the named
@@ -49,7 +52,7 @@ def match_effect(se: SynEffect, eff: Effect, rho: Valuation) -> bool:
     return named == atoms
 
 
-def match_type(st: SynType, t: Type, rho: Valuation) -> bool:
+def match_type(st: SynType, t: Type, rho: Mapping[Name, bool]) -> bool:
     """Does the annotation st describe the internal type t under rho?"""
     if isinstance(st, STVar):
         return isinstance(t, TVar) and t.name == st.name
@@ -76,13 +79,13 @@ def match_type(st: SynType, t: Type, rho: Valuation) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def erased_atoms(e: Effect, rho: Valuation) -> frozenset[Name]:
+def erased_atoms(e: Effect, rho: Mapping[Name, bool]) -> frozenset[Name]:
     """The atoms of e whose guard holds under rho."""
     return frozenset([n for n, g in e.atoms if evaluate(g, rho)])
 
 
-def erase_rule(c: Constraint,
-               rho: Valuation) -> tuple[frozenset[Name], frozenset[Name]]:
+def erase_rule(c: Constraint, rho: Mapping[Name, bool]
+               ) -> tuple[frozenset[Name], frozenset[Name]]:
     """The Horn rule of c under rho: its erased (LHS, RHS) atoms."""
     return erased_atoms(c.lhs, rho), erased_atoms(c.rhs, rho)
 
@@ -97,7 +100,8 @@ class ReplayScope:
     constraints on top, erasing only those and sharing the layers below.
     """
 
-    def __init__(self, omega: Iterable[Constraint], rho: Valuation,
+    def __init__(self, omega: Iterable[Constraint],
+                 rho: Mapping[Name, bool],
                  parent: "ReplayScope | None" = None) -> None:
         own = frozenset(omega)
         self.rho = rho

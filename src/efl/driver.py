@@ -23,8 +23,7 @@ from .effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar, Type,
                       constraint_set, free_eff_vars_constraints,
                       free_eff_vars_type, join, mono, omega_to_formula,
                       sorted_constraints, subst_scheme, walk_type)
-from .formulas import (TOP, Formula, Prop, Valuation, conj2, disj2, neg,
-                       props)
+from .formulas import TOP, Formula, Prop, conj2, disj2, neg, props
 from .inference import (Config, Generalized, InferError, InferResult,
                         generalize, infer, normalize, tr_type)
 from .names import KIND_EFF, KIND_PROP, Name, NameSupply
@@ -73,7 +72,7 @@ class Discharger:
         return constraint_set(
             Constraint(self.eliminate_effect(c.lhs),
                        self.eliminate_effect(c.rhs))
-            for c in sorted_constraints(omega))
+            for c in omega)
 
     def formula_for(self, omega) -> Formula:
         """Discharge omega over the rigid constants, survivors eliminated."""
@@ -235,7 +234,7 @@ class CheckOutcome:
     externs: dict = field(default_factory=dict)
     omega: frozenset = frozenset()
     formula: Formula = TOP
-    witness: Valuation | None = None
+    witness: dict[Name, bool] | None = None
     records: list = field(default_factory=list)
     main: InferResult | None = None
     main_expr: Expr | None = None
@@ -361,7 +360,7 @@ def check_program(program: Program, supply: NameSupply,
     return outcome(main=res)
 
 
-def total_valuation(outcome: CheckOutcome) -> Valuation:
+def total_valuation(outcome: CheckOutcome) -> dict[Name, bool]:
     """The witness extended with False over every proposition inference
     minted for the records and the final expression. Replay reads no other:
     a guard proposition is minted by `infer` or `generalize` and recorded in
@@ -371,8 +370,7 @@ def total_valuation(outcome: CheckOutcome) -> Valuation:
               for p in rec.res.props + rec.gen.props]
     if outcome.main is not None:
         minted += outcome.main.props
-    base = outcome.witness if outcome.witness is not None else Valuation({})
-    return base.defaulted(minted)
+    return dict.fromkeys(minted, False) | (outcome.witness or {})
 
 
 def wrapped_cert(rec: DefRecord) -> Cert:

@@ -162,50 +162,9 @@ def props(phi: Formula) -> frozenset[Name]:
     return frozenset(out)
 
 
-class Valuation:
-    """A finite map from proposition variables to booleans.
-
-    Lookup is strict: evaluating a formula whose props are not all covered is
-    a bug in the caller, so it raises rather than defaulting.
-    """
-
-    def __init__(self, entries: Mapping[Name, bool] | None = None) -> None:
-        self._map: dict[Name, bool] = dict(entries) if entries else {}
-
-    def __getitem__(self, name: Name) -> bool:
-        try:
-            return self._map[name]
-        except KeyError:
-            raise KeyError(f"valuation does not cover prop {name!r}") from None
-
-    def __contains__(self, name: Name) -> bool:
-        return name in self._map
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Valuation) and self._map == other._map
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{n.text}={'T' if v else 'F'}"
-                          for n, v in sorted(self._map.items(),
-                                             key=lambda kv: kv[0].key()))
-        return "{" + inner + "}"
-
-    def items(self) -> list[tuple[Name, bool]]:
-        return sorted(self._map.items(), key=lambda kv: kv[0].key())
-
-    def names(self) -> frozenset[Name]:
-        return frozenset(self._map)
-
-    def defaulted(self, names: Iterable[Name]) -> "Valuation":
-        """Extend with False for any of `names` not already covered."""
-        out = dict(self._map)
-        for n in names:
-            out.setdefault(n, False)
-        return Valuation(out)
-
-
-def evaluate(phi: Formula, rho: Valuation) -> bool:
-    """Classical truth of phi under rho (strict on missing props)."""
+def evaluate(phi: Formula, rho: Mapping[Name, bool]) -> bool:
+    """Classical truth of phi under rho. Lookup is strict: a prop that rho
+    does not cover is a bug in the caller, so it raises KeyError."""
     if isinstance(phi, Top):
         return True
     if isinstance(phi, Bot):

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .formulas import (TOP, And, Bot, Formula, Implies, Or, Prop, Top,
-                       Valuation, conj2)
+from .formulas import TOP, And, Bot, Formula, Implies, Or, Prop, Top, conj2
 from .names import Name
 
 
@@ -452,8 +451,7 @@ class SolverSession:
         self._formula = conj2(self._formula, phi)
         return True
 
-    def model(self) -> Valuation | None:
+    def model(self) -> dict[Name, bool] | None:
         if not self._solver.satisfiable():
             return None
-        return Valuation({p: self._solver.value(i)
-                          for p, i in self._solver.ids.items()})
+        return {p: self._solver.value(i) for p, i in self._solver.ids.items()}

@@ -60,11 +60,11 @@ class SEWild(SynEffect):
 
 @dataclass(frozen=True)
 class SEJoin(SynEffect):
-    lhs: SynEffect
-    rhs: SynEffect
+    """A join of two or more operands, none of them a join."""
+    parts: tuple[SynEffect, ...]
 
     def __str__(self) -> str:
-        return " \\/ ".join(map(str, effect_leaves(self)))
+        return " \\/ ".join(map(str, self.parts))
 
 
 class SynType:
@@ -209,23 +209,14 @@ class Program:
     main: Expr | None
 
 
-def effect_leaves(se: SynEffect) -> list[SynEffect]:
-    """The operands of a surface effect's joins, left to right."""
-    leaves: list[SynEffect] = []
-    todo = [se]
-    while todo:
-        se = todo.pop()
-        if isinstance(se, SEJoin):
-            todo += (se.rhs, se.lhs)
-        elif isinstance(se, (SEVar, SEWild, SEPure)):
-            leaves.append(se)
-        else:
-            raise TypeError(f"not a surface effect: {se!r}")
-    return leaves
+def effect_leaves(se: SynEffect) -> tuple[SynEffect, ...]:
+    """The operands of a surface effect's join, left to right."""
+    return se.parts if isinstance(se, SEJoin) else (se,)
 
 
 def effect_parts(se: SynEffect) -> tuple[set[Name], bool]:
-    """The named variables of a surface effect and whether it has a wildcard."""
+    """The named variables of a surface effect and whether it has a
+    wildcard."""
     leaves = effect_leaves(se)
     return ({leaf.name for leaf in leaves if isinstance(leaf, SEVar)},
             any(isinstance(leaf, SEWild) for leaf in leaves))
@@ -314,22 +305,9 @@ def _scan(src: str) -> tuple[list[Token], list[int]]:
 # ---------------------------------------------------------------------------
 
 
-class Scope:
-    """Per-kind string->Name environments with lexical extension."""
-
-    def __init__(self, typ: dict[str, Name] | None = None,
-                 eff: dict[str, Name] | None = None,
-                 expr: dict[str, Name] | None = None) -> None:
-        self.typ = dict(typ or {})
-        self.eff = dict(eff or {})
-        self.expr = dict(expr or {})
-
-    def copy(self) -> "Scope":
-        return Scope(self.typ, self.eff, self.expr)
-
-    def table(self, kind: str) -> dict[str, Name]:
-        return {KIND_TYPE: self.typ, KIND_EFF: self.eff,
-                KIND_EXPR: self.expr}[kind]
+# A scope maps (kind, text) to the Name bound there; a binder form saves
+# a copy and restores it where the binding ends.
+Scope = dict[tuple[str, str], Name]
 
 
 class Parser:
@@ -341,7 +319,7 @@ class Parser:
         self.toks, self.depth = _scan(src)
         self.pos = 0
         self.supply = supply
-        self.scope = scope.copy() if scope is not None else Scope()
+        self.scope: Scope = dict(scope or {})
 
     # -- token plumbing ----------------------------------------------------
 
@@ -357,8 +335,9 @@ class Parser:
     def expected(self, what: str) -> SourceError:
         """The error for finding the next token where `what` belongs."""
         t = self.peek()
-        return SourceError(f"expected {what}, found {t.text or 'end of input'!r}",
-                           t.line, t.col)
+        found = t.text or "end of input"
+        return SourceError(f"expected {what}, found {found!r}", t.line,
+                           t.col)
 
     def expect(self, kind: str, what: str | None = None) -> Token:
         if self.peek().kind != kind:
@@ -381,26 +360,27 @@ class Parser:
 
     def bind(self, kind: str, tok: Token) -> Name:
         name = self.supply.fresh(kind, tok.text)
-        self.scope.table(kind)[tok.text] = name
+        self.scope[kind, tok.text] = name
         return name
 
     def lookup(self, kind: str, tok: Token) -> Name:
-        table = self.scope.table(kind)
-        if tok.text not in table:
+        if (kind, tok.text) not in self.scope:
             noun = {KIND_TYPE: "type", KIND_EFF: "effect",
                     KIND_EXPR: "variable"}[kind]
             raise SourceError(f"unbound {noun} {tok.text!r}", tok.line,
                               tok.col)
-        return table[tok.text]
+        return self.scope[kind, tok.text]
 
     # -- effects -----------------------------------------------------------
 
     def parse_effect(self) -> SynEffect:
-        out = self.parse_effect_atom()
+        """An effect; a parenthesised join among the operands of a join
+        is spliced in, so no operand of a join is itself a join."""
+        parts = list(effect_leaves(self.parse_effect_atom()))
         while self.peek().kind == "\\/":
             self.next()
-            out = SEJoin(out, self.parse_effect_atom())
-        return out
+            parts += effect_leaves(self.parse_effect_atom())
+        return SEJoin(tuple(parts)) if len(parts) > 1 else parts[0]
 
     def parse_effect_atom(self) -> SynEffect:
         t = self.peek()
@@ -445,7 +425,7 @@ class Parser:
             if kind is None:
                 raise SourceError("expected 'typ' or 'eff' after 'forall'",
                                   kind_tok.line, kind_tok.col)
-            saved = self.scope.copy()
+            saved = dict(self.scope)
             binder = self.bind(kind, self.ident())
             self.expect(".")
             body = self.parse_type()
@@ -499,7 +479,7 @@ class Parser:
             kind = KIND_EXPR
         else:
             return self.parse_app()
-        saved = self.scope.copy()
+        saved = dict(self.scope)
         name = self.bind(kind, tok)
         body = self.parse_expr()
         self.scope = saved
@@ -566,7 +546,7 @@ class Parser:
         self.next()
         kind = kinds[t.text]
         tok = self.ident()
-        if tok.text in self.scope.table(kind):
+        if (kind, tok.text) in self.scope:
             raise SourceError(f"duplicate declaration of {tok.text!r}",
                               tok.line, tok.col)
         if kind != KIND_EXPR:

@@ -10,8 +10,7 @@ from efl.declarative import (CertificateError, ReplayScope, check_certificate,
 from efl.driver import CheckOutcome, Discharger, check_program
 from efl.effects import (Constraint, Effect, Scheme, effect_of,
                          free_eff_vars_constraints, free_eff_vars_type)
-from efl.formulas import (BOT, TOP, Formula, Prop, Valuation, disj2, evaluate,
-                          props)
+from efl.formulas import BOT, TOP, Formula, Prop, disj2, evaluate, props
 from efl.inference import Config
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply
 from efl.solver import SolverSession, _Solver
@@ -51,6 +50,11 @@ class Names:
         return Effect(((self.eff(text), guard),))
 
 
+def scope_of(*names: Name) -> dict[tuple[str, str], Name]:
+    """A parser scope binding each name's text to it."""
+    return {(n.kind, n.text): n for n in names}
+
+
 def con(lhs: Effect, rhs: Effect) -> Constraint:
     return Constraint(lhs, rhs)
 
@@ -60,11 +64,11 @@ def tautology(phi: Formula) -> bool:
     return all(evaluate(phi, rho) for rho in all_valuations(props(phi)))
 
 
-def all_valuations(names: Iterable[Name]) -> Iterator[Valuation]:
+def all_valuations(names: Iterable[Name]) -> Iterator[dict[Name, bool]]:
     """Every valuation over `names`, in a deterministic order."""
     order = sorted(set(names), key=Name.key)
     for bits in itertools.product((False, True), repeat=len(order)):
-        yield Valuation(dict(zip(order, bits)))
+        yield dict(zip(order, bits))
 
 
 def formulas_equivalent(a: Formula, b: Formula) -> bool:
@@ -96,7 +100,7 @@ def free_eff_vars_scheme(s: Scheme) -> frozenset[Name]:
     return inner - set(s.binders)
 
 
-def fixed(session: SolverSession) -> Valuation:
+def fixed(session: SolverSession) -> dict[Name, bool]:
     """The propositions of the session formula that take one polarity in
     every model (its backbone), each with that polarity.
 
@@ -109,7 +113,7 @@ def fixed(session: SolverSession) -> Valuation:
         flip = -i if model[p] else i
         if not session._solver.satisfiable((flip,)):
             out[p] = model[p]
-    return Valuation(out)
+    return out
 
 
 def effect_props(e: Effect) -> frozenset[Name]:
@@ -120,7 +124,7 @@ def effect_props(e: Effect) -> frozenset[Name]:
     return out
 
 
-def erase_guards(e: Effect, rho: Valuation) -> Effect:
+def erase_guards(e: Effect, rho: Mapping[Name, bool]) -> Effect:
     """Keep the atoms whose guard holds under rho, with guard T."""
     return effect_of({n: TOP for n, g in e.atoms if evaluate(g, rho)})
 
@@ -132,13 +136,13 @@ def effects_equal(e1: Effect, e2: Effect) -> bool:
                for rho in all_valuations(names))
 
 
-def types_equivalent(omega, rho: Valuation, t1, t2) -> bool:
+def types_equivalent(omega, rho: Mapping[Name, bool], t1, t2) -> bool:
     scope = ReplayScope(omega, rho)
     return subtype_holds(scope, t1, t2) and subtype_holds(scope, t2, t1)
 
 
-def certificate_valid(omega: frozenset, rho: Valuation, gamma: Mapping,
-                      expr, cert) -> bool:
+def certificate_valid(omega: frozenset, rho: Mapping[Name, bool],
+                      gamma: Mapping, expr, cert) -> bool:
     try:
         check_certificate(ReplayScope(omega, rho), gamma, expr, cert)
         return True
@@ -153,17 +157,17 @@ def memberships(d: Discharger) -> list[Name]:
                                                         k[1].key()))]
 
 
-def sat(phi: Formula) -> Valuation | None:
+def sat(phi: Formula) -> dict[Name, bool] | None:
     """A model of phi over its named propositions, or None if UNSAT."""
     solver = _Solver()
     for p in sorted(props(phi), key=Name.key):
         solver.var_of(p)
     if not solver.satisfiable((solver.literal(phi),)):
         return None
-    return Valuation({p: solver.value(i) for p, i in solver.ids.items()})
+    return {p: solver.value(i) for p, i in solver.ids.items()}
 
 
-def sat_enumerate(phi: Formula, limit: int = 64) -> Iterator[Valuation]:
+def sat_enumerate(phi: Formula, limit: int = 64) -> Iterator[dict[Name, bool]]:
     """Up to `limit` distinct models over phi's propositions."""
     solver = _Solver()
     names = sorted(props(phi), key=Name.key)
@@ -173,7 +177,7 @@ def sat_enumerate(phi: Formula, limit: int = 64) -> Iterator[Valuation]:
     for _ in range(limit):
         if not solver.satisfiable((root,)):
             return
-        rho = Valuation({p: solver.value(solver.ids[p]) for p in names})
+        rho = {p: solver.value(solver.ids[p]) for p in names}
         yield rho
         if not names:
             return

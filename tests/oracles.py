@@ -44,22 +44,23 @@ from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                          map_type, subst_constraints, subst_effect,
                          subst_type, walk_type)
 from efl.formulas import (BOT, TOP, And, Formula, Implies, Or, Prop, Top,
-                          Valuation, conj2, disj2, evaluate, impl, props)
+                          conj2, disj2, evaluate, impl, props)
 from efl.inference import Config, ShapeError, subtype, tr_type
 from efl.names import KIND_EFF, KIND_TYPE, Name, NameSupply
 from efl.solver import _Solver
 from efl.syntax import (KEYWORDS, EfApp, ELam, Expr, Lam, Let, Program,
                         SArrow, SEJoin, SEPure, SEVar, SEWild, SForallEff,
                         SForallTyp, STVar, SynEffect, SynType, TLam, TyApp,
-                        Var, App, Scope, Parser, SourceError, parse_program)
-from helpers import effect_props, erase_guards, sat
+                        Var, App, Parser, SourceError, parse_program)
+from helpers import effect_props, erase_guards, sat, scope_of
 
 # ---------------------------------------------------------------------------
 # Bounded derivation search for subeffecting
 # ---------------------------------------------------------------------------
 
 
-def derivation_search_subeffect(omega: Iterable[Constraint], rho: Valuation,
+def derivation_search_subeffect(omega: Iterable[Constraint],
+                                rho: Mapping[Name, bool],
                                 e1: Effect, e2: Effect,
                                 depth: int = 6) -> bool:
     """Decide omega |- e1 <= e2 under rho by bounded search over the
@@ -131,7 +132,7 @@ def derivation_search_subeffect(omega: Iterable[Constraint], rho: Valuation,
     return search(e1, e2, depth)
 
 
-def subeffect_fixpoint(omega: Iterable[Constraint], rho: Valuation,
+def subeffect_fixpoint(omega: Iterable[Constraint], rho: Mapping[Name, bool],
                        e1: Effect, e2: Effect) -> bool:
     """Decide omega |- e1 <= e2 under rho by the plain closure fixpoint:
     erase every constraint, then sweep the rules until nothing new is
@@ -467,7 +468,7 @@ def _syn_effect_has_wild(se: SynEffect) -> bool:
     if isinstance(se, SEWild):
         return True
     if isinstance(se, SEJoin):
-        return _syn_effect_has_wild(se.lhs) or _syn_effect_has_wild(se.rhs)
+        return any(map(_syn_effect_has_wild, se.parts))
     return False
 
 
@@ -566,7 +567,7 @@ def scheme_more_general(s1: Scheme, s2: Scheme, base: list[Name],
     assume (e.g. top-level bounds on surviving variables). Intended for small
     guard-free schemes.
     """
-    scope = ReplayScope(frozenset(ambient) | s2.constraints, Valuation({}))
+    scope = ReplayScope(frozenset(ambient) | s2.constraints, {})
     universe = effect_universe(sorted(set(base) | set(s2.binders),
                                       key=Name.key))
     for combo in itertools.product(universe, repeat=len(s1.binders)):
@@ -584,12 +585,12 @@ def schemes_equivalent(s1: Scheme, s2: Scheme, base: list[Name],
             and scheme_more_general(s2, s1, base, ambient))
 
 
-def erase_guards_type(t: Type, rho: Valuation) -> Type:
+def erase_guards_type(t: Type, rho: Mapping[Name, bool]) -> Type:
     """Erase guards in every effect position of t under rho."""
     return map_type(t, lambda e: erase_guards(e, rho), lambda v: v)
 
 
-def concretize_scheme(scheme: Scheme, rho: Valuation,
+def concretize_scheme(scheme: Scheme, rho: Mapping[Name, bool],
                       inst: Mapping[Name, Effect]) -> Scheme:
     """Substitute surviving variables and erase guards under rho."""
     body = erase_guards_type(subst_type(inst, scheme.body), rho)
@@ -630,10 +631,7 @@ def scheme_admits_instances(scheme: Scheme, side: Formula,
 def parse_closed_type(src: str, names: Iterable[Name],
                       supply: NameSupply) -> Type:
     """Parse a wildcard-free type against the given declared names."""
-    scope = Scope()
-    for n in names:
-        scope.table(n.kind)[n.text] = n
-    parser = Parser(src, supply, scope)
+    parser = Parser(src, supply, scope_of(*names))
     st = parser.parse_type()
     parser.expect("eof", "end of input")
     props, gen, t = tr_type(st, supply)
@@ -849,7 +847,7 @@ def cert_props(cert: Cert) -> frozenset[Name]:
 
 
 def total_valuation_over_formula(outcome: CheckOutcome,
-                                 certs: list) -> Valuation:
+                                 certs: list) -> dict[Name, bool]:
     all_props: set[Name] = set(props(outcome.formula))
     all_props |= constraints_props(outcome.omega)
     for rec, cert in zip(outcome.records, certs):
@@ -857,8 +855,7 @@ def total_valuation_over_formula(outcome: CheckOutcome,
         all_props |= scheme_props(rec.gen.scheme)
     if outcome.main is not None:
         all_props |= cert_props(outcome.main.cert)
-    base = outcome.witness if outcome.witness is not None else Valuation({})
-    return base.defaulted(sorted(all_props, key=Name.key))
+    return dict.fromkeys(all_props, False) | (outcome.witness or {})
 
 
 # ---------------------------------------------------------------------------

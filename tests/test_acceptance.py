@@ -33,7 +33,7 @@ from efl.effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar,
                          constraint_set, join, omega_to_formula,
                          subst_constraints)
 from efl.formulas import (BOT, TOP, And, Bot, Implies, Or, Prop, Top,
-                          Valuation, conj2, disj2, evaluate, impl, props)
+                          conj2, disj2, evaluate, impl, props)
 from efl.inference import Config, ShapeError, separate, subtype, tr_type
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply
 from efl.solver import SolverSession
@@ -238,7 +238,7 @@ def _call_now_or_later_scheme(failures: list[str]) -> None:
     formula_props = props(outcome.formula)
     equivalent_under_some_witness = False
     for model in sat_enumerate(outcome.formula, limit=64):
-        witness = model.defaulted(formula_props)
+        witness = dict.fromkeys(formula_props, False) | model
         inst = {}
         for sv in survivors:
             value = PURE
@@ -396,10 +396,7 @@ def _random_syn_effect(rng: random.Random, eff_names: list[Name]):
             parts.append(SEVar(rng.choice(eff_names)))
     if not parts:
         return SEPure()
-    out = parts[0]
-    for part in parts[1:]:
-        out = SEJoin(out, part)
-    return out
+    return SEJoin(tuple(parts)) if len(parts) > 1 else parts[0]
 
 
 def _random_syn_type(rng: random.Random, supply: NameSupply,

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efl import driver
-from efl.formulas import (BOT, TOP, And, Implies, Or, Valuation, neg,
-                          props)
+from efl.formulas import BOT, TOP, And, Implies, Or, neg, props
 from efl.names import Name
 from efl.solver import SolverSession, _Solver
 from helpers import (SOURCES, Names, chain_source, check_source, fixed,
@@ -57,12 +56,12 @@ class CheckedSession(SolverSession):
         assert (got is None) == (want is None)
         if got is not None:
             assert_same_model(self._solver, want)
-            assert got == Valuation({p: want[i] for p, i
-                                     in self._solver.ids.items()})
+            assert got == {p: want[i] for p, i
+                           in self._solver.ids.items()}
         return got
 
 
-def oracle_fixed(session: CheckedSession) -> Valuation:
+def oracle_fixed(session: CheckedSession) -> dict[Name, bool]:
     """helpers.fixed, with every probe answered by the whole-clause DPLL."""
     solver, roots = session._solver, session.roots
     model = whole_clause_solve(solver, roots)
@@ -72,7 +71,7 @@ def oracle_fixed(session: CheckedSession) -> Valuation:
         value = model[i]
         if whole_clause_solve(solver, (*roots, -i if value else i)) is None:
             out[p] = value
-    return Valuation(out)
+    return out
 
 
 def assert_fixed_agrees(session: CheckedSession) -> None:

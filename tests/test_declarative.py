@@ -9,23 +9,19 @@ from efl.declarative import (CAbs, CApp, CertificateError, CLet, CSub, CVar,
                              subst_cert, subtype_holds)
 from efl.effects import (PURE, Arrow, Effect, ForallEff, Scheme, TVar, join,
                          map_type, mono)
-from efl.formulas import TOP, Valuation
+from efl.formulas import TOP
 from efl.names import KIND_EFF, KIND_EXPR, KIND_PROP, KIND_TYPE, NameSupply
-from efl.syntax import App, Lam, Scope, Var, parse_expr, parse_type
-from helpers import Names, certificate_valid, con, types_equivalent
+from efl.syntax import App, Lam, Var, parse_expr, parse_type
+from helpers import (Names, certificate_valid, con, scope_of,
+                     types_equivalent)
 from oracles import cert_props, random_effect, random_type
 
-RHO0 = Valuation({})
+RHO0 = {}
 EMPTY = ReplayScope((), RHO0)
 
 
 def _scope(ns, effs=("IO", "DB", "a", "b"), typs=("Unit",)):
-    scope = Scope()
-    for t in effs:
-        scope.eff[t] = ns.eff(t)
-    for t in typs:
-        scope.typ[t] = ns.typ(t)
-    return scope
+    return scope_of(*map(ns.eff, effs), *map(ns.typ, typs))
 
 
 # -- annotation matching -----------------------------------------------------
@@ -55,10 +51,10 @@ def test_match_effect_erases_guards_first(ns, supply):
     p = ns.prop("p")
     guarded = ns.atom("IO", ns.p("p"))
     named = parse_type("Unit ->[IO] Unit", supply, scope).effect
-    assert match_effect(named, guarded, Valuation({p: True}))
-    assert not match_effect(named, guarded, Valuation({p: False}))
+    assert match_effect(named, guarded, {p: True})
+    assert not match_effect(named, guarded, {p: False})
     wild = parse_type("Unit ->[_] Unit", supply, scope).effect
-    assert match_effect(wild, guarded, Valuation({p: False}))
+    assert match_effect(wild, guarded, {p: False})
 
 
 def test_match_type_structure(ns, supply):
@@ -117,8 +113,8 @@ def test_subeffect_respects_guards(ns):
     p = ns.prop("p")
     x, y = ns.ev("x"), ns.ev("y")
     omega = [con(ns.atom("x", ns.p("p")), y)]
-    on = Valuation({p: True})
-    off = Valuation({p: False})
+    on = {p: True}
+    off = {p: False}
     assert subeffect_holds(ReplayScope(omega, on), x, y)
     assert not subeffect_holds(ReplayScope(omega, off), x, y)
     # a guarded goal vanishes when its guard is false
@@ -189,7 +185,7 @@ def test_subtype_of_one_object_agrees_with_an_equal_copy():
         omega = [con(random_effect(rng, atoms, props),
                      random_effect(rng, atoms, props))
                  for _ in range(rng.randint(0, 4))]
-        rho = Valuation({p: rng.random() < 0.5 for p in props})
+        rho = {p: rng.random() < 0.5 for p in props}
         scope = ReplayScope(omega, rho)
         assert (subtype_holds(scope, t, t)
                 == subtype_holds(scope, t, copy)), seed
@@ -292,7 +288,7 @@ def test_certificate_let_scopes_scheme_constraints(ns, supply):
     b = ns.eff("b")
     io = ns.ev("IO")
     k = supply.fresh(KIND_EXPR, "k")
-    scope.expr["k"] = k
+    scope[KIND_EXPR, "k"] = k
     gamma = {k: mono(Arrow(u, io, u))}
     expr = parse_expr("let w = k in w", supply, scope)
     scheme = Scheme((b,), frozenset({con(io, Effect.var(b))}),

@@ -7,7 +7,7 @@ from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, Scheme,
                          TVar, arrow_count, constraint_set, effect_of,
                          free_eff_vars_effect, guard, join,
                          mono, omega_to_formula, subst_effect, subst_type)
-from efl.formulas import (BOT, TOP, And, Implies, Or, Valuation, conj2, disj2,
+from efl.formulas import (BOT, TOP, And, Implies, Or, conj2, disj2,
                           evaluate)
 from efl.names import NameSupply
 from helpers import (Names, all_valuations, con, effect_props, effects_equal,
@@ -75,7 +75,7 @@ def test_subst_to_pure_erases_atom(ns):
 def test_erase_guards(ns):
     p, q = ns.prop("p"), ns.prop("q")
     e = join(ns.atom("a", ns.p("p")), ns.atom("b", ns.p("q")), ns.ev("c"))
-    rho = Valuation({p: True, q: False})
+    rho = {p: True, q: False}
     assert erase_guards(e, rho) == join(ns.ev("a"), ns.ev("c"))
 
 

@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, Valuation, conj,
-                          conj2, disj2, evaluate, impl, neg, props)
+from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, conj, conj2,
+                          disj2, evaluate, impl, neg, props)
 from efl.names import KIND_PROP, Name
 from helpers import (Names, all_valuations, disj, formulas_equivalent,
                      tautology)
@@ -56,20 +56,11 @@ def test_nary_builders(ns):
 
 def test_evaluate_and_strictness(ns):
     p, q = ns.p("p"), ns.p("q")
-    rho = Valuation({ns.prop("p"): True, ns.prop("q"): False})
+    rho = {ns.prop("p"): True, ns.prop("q"): False}
     assert evaluate(And(p, neg(q)), rho)
     assert not evaluate(Implies(p, q), rho)
     with pytest.raises(KeyError):
         evaluate(ns.p("unseen"), rho)
-
-
-def test_valuation_helpers(ns):
-    a, b = ns.prop("a"), ns.prop("b")
-    rho = Valuation({b: True})
-    assert rho.defaulted([a, b])[a] is False
-    assert rho.defaulted([a, b])[b] is True
-    assert a not in rho and b in rho
-    assert rho.names() == {b}
 
 
 def test_all_valuations_order(ns):

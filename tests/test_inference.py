@@ -5,13 +5,13 @@ from efl.declarative import (CAbs, CApp, CEApp, CLet, CSub, CVar,
                              ReplayScope, check_certificate)
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, Scheme,
                          TVar, constraint_set, join, mono)
-from efl.formulas import TOP, Implies, Prop, Valuation
+from efl.formulas import TOP, Implies, Prop
 from efl.inference import (Config, GenLimitError, InferError, ShapeError,
                            generalize, infer, normalize, purity, separate,
                            subtype, tr_effect, tr_type)
 from efl.names import KIND_EFF, KIND_EXPR, NameSupply
-from efl.syntax import Scope, parse_expr, parse_type
-from helpers import Names, con, formulas_equivalent
+from efl.syntax import parse_expr, parse_type
+from helpers import Names, con, formulas_equivalent, scope_of
 from oracles import cert_props
 
 CF = Config(mode="constraint-free")
@@ -21,15 +21,12 @@ def _ctx(ns, supply):
     """A tiny typing context: u, launch, weaken (effect-polymorphic)."""
     u = TVar(ns.typ("Unit"))
     io = ns.ev("IO")
-    scope = Scope()
-    scope.typ["Unit"] = ns.typ("Unit")
-    scope.eff["IO"] = ns.eff("IO")
-    scope.eff["DB"] = ns.eff("DB")
+    scope = scope_of(ns.typ("Unit"), ns.eff("IO"), ns.eff("DB"))
     gamma = {}
 
     def bind(text, scheme):
         name = supply.fresh(KIND_EXPR, text)
-        scope.expr[text] = name
+        scope[KIND_EXPR, text] = name
         gamma[name] = scheme
 
     a = supply.fresh(KIND_EFF, "a")
@@ -44,9 +41,7 @@ def _ctx(ns, supply):
 
 
 def test_tr_effect_wildcards_mint_fresh_variables(ns, supply):
-    scope = Scope()
-    scope.typ["Unit"] = ns.typ("Unit")
-    scope.eff["IO"] = ns.eff("IO")
+    scope = scope_of(ns.typ("Unit"), ns.eff("IO"))
     ann = parse_type("Unit ->[IO \\/ _ \\/ _] Unit", supply, scope).effect
     gen, eff = tr_effect(ann, supply)
     assert len(gen) == 2 and len(set(gen)) == 2
@@ -55,9 +50,7 @@ def test_tr_effect_wildcards_mint_fresh_variables(ns, supply):
 
 
 def test_tr_effect_named_and_pure(ns, supply):
-    scope = Scope()
-    scope.typ["Unit"] = ns.typ("Unit")
-    scope.eff["IO"] = ns.eff("IO")
+    scope = scope_of(ns.typ("Unit"), ns.eff("IO"))
     gen, eff = tr_effect(parse_type("Unit ->[IO] Unit", supply, scope).effect,
                          supply)
     assert gen == () and eff == ns.ev("IO")
@@ -67,8 +60,7 @@ def test_tr_effect_named_and_pure(ns, supply):
 
 
 def test_tr_type_rewires_wildcards_under_effect_quantifier(ns, supply):
-    scope = Scope()
-    scope.typ["Unit"] = ns.typ("Unit")
+    scope = scope_of(ns.typ("Unit"))
     st = parse_type("forall eff a. Unit ->[_] Unit", supply, scope)
     props, gen, t = tr_type(st, supply)
     assert len(props) == 1 and len(gen) == 1
@@ -80,8 +72,7 @@ def test_tr_type_rewires_wildcards_under_effect_quantifier(ns, supply):
 
 
 def test_tr_type_no_quantifier_no_guards(ns, supply):
-    scope = Scope()
-    scope.typ["Unit"] = ns.typ("Unit")
+    scope = scope_of(ns.typ("Unit"))
     st = parse_type("Unit ->[_] Unit", supply, scope)
     props, gen, t = tr_type(st, supply)
     assert props == () and len(gen) == 1
@@ -193,7 +184,7 @@ def test_infer_lambda_and_application(ns, supply):
     assert res.type == Arrow(u, io, u)
     assert res.effect == PURE
     assert res.constraints == frozenset() and res.formula == TOP
-    t, e = check_certificate(ReplayScope(frozenset(), Valuation({})), gamma,
+    t, e = check_certificate(ReplayScope(frozenset(), {}), gamma,
                              parse_expr("fn (x : Unit) => launch x", supply,
                                         scope), res.cert)
     # replaying the certificate of a syntactically equal expression works
@@ -207,7 +198,7 @@ def test_infer_application_joins_effects(ns, supply):
     assert res.type == u and res.effect == io
     assert isinstance(res.cert, CApp)
     assert res.cert.fn == CSub(Arrow(u, io, u), io, res.cert.fn.inner)
-    t, e = check_certificate(ReplayScope(frozenset(), Valuation({})), gamma,
+    t, e = check_certificate(ReplayScope(frozenset(), {}), gamma,
                              expr, res.cert)
     assert (t, e) == (u, io)
 
@@ -220,7 +211,7 @@ def test_infer_effect_application_with_wildcard(ns, supply):
     beta = Effect.var(res.gen[0])
     assert res.type == Arrow(u, beta, u)
     assert res.constraints == {con(io, beta)}
-    t, e = check_certificate(ReplayScope(res.constraints, Valuation({})),
+    t, e = check_certificate(ReplayScope(res.constraints, {}),
                              gamma, expr, res.cert)
     assert (t, e) == (res.type, res.effect)
 
@@ -274,7 +265,7 @@ def test_infer_effect_abstraction_rewires_wildcards(ns, supply):
     assert param_eff.guard_of(res.type.binder) == Prop(res.props[0])
     assert param_eff.guard_of(res.gen[0]) == TOP
     assert res.effect == PURE
-    rho = Valuation({}).defaulted(cert_props(res.cert))
+    rho = dict.fromkeys(cert_props(res.cert), False)
     t, e = check_certificate(ReplayScope(frozenset(), rho), gamma, expr,
                              res.cert)
     assert (t, e) == (res.type, PURE)

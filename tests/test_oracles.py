@@ -6,7 +6,7 @@ import pytest
 from efl.declarative import ReplayScope, subeffect_holds
 from efl.effects import (PURE, Arrow, Effect, ForallEff, Scheme, TVar, join,
                          mono)
-from efl.formulas import TOP, Valuation
+from efl.formulas import TOP
 from efl.names import KIND_EFF, NameSupply
 from efl.inference import subtype
 from efl.syntax import parse_program
@@ -18,7 +18,7 @@ from oracles import (GEN_PRELUDE, concretize_scheme,
                      random_effect, random_guard, random_type_pair,
                      scheme_more_general, schemes_equivalent)
 
-RHO0 = Valuation({})
+RHO0 = {}
 
 
 # -- derivation search ---------------------------------------------------------
@@ -47,7 +47,7 @@ def test_search_matches_closure_on_guarded_cases(ns):
     p = ns.prop("p")
     x, y = ns.ev("x"), ns.ev("y")
     xp = ns.atom("x", ns.p("p"))
-    on, off = Valuation({p: True}), Valuation({p: False})
+    on, off = {p: True}, {p: False}
     cases = [
         ([], on, xp, x, True),
         ([], off, xp, PURE, True),
@@ -215,7 +215,7 @@ def test_concretize_scheme_erases_guards_and_substitutes(ns):
                     frozenset({con(ns.atom("g", ns.p("p")), Effect.var(io))}),
                     Arrow(u, join(Effect.var(beta), ns.atom("g", ns.p("p"))),
                           u))
-    got = concretize_scheme(scheme, Valuation({p: False}),
+    got = concretize_scheme(scheme, {p: False},
                             {beta: Effect.var(io)})
     assert got.body == Arrow(u, Effect.var(io), u)
     assert got.constraints == frozenset()

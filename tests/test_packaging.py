@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import efl
+from efl import cli, driver, inference
+from efl.formulas import And, Bot, Implies, Or, Prop, Top
 
 PACKAGE = Path(efl.__file__).resolve().parent
 
@@ -47,3 +49,53 @@ def test_solver_imports_only_formulas_and_names():
             imported.update(a.name.partition(".")[2] for a in node.names
                             if a.name.split(".")[0] == "efl")
     assert imported == {"formulas", "names"}
+
+
+def test_bench_calls_resolve_as_the_bench_makes_them(monkeypatch, capsys):
+    """What `bench/worker.py` and `bench/checks.py` use of the package:
+    `cli.main` reaches `check_program` through the `cli` binding, the REPL
+    handles lines, certificates replay, the session formula is built from
+    the six formula classes alone, and the witness rebuilds from its
+    items."""
+    seen = []
+    real = cli.check_program
+
+    def capture(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(cli, "check_program", capture)
+    src = PACKAGE.parents[1] / "programs" / "g_example.efl"
+    assert cli.main(["--mode", "constrained", "check", str(src)]) == 0
+    assert capsys.readouterr().out
+    (outcome,) = seen
+    driver.verify_certificates(outcome)
+
+    kinds, todo, done = set(), [outcome.formula], set()
+    while todo:
+        f = todo.pop()
+        if id(f) in done:
+            continue
+        done.add(id(f))
+        kinds.add(type(f))
+        if isinstance(f, (And, Or, Implies)):
+            todo += (f.lhs, f.rhs)
+    assert Prop in kinds
+    assert kinds <= {Top, Bot, Prop, And, Or, Implies}
+
+    w = outcome.witness
+    assert w and type(w)(dict(w.items())) == w
+
+    repl = cli.Repl(inference.Config(mode="constrained"))
+    for line in ("effect IO", "type Unit", "extern u : Unit",
+                 "extern launch : Unit ->[IO] Unit",
+                 "let f = fn (x : Unit) => launch x", ":type f u", "f u",
+                 ":constraints"):
+        out = repl.handle(line)
+        assert out and not out.startswith(("error", "parse error")), out
+
+
+def test_source_lines_fit_in_79_columns():
+    long = [f"{f.name}:{i}" for f in sorted(PACKAGE.glob("*.py"))
+            for i, line in enumerate(f.read_text().splitlines(), 1)
+            if len(line) > 79]
+    assert long == []

@@ -16,6 +16,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +24,7 @@ from efl import declarative, driver
 from efl.declarative import (CSub, CVar, Cert, CertificateError, ReplayScope,
                              subeffect_holds)
 from efl.effects import PURE, Constraint, Effect, join
-from efl.formulas import Valuation, props
+from efl.formulas import evaluate, props
 from efl.inference import Config
 from efl.names import KIND_PROP, NameSupply
 from efl.syntax import parse_program
@@ -65,7 +66,7 @@ def _random_omega(rng, atoms, props):
 
 
 def _random_rho(rng, props):
-    return Valuation({p: rng.random() < 0.5 for p in props})
+    return {p: rng.random() < 0.5 for p in props}
 
 
 def _constraints(scope):
@@ -140,7 +141,7 @@ def test_scope_extended_twice_agrees_with_fixpoint_on_the_union():
 
 def test_extend_without_new_constraints_is_the_same_scope(ns):
     c = Constraint(ns.ev("x"), ns.ev("y"))
-    scope = ReplayScope([c], Valuation({}))
+    scope = ReplayScope([c], {})
     assert scope.extend([]) is scope
     assert scope.extend([c]) is scope
 
@@ -148,7 +149,7 @@ def test_extend_without_new_constraints_is_the_same_scope(ns):
 def test_equal_erased_rules_count_apart(ns):
     x, y, z = ns.ev("x"), ns.ev("y"), ns.ev("z")
     q = ns.prop("q")
-    rho = Valuation({q: True})
+    rho = {q: True}
     # Two constraints that erase to the same rule y, z => x: covering y
     # must not count as covering z.
     omega = [Constraint(x, join(y, z)), Constraint(ns.atom("x", ns.p("q")),
@@ -161,7 +162,7 @@ def test_equal_erased_rules_count_apart(ns):
 def test_rule_with_pure_rhs_fires_unconditionally(ns):
     x, y, z = ns.ev("x"), ns.ev("y"), ns.ev("z")
     p = ns.prop("p")
-    rho = Valuation({p: False})
+    rho = {p: False}
     # y <= z?p erases to y <= pure under rho, so y is always covered.
     omega = [Constraint(y, ns.atom("z", ns.p("p"))), Constraint(x, y)]
     scope = ReplayScope(omega, rho)
@@ -418,9 +419,30 @@ def test_total_valuation_is_unchanged_without_the_formula_walk(name, src,
             read |= cert_props(cert) | scheme_props(rec.gen.scheme)
         if outcome.main is not None:
             read |= cert_props(outcome.main.cert)
-        extra = rho.names() - oracle.names()
+        extra = set(rho) - set(oracle)
         assert not any(rho[p] for p in extra)
         assert extra.isdisjoint(read)
+
+
+def test_total_valuation_defaults_only_what_the_witness_misses(ns):
+    """Minted propositions the witness misses read False; the witness's
+    own values win over that default, True ones included, and it keeps
+    the propositions nobody minted. Any other proposition stays uncovered,
+    so evaluating it raises."""
+    a, b, c, d, m = (ns.prop(t) for t in "abcdm")
+    rec = SimpleNamespace(res=SimpleNamespace(props=(a, b)),
+                          gen=SimpleNamespace(props=(c,)))
+    outcome = driver.CheckOutcome("ok", [], None, 0, records=[rec],
+                                  main=SimpleNamespace(props=(d,)),
+                                  witness={a: True, b: False, m: True})
+    rho = driver.total_valuation(outcome)
+    assert rho == {a: True, b: False, c: False, d: False, m: True}
+    assert evaluate(ns.p("a"), rho) and not evaluate(ns.p("c"), rho)
+    with pytest.raises(KeyError):
+        evaluate(ns.p("unseen"), rho)
+    outcome.witness = None
+    assert driver.total_valuation(outcome) == dict.fromkeys((a, b, c, d),
+                                                            False)
 
 
 def _minted_props(monkeypatch, src, mode):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from efl import driver, solver
 from efl.driver import Discharger, simplify_constraints
 from efl.effects import Effect, constraint_set, omega_to_formula
-from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, Valuation, conj,
-                          conj2, disj2, evaluate, impl, neg, props)
+from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, conj, conj2,
+                          disj2, evaluate, impl, neg, props)
 from efl.names import KIND_PROP, Name
 from efl.solver import SolverSession, _Solver
 from efl.declarative import ReplayScope, subeffect_holds
@@ -36,13 +36,13 @@ def test_sat_reports_unsat(ns):
 
 def test_sat_constants(ns):
     model = sat(TOP)
-    assert model is not None and model.names() == set()
+    assert model is not None and set(model) == set()
 
 
 def test_sat_model_covers_exactly_the_props(ns):
     p, q = ns.p("p"), ns.p("q")
     model = sat(Or(p, q))
-    assert model.names() == {ns.prop("p"), ns.prop("q")}
+    assert set(model) == {ns.prop("p"), ns.prop("q")}
     assert evaluate(Or(p, q), model)
 
 
@@ -377,8 +377,7 @@ class BackboneSession:
         return self._read()
 
     def _read(self):
-        return Valuation({p: self.solver.value(i)
-                          for p, i in self.solver.ids.items()})
+        return {p: self.solver.value(i) for p, i in self.solver.ids.items()}
 
 
 @settings(max_examples=100)
@@ -396,7 +395,7 @@ def test_session_agrees_with_backbone_oracle(seed):
         assert s.push(phi) == old.push(phi)
         assert s.formula == old.formula
         assert s.model() == old.model()
-        assert fixed(s) == Valuation(old.fixed)
+        assert fixed(s) == old.fixed
 
 
 @settings(max_examples=100)

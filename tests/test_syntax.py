@@ -2,8 +2,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from efl.names import NameSupply
-from efl.syntax import (App, Lam, Parser, Scope, SForallEff, SourceError,
+from efl.names import KIND_EFF, NameSupply
+from efl.syntax import (App, Lam, Parser, SForallEff, SourceError,
                         parse_program)
 from helpers import SOURCES, chain_source, g_example_source, tokenize
 from oracles import gen_program, tokenize_chars
@@ -222,7 +222,7 @@ def test_main_expression_is_optional():
 
 def test_repl_items_cover_all_forms():
     supply = NameSupply()
-    scope = Scope()
+    scope = {}
     seen = []
     for line in ["effect IO", "type Unit", "extern u : Unit",
                  "let y = fn (x : Unit) => u", "y u"]:
@@ -235,12 +235,12 @@ def test_repl_items_cover_all_forms():
 
 def test_repl_scope_is_isolated_until_adopted():
     supply = NameSupply()
-    scope = Scope()
+    scope = {}
     parser = Parser("effect IO", supply, scope)
     parser.parse_repl_item()
     # the caller's scope is untouched until it adopts parser.scope
-    assert "IO" not in scope.eff
-    assert "IO" in parser.scope.eff
+    assert (KIND_EFF, "IO") not in scope
+    assert (KIND_EFF, "IO") in parser.scope
 
 
 # -- nesting depth ---------------------------------------------------------------
@@ -268,3 +268,10 @@ def test_join_of_1500_atoms_prints_as_written():
     prog = _parse(f"let h = fn (k : Unit ->[{wide}] Unit) => k\nu")
     assert str(prog.defs[0][1].ann.effect) == wide.replace("(", "") \
         .replace(")", "")
+    # A join is one flat tuple of operands, so repr, == and hash of it
+    # recurse no deeper for more operands. An extern admits no wildcard.
+    src = f"extern w : Unit ->[{wide.replace('_', 'DB')}] Unit"
+    e1, e2 = (_parse(src).externs[-1][1].effect for _ in range(2))
+    assert repr(e1) == repr(e2)
+    assert e1 == e2
+    assert hash(e1) == hash(e2)
