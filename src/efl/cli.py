@@ -44,6 +44,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once per process: building costs about as much as checking a small
+# program, and parse_args leaves the parser as it found it.
+_ARG_PARSER = build_arg_parser()
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         src = Path(args.file).read_text(encoding="utf-8")
@@ -178,7 +183,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _ARG_PARSER.parse_args(argv)
     if args.command == "check":
         return cmd_check(args)
     return cmd_repl(args)

@@ -1,6 +1,9 @@
 """Command line driver: batch checking, flags, exit codes, and the REPL."""
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,6 +175,52 @@ def test_check_is_deterministic(capsys):
         first = _run(capsys, "check", str(path))
         second = _run(capsys, "check", str(path))
         assert first == second, path.name
+
+
+def _in_process(capsys, argv):
+    """(exit code, raised SystemExit?, stdout, stderr) of `main(argv)`."""
+    try:
+        code, raised = main(list(argv)), False
+    except SystemExit as ex:
+        code, raised = ex.code, True
+    captured = capsys.readouterr()
+    return code, raised, captured.out, captured.err
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys, monkeypatch):
+    """The argument parser is shared by every `main` call in a process: no
+    option of one call reaches the next, and usage errors still exit 2
+    through SystemExit with the usage on stderr."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        [str(PROGRAMS.parent / "src")]
+        + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+           else [])))
+    g, cf = str(PROGRAMS / "g_example.efl"), str(PROGRAMS / "cf_k_join.efl")
+    bad = str(PROGRAMS / "purity_violation.efl")
+    usage_errors = [(), ("check",), ("--mode", "bad", "check", g)]
+    calls = [
+        ("--mode", "constraint-free", "check", "--verify", cf),
+        (),
+        ("--mode", "constrained", "check", "--dump-formula", g),
+        ("check", cf),
+        ("--mode", "constraint-free", "check", "--dump-cert", g),
+        ("check",),
+        ("check", "--no-simplify", g),
+        ("--mode", "bad", "check", g),
+        ("check", "--verify", "--dump-cert", bad),
+        ("check", g),
+        ("--mode", "constraint-free", "check", g),
+    ]
+    for argv in calls:
+        got = _in_process(capsys, argv)
+        fresh = subprocess.run([sys.executable, "-m", "efl.cli", *argv],
+                               capture_output=True, text=True, timeout=120)
+        assert got[0] == fresh.returncode, argv
+        assert got[1] == (argv in usage_errors), argv
+        assert (got[2], got[3]) == (fresh.stdout, fresh.stderr), argv
+        if got[1]:
+            assert got[0] == 2 and got[3].startswith("usage: efl"), argv
 
 
 def test_readme_example_is_the_corpus_file_and_its_output():
