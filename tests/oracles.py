@@ -49,9 +49,9 @@ from efl.inference import Config, ShapeError, subtype, tr_type
 from efl.names import KIND_EFF, KIND_TYPE, Name, NameSupply
 from efl.solver import _Solver
 from efl.syntax import (KEYWORDS, EfApp, ELam, Expr, Lam, Let, Program,
-                        SArrow, SEJoin, SEPure, SEVar, SEWild, SForallEff,
-                        SForallTyp, STVar, SynEffect, SynType, TLam, TyApp,
-                        Var, App, Parser, SourceError, parse_program)
+                        SArrow, SEJoin, SEWild, SForallEff, SForallTyp,
+                        SynEffect, SynType, TLam, TyApp, App, Parser,
+                        SourceError, parse_program)
 from helpers import effect_props, erase_guards, sat, scope_of
 
 # ---------------------------------------------------------------------------

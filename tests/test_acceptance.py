@@ -28,12 +28,12 @@ from pathlib import Path
 from efl.cli import main
 from efl.declarative import (ReplayScope, match_type, subeffect_holds,
                              subtype_holds)
-from efl.driver import (check_program, total_valuation, verify_certificates)
+from efl.driver import check_program, verify_certificates
 from efl.effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar,
                          constraint_set, join, omega_to_formula,
                          subst_constraints)
 from efl.formulas import (BOT, TOP, And, Bot, Implies, Or, Prop, Top,
-                          conj2, disj2, evaluate, impl, props)
+                          conj2, disj2, evaluate, props)
 from efl.inference import Config, ShapeError, separate, subtype, tr_type
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply
 from efl.solver import SolverSession

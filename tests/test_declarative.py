@@ -9,11 +9,9 @@ from efl.declarative import (CAbs, CApp, CertificateError, CLet, CSub, CVar,
                              subst_cert, subtype_holds)
 from efl.effects import (PURE, Arrow, Effect, ForallEff, Scheme, TVar, join,
                          map_type, mono)
-from efl.formulas import TOP
 from efl.names import KIND_EFF, KIND_EXPR, KIND_PROP, KIND_TYPE, NameSupply
-from efl.syntax import App, Lam, Var, parse_expr, parse_type
-from helpers import (Names, certificate_valid, con, scope_of,
-                     types_equivalent)
+from efl.syntax import App, Var, parse_expr, parse_type
+from helpers import certificate_valid, con, scope_of, types_equivalent
 from oracles import cert_props, random_effect, random_type
 
 RHO0 = {}

@@ -3,13 +3,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, Scheme,
-                         TVar, arrow_count, constraint_set, effect_of,
-                         free_eff_vars_effect, guard, join,
-                         mono, omega_to_formula, subst_effect, subst_type)
+from efl.effects import (PURE, Arrow, Effect, Scheme, TVar, arrow_count,
+                         constraint_set, effect_of, free_eff_vars_effect,
+                         guard, join, mono, omega_to_formula, subst_effect)
 from efl.formulas import (BOT, TOP, And, Implies, Or, conj2, disj2,
                           evaluate)
-from efl.names import NameSupply
 from helpers import (Names, all_valuations, con, effect_props, effects_equal,
                      erase_guards, free_eff_vars_scheme, to_formula)
 from oracles import random_effect, random_guard

@@ -1,17 +1,17 @@
 """Effect reconstruction: annotation translation, subtyping, generalization."""
 import pytest
 
-from efl.declarative import (CAbs, CApp, CEApp, CLet, CSub, CVar,
-                             ReplayScope, check_certificate)
-from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, Scheme,
-                         TVar, constraint_set, join, mono)
+from efl.declarative import (CApp, CLet, CSub, CVar, ReplayScope,
+                             check_certificate)
+from efl.effects import (PURE, Arrow, Effect, ForallEff, Scheme, TVar, join,
+                         mono)
 from efl.formulas import TOP, Implies, Prop
 from efl.inference import (Config, GenLimitError, InferError, ShapeError,
-                           generalize, infer, normalize, purity, separate,
-                           subtype, tr_effect, tr_type)
-from efl.names import KIND_EFF, KIND_EXPR, NameSupply
+                           generalize, infer, normalize, separate, subtype,
+                           tr_effect, tr_type)
+from efl.names import KIND_EFF, KIND_EXPR
 from efl.syntax import parse_expr, parse_type
-from helpers import Names, con, formulas_equivalent, scope_of
+from helpers import con, scope_of
 from oracles import cert_props
 
 CF = Config(mode="constraint-free")

@@ -6,11 +6,10 @@ import pytest
 from efl.declarative import ReplayScope, subeffect_holds
 from efl.effects import (PURE, Arrow, Effect, ForallEff, Scheme, TVar, join,
                          mono)
-from efl.formulas import TOP
 from efl.names import KIND_EFF, NameSupply
 from efl.inference import subtype
 from efl.syntax import parse_program
-from helpers import Names, con
+from helpers import con
 from oracles import (GEN_PRELUDE, concretize_scheme,
                      derivation_search_subeffect, effect_universe,
                      end_to_end_soundness, gen_program,

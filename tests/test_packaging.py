@@ -11,6 +11,7 @@ from efl import cli, driver, inference
 from efl.formulas import And, Bot, Implies, Or, Prop, Top
 
 PACKAGE = Path(efl.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 _PROBE = """
 import json, sys
@@ -99,3 +100,49 @@ def test_source_lines_fit_in_79_columns():
             for i, line in enumerate(f.read_text().splitlines(), 1)
             if len(line) > 79]
     assert long == []
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names that `path` imports and never reads. A name listed in
+    `__all__` or written in a string annotation counts as read."""
+    tree = ast.parse(path.read_text())
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    annotations: list[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                           ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in filter(None, annotations):
+        for c in ast.walk(ann):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                read.update(n.id for n in ast.walk(ast.parse(c.value))
+                            if isinstance(n, ast.Name))
+    return [f"{path.parent.name}/{path.name}:{line} {name}"
+            for name, line in imported.items() if name not in read]
+
+
+def test_every_imported_name_is_read():
+    """No module of the package or of the tests imports a name it never
+    reads; such an import hides what a module really depends on."""
+    unread = [entry for f in sorted(PACKAGE.glob("*.py"))
+              + sorted(TESTS.glob("*.py")) for entry in _unread_imports(f)]
+    assert unread == []

@@ -28,9 +28,9 @@ from efl.formulas import evaluate, props
 from efl.inference import Config
 from efl.names import KIND_PROP, NameSupply
 from efl.syntax import parse_program
-from helpers import (G_BODY, G_HEADER, SOURCES, Names, chain_source,
-                     check_source, g_example_source, memberships,
-                     nest_source, spine_source)
+from helpers import (G_BODY, G_HEADER, SOURCES, Names, check_source,
+                     g_example_source, memberships, nest_source,
+                     spine_source)
 from oracles import (cert_props, constraints_props, gen_program,
                      random_effect, random_guard, scheme_props,
                      subeffect_fixpoint, total_valuation_over_formula)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from efl import driver, solver
 from efl.driver import Discharger, simplify_constraints
 from efl.effects import Effect, constraint_set, omega_to_formula
-from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, conj, conj2,
-                          disj2, evaluate, impl, neg, props)
+from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, conj2, evaluate,
+                          impl, neg, props)
 from efl.names import KIND_PROP, Name
 from efl.solver import SolverSession, _Solver
 from efl.declarative import ReplayScope, subeffect_holds

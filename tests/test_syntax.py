@@ -92,8 +92,14 @@ def test_tokenize_agrees_with_the_character_lexer_on_strings(pieces):
     ("½", "line 1, col 1: unexpected character '½'"),
     ("x ½y", "line 1, col 3: unexpected character '½'"),
     ("a\n  ٣", "line 2, col 3: unexpected character '٣'"),
+    ("x½ é٣ _x", ["x½", "é٣", "_", "x", ""]),
 ])
 def test_words_start_only_at_letters(src, want):
+    """A word starts at a letter; numeric characters such as '½' and '٣'
+    may only continue it. `want` is the error, or the token texts."""
+    if isinstance(want, list):
+        assert [t.text for t in tokenize(src)] == want
+        return
     with pytest.raises(SourceError) as exc:
         tokenize(src)
     assert str(exc.value) == want
@@ -101,8 +107,7 @@ def test_words_start_only_at_letters(src, want):
 
 def test_eof_after_a_trailing_comment_sits_at_the_comment():
     assert tuple(tokenize("x  -- done")[-1]) == ("eof", "", 1, 4)
-    assert [t.text for t in tokenize("x½ é٣ _x")] == [
-        "x½", "é٣", "_", "x", ""]
+
 
 def test_guard_syntax_is_output_only():
     with pytest.raises(SourceError):
