@@ -54,6 +54,29 @@ class _Binary(Formula):
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        """Structural equality, walked with an explicit stack so that two
+        separately built formulas as deep as the program compare. A pair
+        of nodes is settled by identity, then by exact class, then by the
+        cached hash, before its operands are compared."""
+        if not isinstance(other, _Binary):
+            return NotImplemented
+        stack: list[tuple[Formula, Formula]] = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if not isinstance(a, _Binary):
+                if a != b:
+                    return False
+            elif a._hash != b._hash:
+                return False
+            else:
+                stack += ((a.rhs, b.rhs), (a.lhs, b.lhs))
+        return True
+
     def __str__(self) -> str:
         """Fully parenthesized infix, written by one explicit-stack walk so
         that a session formula as deep as the program prints."""

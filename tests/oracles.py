@@ -750,6 +750,16 @@ def props_rec(phi: Formula) -> frozenset[Name]:
     return frozenset()
 
 
+def formula_eq_rec(a: Formula, b: Formula) -> bool:
+    """Structural equality by recursion, as the dataclass `__eq__` of the
+    connectives compared: same class, then equal fields."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (And, Or, Implies)):
+        return formula_eq_rec(a.lhs, b.lhs) and formula_eq_rec(a.rhs, b.rhs)
+    return a == b
+
+
 def formula_str_rec(phi: Formula) -> str:
     if isinstance(phi, And):
         return f"({formula_str_rec(phi.lhs)} /\\ {formula_str_rec(phi.rhs)})"

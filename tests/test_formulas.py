@@ -9,7 +9,7 @@ from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, conj, conj2,
 from efl.names import KIND_PROP, Name
 from helpers import (Names, all_valuations, disj, formulas_equivalent,
                      tautology)
-from oracles import formula_str_rec, props_rec, random_guard
+from oracles import formula_eq_rec, formula_str_rec, props_rec, random_guard
 
 
 def test_builders_fold_units(ns):
@@ -163,6 +163,73 @@ def test_connectives_differ_by_kind_not_by_hash(ns):
     assert And(p, q) != Or(p, q) and Or(p, q) != Implies(p, q)
     assert hash(And(p, q)) == hash(Or(p, q)) == hash((p, q))
     assert len({And(p, q), Or(p, q), Implies(p, q), And(p, q)}) == 3
+
+
+def _height(phi):
+    if isinstance(phi, (And, Or, Implies)):
+        return 1 + max(_height(phi.lhs), _height(phi.rhs))
+    return 0
+
+
+def _deepest_leaf_replaced(phi, leaf):
+    """A copy of phi that shares no node with it and has `leaf` in place of
+    its deepest leaf (the leftmost of equally deep ones)."""
+    if not isinstance(phi, (And, Or, Implies)):
+        return leaf
+    if _height(phi.lhs) >= _height(phi.rhs):
+        return type(phi)(_deepest_leaf_replaced(phi.lhs, leaf),
+                         _rebuilt(phi.rhs))
+    return type(phi)(_rebuilt(phi.lhs), _deepest_leaf_replaced(phi.rhs, leaf))
+
+
+def test_eq_agrees_with_the_recursive_comparison():
+    """Unrelated pairs, equal copies that share no node, and copies that
+    differ only at the deepest leaf."""
+    ns = Names()
+    rng = random.Random(22)
+    pool = [ns.prop(t) for t in "pqrst"]
+    fresh = ns.p("u")
+    seen = set()
+    for _ in range(600):
+        f = random_guard(rng, pool, depth=rng.randint(1, 6))
+        g = random_guard(rng, pool, depth=rng.randint(1, 6))
+        for a, b in ((f, g), (f, _rebuilt(f)),
+                     (f, _deepest_leaf_replaced(f, fresh))):
+            expect = formula_eq_rec(a, b)
+            assert (a == b) is expect and (b == a) is expect
+            assert (a != b) is not expect
+            seen.add((expect, isinstance(a, (And, Or, Implies))))
+    assert seen == {(True, True), (False, True), (True, False),
+                    (False, False)}
+
+
+def test_eq_is_not_implemented_for_other_objects(ns):
+    p, q = ns.p("p"), ns.p("q")
+    assert And(p, q).__eq__(p) is NotImplemented
+    assert And(p, q).__eq__((p, q)) is NotImplemented
+    assert And(p, q) != p and And(p, q) != (p, q)
+
+
+def test_eq_of_deep_chains():
+    a, names = _left_chain(5_000)
+    b, _ = _left_chain(5_000)
+    assert a == b and not a != b
+
+    def chain_over(first):
+        out = first
+        for name in names[2:]:
+            out = And(out, Prop(name))
+        return out
+    p0, p1 = Prop(names[0]), Prop(names[1])
+    kind = chain_over(Or(p0, p1))
+    assert hash(kind) == hash(a) and kind != a and a != kind
+    assert chain_over(And(p0, p1)) == a
+    # hash(-1) == hash(-2), so these two leaves, and the chains that differ
+    # only in them, hash alike: only the leaves themselves tell them apart.
+    x, y = (Prop(Name("x", KIND_PROP, uid)) for uid in (-1, -2))
+    left, right = chain_over(And(x, p1)), chain_over(And(y, p1))
+    assert hash(x) == hash(y) and hash(left) == hash(right)
+    assert left != right and right != left
 
 
 def test_hash_and_props_of_deep_chains():
