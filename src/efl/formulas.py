@@ -68,13 +68,12 @@ class _Binary(Formula):
                 continue
             if type(a) is not type(b):
                 return False
-            if not isinstance(a, _Binary):
-                if a != b:
+            if isinstance(a, _Binary):
+                if a._hash != b._hash:
                     return False
-            elif a._hash != b._hash:
-                return False
-            else:
                 stack += ((a.rhs, b.rhs), (a.lhs, b.lhs))
+            elif a != b:
+                return False
         return True
 
     def __str__(self) -> str:

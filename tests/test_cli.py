@@ -1,6 +1,5 @@
 """Command line driver: batch checking, flags, exit codes, and the REPL."""
 import io
-import os
 import re
 import subprocess
 import sys
@@ -192,10 +191,7 @@ def test_calls_in_one_process_match_fresh_processes(capsys, monkeypatch):
     option of one call reaches the next, and usage errors still exit 2
     through SystemExit with the usage on stderr."""
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-        [str(PROGRAMS.parent / "src")]
-        + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
-           else [])))
+    monkeypatch.setenv("PYTHONPATH", str(PROGRAMS.parent / "src"))
     g, cf = str(PROGRAMS / "g_example.efl"), str(PROGRAMS / "cf_k_join.efl")
     bad = str(PROGRAMS / "purity_violation.efl")
     usage_errors = [(), ("check",), ("--mode", "bad", "check", g)]

@@ -125,12 +125,8 @@ def _unread_imports(path: Path) -> list[str]:
                 for t in node.targets):
             read.update(c.value for c in ast.walk(node.value)
                         if isinstance(c, ast.Constant))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-        elif isinstance(node, ast.arg):
-            annotations.append(node.annotation)
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
+        annotations += (getattr(node, "annotation", None),
+                        getattr(node, "returns", None))
     for ann in filter(None, annotations):
         for c in ast.walk(ann):
             if isinstance(c, ast.Constant) and isinstance(c.value, str):
