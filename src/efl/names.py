@@ -19,7 +19,9 @@ KIND_EFF = "eff"
 KIND_EXPR = "expr"
 KIND_PROP = "prop"
 
-_KINDS = (KIND_TYPE, KIND_EFF, KIND_EXPR, KIND_PROP)
+# Each kind, and the prefix of a name minted without a text: the prefix
+# and the id make up its text.
+_PREFIXES = {KIND_TYPE: "t", KIND_EFF: "e", KIND_EXPR: "x", KIND_PROP: "p"}
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class Name:
     uid: int
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _PREFIXES:
             raise ValueError(f"bad name kind: {self.kind!r}")
 
     def __str__(self) -> str:
@@ -55,7 +57,5 @@ class NameSupply:
         uid = self._next
         self._next += 1
         if text is None:
-            prefix = {KIND_TYPE: "t", KIND_EFF: "e", KIND_EXPR: "x",
-                      KIND_PROP: "p"}[kind]
-            text = f"{prefix}{uid}"
+            text = f"{_PREFIXES[kind]}{uid}"
         return Name(text, kind, uid)

@@ -222,16 +222,6 @@ def effect_parts(se: SynEffect) -> tuple[set[Name], bool]:
             any(isinstance(leaf, SEWild) for leaf in leaves))
 
 
-def type_is_wildcard_free(st: SynType) -> bool:
-    if isinstance(st, SArrow):
-        return (type_is_wildcard_free(st.param)
-                and not effect_parts(st.effect)[1]
-                and type_is_wildcard_free(st.result))
-    if isinstance(st, (SForallTyp, SForallEff)):
-        return type_is_wildcard_free(st.body)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
@@ -239,18 +229,19 @@ def type_is_wildcard_free(st: SynType) -> bool:
 KEYWORDS = frozenset(("fn", "let", "in", "tfun", "efun", "forall", "typ",
                       "eff", "type", "effect", "extern", "pure"))
 
-# One alternation, tried in order at each position; the last branch takes
-# any other character, which is an error. A word starts where
-# str.isalpha() holds: [^\W\d_] also admits numeric characters such as
-# '½', so the lexer rejects a word whose first character is not alphabetic.
-_TOKEN = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<blank>[ \t\r]+)
-  | (?P<comment>--[^\n]*)
-  | (?P<word>[^\W\d_][\w']*)
-  | (?P<punct>=>|->|\\/|[()\[\]:.=_])
-  | (?P<other>.)
-""", re.VERBOSE | re.DOTALL)
+# Each match is a run of blanks and the piece after it: a comment, a word,
+# punctuation, a line break, or any other character, which is an error.
+# Blanks at the very end match nothing. A word starts where str.isalpha()
+# holds: [^\W\d_] also admits numeric characters such as '½', so the lexer
+# rejects a word whose first character is not alphabetic.
+_TOKEN = re.compile(r"([ \t\r]*)(--[^\n]*|[^\W\d_][\w']*|=>|->|\\/"
+                    r"|[()\[\]:.=_\n]|[^ \t\r])")
+
+# The kind of each piece whose text fixes it: "kw" for a keyword, the text
+# itself for punctuation and for a line break.
+_KINDS = {**dict.fromkeys(KEYWORDS, "kw"),
+          **{p: p for p in ("=>", "->", "\\/", "(", ")", "[", "]", ":", ".",
+                            "=", "_", "\n")}}
 
 
 class Token(NamedTuple):
@@ -265,37 +256,39 @@ def _scan(src: str) -> tuple[list[Token], list[int]]:
     toks: list[Token] = []
     depth: list[int] = []
     d = 0
-    line, line_start, end = 1, 0, 0
-    for m in _TOKEN.finditer(src):
-        group = m.lastgroup
-        pos = m.start()
-        if group == "newline":
+    line, line_start, pos = 1, 0, 0
+    kinds, new = _KINDS, tuple.__new__
+    pieces = _TOKEN.findall(src)
+    for blank, text in pieces:
+        pos += len(blank)
+        kind = kinds.get(text)
+        if kind is None:
+            if text[0].isalpha():
+                kind = "ident"
+            elif text[:2] == "--":
+                pos += len(text)
+                continue
+            else:
+                raise SourceError(f"unexpected character {text[0]!r}", line,
+                                  pos - line_start + 1)
+        elif kind == "\n":
+            pos += 1
             line += 1
-            line_start = end = m.end()
+            line_start = pos
             continue
-        if group == "comment":
-            # A comment does not advance the column: at end of input the
-            # eof token sits where the comment began.
-            end = pos
-            continue
-        end = m.end()
-        if group == "blank":
-            continue
-        text = m.group()
-        col = pos - line_start + 1
-        if group == "word" and text[0].isalpha():
-            kind = "kw" if text in KEYWORDS else "ident"
-        elif group == "punct":
-            kind = text
-        else:
-            raise SourceError(f"unexpected character {text[0]!r}", line, col)
-        toks.append(Token(kind, text, line, col))
+        toks.append(new(Token, (kind, text, line, pos - line_start + 1)))
         depth.append(d)
-        if kind in ("(", "["):
+        if kind == "(" or kind == "[":
             d += 1
-        elif kind in (")", "]"):
+        elif kind == ")" or kind == "]":
             d -= 1
-    toks.append(Token("eof", "", line, end - line_start + 1))
+        pos += len(text)
+    # The eof token sits one past the end of the last line, or where a
+    # comment that ends the input began.
+    end = len(src)
+    if pieces and pieces[-1][1][:2] == "--":
+        end -= len(pieces[-1][1])
+    toks.append(new(Token, ("eof", "", line, end - line_start + 1)))
     depth.append(d)
     return toks, depth
 
@@ -309,6 +302,10 @@ def _scan(src: str) -> tuple[list[Token], list[int]]:
 # a copy and restores it where the binding ends.
 Scope = dict[tuple[str, str], Name]
 
+_DECL_KINDS = {"effect": KIND_EFF, "type": KIND_TYPE, "extern": KIND_EXPR}
+_BINDER_WORDS = frozenset(("fn", "tfun", "efun", "let"))
+_PURE = SEPure()
+
 
 class Parser:
     def __init__(self, src: str, supply: NameSupply,
@@ -320,8 +317,12 @@ class Parser:
         self.pos = 0
         self.supply = supply
         self.scope: Scope = dict(scope or {})
+        # The `_` effects read so far: an extern's type may contain none.
+        self.wildcards = 0
 
     # -- token plumbing ----------------------------------------------------
+    # The hot productions read self.toks[self.pos] and step self.pos past a
+    # token they know is not eof themselves.
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -340,7 +341,7 @@ class Parser:
                            t.col)
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        if self.peek().kind != kind:
+        if self.toks[self.pos].kind != kind:
             raise self.expected(what or repr(kind))
         return self.next()
 
@@ -364,12 +365,13 @@ class Parser:
         return name
 
     def lookup(self, kind: str, tok: Token) -> Name:
-        if (kind, tok.text) not in self.scope:
+        name = self.scope.get((kind, tok.text))
+        if name is None:
             noun = {KIND_TYPE: "type", KIND_EFF: "effect",
                     KIND_EXPR: "variable"}[kind]
             raise SourceError(f"unbound {noun} {tok.text!r}", tok.line,
                               tok.col)
-        return self.scope[kind, tok.text]
+        return name
 
     # -- effects -----------------------------------------------------------
 
@@ -377,49 +379,64 @@ class Parser:
         """An effect; a parenthesised join among the operands of a join
         is spliced in, so no operand of a join is itself a join."""
         parts = list(effect_leaves(self.parse_effect_atom()))
-        while self.peek().kind == "\\/":
-            self.next()
+        while self.toks[self.pos].kind == "\\/":
+            self.pos += 1
             parts += effect_leaves(self.parse_effect_atom())
         return SEJoin(tuple(parts)) if len(parts) > 1 else parts[0]
 
     def parse_effect_atom(self) -> SynEffect:
-        t = self.peek()
+        t = self.toks[self.pos]
+        if t.kind == "ident":
+            self.pos += 1
+            return SEVar(self.lookup(KIND_EFF, t))
         if t.kind == "_":
-            self.next()
+            self.pos += 1
+            self.wildcards += 1
             return SEWild()
-        if self.at_kw("pure"):
-            self.next()
-            return SEPure()
+        if t.text == "pure":
+            self.pos += 1
+            return _PURE
         if t.kind == "(":
-            self.next()
+            self.pos += 1
             e = self.parse_effect()
             self.expect(")")
             return e
-        if t.kind == "ident":
-            self.next()
-            return SEVar(self.lookup(KIND_EFF, t))
         raise self.expected("an effect")
 
     # -- types ---------------------------------------------------------------
 
     def parse_type(self) -> SynType:
-        lhs = self.parse_type_atom()
-        if self.peek().kind == "->":
-            self.next()
-            eff: SynEffect = SEPure()
-            if self.peek().kind == "[":
-                self.next()
-                if self.peek().kind != "]":
+        """A type. An arrow chain `A ->[e] B ->[e] ...` is read in a loop
+        and folded from the right."""
+        toks = self.toks
+        params: list[tuple[SynType, SynEffect]] = []
+        ty = self.parse_type_atom()
+        while toks[self.pos].kind == "->":
+            self.pos += 1
+            eff: SynEffect = _PURE
+            if toks[self.pos].kind == "[":
+                self.pos += 1
+                if toks[self.pos].kind != "]":
                     eff = self.parse_effect()
                 self.expect("]")
-            rhs = self.parse_type()
-            return SArrow(lhs, eff, rhs)
-        return lhs
+            params.append((ty, eff))
+            ty = self.parse_type_atom()
+        for param, eff in reversed(params):
+            ty = SArrow(param, eff, ty)
+        return ty
 
     def parse_type_atom(self) -> SynType:
-        t = self.peek()
-        if self.at_kw("forall"):
-            self.next()
+        t = self.toks[self.pos]
+        if t.kind == "ident":
+            self.pos += 1
+            return STVar(self.lookup(KIND_TYPE, t))
+        if t.kind == "(":
+            self.pos += 1
+            ty = self.parse_type()
+            self.expect(")")
+            return ty
+        if t.text == "forall":
+            self.pos += 1
             kind_tok = self.next()
             kind = {"typ": KIND_TYPE, "eff": KIND_EFF}.get(kind_tok.text)
             if kind is None:
@@ -433,14 +450,6 @@ class Parser:
             if kind == KIND_TYPE:
                 return SForallTyp(binder, body)
             return SForallEff(binder, body)
-        if t.kind == "(":
-            self.next()
-            ty = self.parse_type()
-            self.expect(")")
-            return ty
-        if t.kind == "ident":
-            self.next()
-            return STVar(self.lookup(KIND_TYPE, t))
         raise self.expected("a type")
 
     # -- expressions ---------------------------------------------------------
@@ -453,9 +462,9 @@ class Parser:
         bound, so the caller decides when it is minted. Each binder form
         restores the scope inline, adding no frame per nesting level.
         """
-        word = self.peek().text  # a keyword never lexes as an identifier
+        word = self.toks[self.pos].text  # a keyword never lexes as an ident
         if word == "fn":
-            self.next()
+            self.pos += 1
             self.expect("(")
             tok = self.ident()
             self.expect(":")
@@ -464,12 +473,12 @@ class Parser:
             self.expect("=>")
             kind = KIND_EXPR
         elif word == "tfun" or word == "efun":
-            self.next()
+            self.pos += 1
             tok = self.ident()
             self.expect("=>")
             kind = KIND_TYPE if word == "tfun" else KIND_EFF
         elif word == "let":
-            self.next()
+            self.pos += 1
             tok = self.ident()
             self.expect("=")
             bound = self.parse_expr()
@@ -489,45 +498,63 @@ class Parser:
             return Let(name, bound, body)
         return (TLam if word == "tfun" else ELam)(name, body)
 
-    def _continues_application(self) -> bool:
-        """Juxtaposition stops at a line break outside any brackets."""
-        t = self.peek()
-        prev = self.toks[self.pos - 1]
-        return t.line == prev.line or self.depth[self.pos] > 0
-
     def parse_app(self) -> Expr:
-        out = self.parse_atom_expr()
-        while self._continues_application():
-            t = self.peek()
-            if t.kind == "[":
-                self.next()
-                nxt = self.next()
-                if nxt.text == "type":
-                    out = TyApp(out, self.parse_type())
-                elif nxt.text == "eff":
-                    out = EfApp(out, self.parse_effect())
-                else:
-                    raise SourceError("expected 'type' or 'eff' after '['",
-                                      nxt.line, nxt.col)
-                self.expect("]")
-                continue
-            if t.kind == "ident" or t.kind == "(":
-                out = App(out, self.parse_atom_expr())
-                continue
-            break
-        return out
+        """An application spine: atoms, each an identifier or a
+        parenthesised expression, and `[type T]`/`[eff E]` instantiations.
 
-    def parse_atom_expr(self) -> Expr:
-        t = self.peek()
-        if t.kind == "ident":
-            self.next()
-            return Var(self.lookup(KIND_EXPR, t))
-        if t.kind == "(":
-            self.next()
-            e = self.parse_expr()
-            self.expect(")")
-            return e
-        raise self.expected("an expression")
+        A parenthesised operand that does not start with a binder form is
+        an application itself, parsed by this same loop: the spine waiting
+        for it goes on `waiting` (None when it is the spine's first atom),
+        so `f (f (... x))` adds no frame per level. Juxtaposition stops at a
+        line break outside any brackets.
+        """
+        toks, depth = self.toks, self.depth
+        waiting: list[Expr | None] = []
+        out: Expr | None = None
+        while True:
+            t = toks[self.pos]
+            if t.kind == "ident":
+                self.pos += 1
+                atom = Var(self.lookup(KIND_EXPR, t))
+            elif t.kind != "(":
+                raise self.expected("an expression")
+            elif toks[self.pos + 1].text in _BINDER_WORDS:
+                self.pos += 1
+                atom = self.parse_expr()
+                self.expect(")")
+            else:
+                self.pos += 1
+                waiting.append(out)
+                out = None
+                continue
+            out = atom if out is None else App(out, atom)
+            while True:
+                t = toks[self.pos]
+                if t.line == toks[self.pos - 1].line or depth[self.pos] > 0:
+                    if t.kind == "ident" or t.kind == "(":
+                        break
+                    if t.kind == "[":
+                        self.pos += 1
+                        out = self.parse_instantiation(out)
+                        continue
+                if not waiting:
+                    return out
+                self.expect(")")
+                head = waiting.pop()
+                out = out if head is None else App(head, out)
+
+    def parse_instantiation(self, fn: Expr) -> Expr:
+        """`type T]` or `eff E]` after the `[` applied to fn."""
+        t = self.next()
+        if t.text == "type":
+            out: Expr = TyApp(fn, self.parse_type())
+        elif t.text == "eff":
+            out = EfApp(fn, self.parse_effect())
+        else:
+            raise SourceError("expected 'type' or 'eff' after '['",
+                              t.line, t.col)
+        self.expect("]")
+        return out
 
     # -- programs ------------------------------------------------------------
 
@@ -539,12 +566,11 @@ class Parser:
         mint their name before that check and `extern` after it; REPL
         transcripts print uids, so they depend on this order.
         """
-        kinds = {"effect": KIND_EFF, "type": KIND_TYPE, "extern": KIND_EXPR}
-        t = self.peek()
-        if t.kind != "kw" or t.text not in kinds:
+        t = self.toks[self.pos]
+        kind = _DECL_KINDS.get(t.text)
+        if kind is None:
             return None
-        self.next()
-        kind = kinds[t.text]
+        self.pos += 1
         tok = self.ident()
         if (kind, tok.text) in self.scope:
             raise SourceError(f"duplicate declaration of {tok.text!r}",
@@ -555,8 +581,9 @@ class Parser:
                 self.expect("eof", "end of input")
             return (t.text, name, None)
         self.expect(":")
+        wildcards = self.wildcards
         ty = self.parse_type()
-        if not type_is_wildcard_free(ty):
+        if self.wildcards != wildcards:
             raise SourceError(
                 f"extern {tok.text!r} has a wildcard in its type",
                 tok.line, tok.col)

@@ -230,6 +230,20 @@ SOURCES = ([(p.stem, p.read_text()) for p in sorted(PROGRAMS.glob("*.efl"))]
               ("chain_x5", chain_source(5))])
 
 
+def front_end_sources() -> list[str]:
+    """The programs the lexer and parser are compared with their oracles
+    on: SOURCES, larger g_example and chain programs, random programs in
+    both modes, and nest and spine programs small enough for the
+    recursive oracles."""
+    from oracles import gen_program  # oracles imports this module
+    return ([src for _, src in SOURCES]
+            + [g_example_source(40), chain_source(12)]
+            + [gen_program(seed, mode=mode) for seed in range(40)
+               for mode in ("constrained", "constraint-free")]
+            + [nest_source(n) for n in (1, 50, 200)]
+            + [spine_source(n) for n in (1, 50, 200)])
+
+
 def check_source(src: str, mode: str = "constrained") -> CheckOutcome:
     supply = NameSupply()
     return check_program(parse_program(src, supply), supply,

@@ -14,6 +14,10 @@ against; `props_rec` is the same for `formulas.props`, `formula_str_rec`
 for the printing of formulas, `type_str_rec` and `render_cert_rec` for the
 printing of types and certificates, and `tokenize_chars`, the
 character-at-a-time lexer, for the regex lexer (`helpers.tokenize`).
+`RecursiveParser` is the parser with one call per atom, parenthesis and
+arrow, and `type_is_wildcard_free` the walk it checks an extern's type
+with: the reference for the looping `efl.syntax.Parser` and its count of
+wildcards.
 `subst_type_rec` and `subst_type_vars_rec` also rebuild every node, as
 `map_type` did before it returned unchanged nodes themselves; with
 `subst_effect_rebuild`, `subst_constraints_rebuild`, `subst_scheme_rebuild`
@@ -46,12 +50,12 @@ from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
 from efl.formulas import (BOT, TOP, And, Formula, Implies, Or, Prop, Top,
                           conj2, disj2, evaluate, impl, props)
 from efl.inference import Config, ShapeError, subtype, tr_type
-from efl.names import KIND_EFF, KIND_TYPE, Name, NameSupply
+from efl.names import KIND_EFF, KIND_EXPR, KIND_TYPE, Name, NameSupply
 from efl.solver import _Solver
 from efl.syntax import (KEYWORDS, EfApp, ELam, Expr, Lam, Let, Program,
-                        SArrow, SEJoin, SEWild, SForallEff, SForallTyp,
-                        SynEffect, SynType, TLam, TyApp, App, Parser,
-                        SourceError, parse_program)
+                        SArrow, SEJoin, SEPure, SEWild, SForallEff,
+                        SForallTyp, SynEffect, SynType, TLam, TyApp, App,
+                        Parser, SourceError, Var, effect_parts, parse_program)
 from helpers import effect_props, erase_guards, sat, scope_of
 
 # ---------------------------------------------------------------------------
@@ -1083,3 +1087,96 @@ def tokenize_chars(src: str) -> list[tuple[str, str, int, int]]:
             raise SourceError(f"unexpected character {c!r}", line, col)
     toks.append(("eof", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# Recursive parser
+# ---------------------------------------------------------------------------
+
+
+def type_is_wildcard_free(st: SynType) -> bool:
+    if isinstance(st, SArrow):
+        return (type_is_wildcard_free(st.param)
+                and not effect_parts(st.effect)[1]
+                and type_is_wildcard_free(st.result))
+    if isinstance(st, (SForallTyp, SForallEff)):
+        return type_is_wildcard_free(st.body)
+    return True
+
+
+class RecursiveParser(Parser):
+    """`efl.syntax.Parser` as it was before it read application spines,
+    parenthesised operands and arrow chains in loops: one call per atom,
+    per parenthesis and per arrow, and an extern's type checked for
+    wildcards by a walk after it is parsed."""
+
+    def parse_type(self) -> SynType:
+        lhs = self.parse_type_atom()
+        if self.peek().kind == "->":
+            self.next()
+            eff: SynEffect = SEPure()
+            if self.peek().kind == "[":
+                self.next()
+                if self.peek().kind != "]":
+                    eff = self.parse_effect()
+                self.expect("]")
+            rhs = self.parse_type()
+            return SArrow(lhs, eff, rhs)
+        return lhs
+
+    def _continues_application(self) -> bool:
+        t = self.peek()
+        prev = self.toks[self.pos - 1]
+        return t.line == prev.line or self.depth[self.pos] > 0
+
+    def parse_app(self) -> Expr:
+        out = self.parse_atom_expr()
+        while self._continues_application():
+            t = self.peek()
+            if t.kind == "[":
+                self.next()
+                out = self.parse_instantiation(out)
+                continue
+            if t.kind == "ident" or t.kind == "(":
+                out = App(out, self.parse_atom_expr())
+                continue
+            break
+        return out
+
+    def parse_atom_expr(self) -> Expr:
+        t = self.peek()
+        if t.kind == "ident":
+            self.next()
+            return Var(self.lookup(KIND_EXPR, t))
+        if t.kind == "(":
+            self.next()
+            e = self.parse_expr()
+            self.expect(")")
+            return e
+        raise self.expected("an expression")
+
+    def parse_decl(self, alone: bool = False):
+        kinds = {"effect": KIND_EFF, "type": KIND_TYPE, "extern": KIND_EXPR}
+        t = self.peek()
+        if t.kind != "kw" or t.text not in kinds:
+            return None
+        self.next()
+        kind = kinds[t.text]
+        tok = self.ident()
+        if (kind, tok.text) in self.scope:
+            raise SourceError(f"duplicate declaration of {tok.text!r}",
+                              tok.line, tok.col)
+        if kind != KIND_EXPR:
+            name = self.bind(kind, tok)
+            if alone:
+                self.expect("eof", "end of input")
+            return (t.text, name, None)
+        self.expect(":")
+        ty = self.parse_type()
+        if not type_is_wildcard_free(ty):
+            raise SourceError(
+                f"extern {tok.text!r} has a wildcard in its type",
+                tok.line, tok.col)
+        if alone:
+            self.expect("eof", "end of input")
+        return ("extern", self.bind(KIND_EXPR, tok), ty)

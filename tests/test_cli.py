@@ -13,7 +13,7 @@ from efl.inference import Config
 from efl.names import NameSupply
 from efl.solver import SolverSession
 from efl.syntax import Parser
-from helpers import sat, spine_source
+from helpers import nest_source, sat, spine_source
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 ALL_PROGRAMS = sorted(PROGRAMS.glob("*.efl"))
@@ -104,6 +104,16 @@ def test_check_verify_passes_lets_nested_900_deep(capsys, tmp_path):
     code, out, _ = _run(capsys, "check", "--verify", str(src))
     assert code == 0
     assert out.endswith("certificates: verified\n")
+
+
+def test_check_verify_passes_nest_400_deep(capsys, tmp_path):
+    """The parser reads parenthesised applications in a loop, so
+    f (f (... x)) 400 deep parses, checks and replays."""
+    src = tmp_path / "nest.efl"
+    src.write_text(nest_source(400))
+    code, out, err = _run(capsys, "check", "--verify", str(src))
+    assert (code, err) == (0, "")
+    assert out == "r : Int ->[IO] Int\ncertificates: verified\n"
 
 
 def test_check_accepts_a_join_of_1500_atoms(capsys, tmp_path):

@@ -1,12 +1,14 @@
 """Lexing, parsing, scope resolution and pretty-printing."""
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from efl.names import KIND_EFF, NameSupply
-from efl.syntax import (App, Lam, Parser, SForallEff, SourceError,
+from efl.syntax import (App, Lam, Parser, SArrow, SForallEff, SourceError,
                         parse_program)
-from helpers import SOURCES, chain_source, g_example_source, tokenize
-from oracles import gen_program, tokenize_chars
+from helpers import front_end_sources, nest_source, tokenize
+from oracles import RecursiveParser, tokenize_chars, type_is_wildcard_free
 
 PRELUDE = """effect IO
 effect DB
@@ -65,11 +67,7 @@ def _assert_lexes_like_the_oracle(src: str) -> None:
 
 
 def test_tokenize_agrees_with_the_character_lexer_on_programs():
-    sources = ([src for _, src in SOURCES]
-               + [g_example_source(40), chain_source(12)]
-               + [gen_program(seed, mode=mode) for seed in range(40)
-                  for mode in ("constrained", "constraint-free")])
-    for src in sources:
+    for src in front_end_sources():
         _assert_lexes_like_the_oracle(src)
         # Cut short: the eof token after a comment, a bare '-' or '\\'.
         for cut in range(0, len(src), max(1, len(src) // 25)):
@@ -107,6 +105,21 @@ def test_words_start_only_at_letters(src, want):
 
 def test_eof_after_a_trailing_comment_sits_at_the_comment():
     assert tuple(tokenize("x  -- done")[-1]) == ("eof", "", 1, 4)
+
+
+@pytest.mark.parametrize("src,line,col", [
+    ("", 1, 1),
+    (" \t\r ", 1, 5),
+    ("x   ", 1, 5),
+    ("x\r\ny\r\n", 3, 1),
+    ("x\r\ny", 2, 2),
+    ("x\n  ", 2, 3),
+    ("x\n   -- end", 2, 4),
+    ("  -- only a comment", 1, 3),
+])
+def test_eof_sits_one_past_the_last_line_or_at_a_closing_comment(src, line,
+                                                                  col):
+    assert tuple(tokenize(src)[-1]) == ("eof", "", line, col)
 
 
 def test_guard_syntax_is_output_only():
@@ -248,11 +261,127 @@ def test_repl_scope_is_isolated_until_adopted():
     assert (KIND_EFF, "IO") in parser.scope
 
 
+# -- the recursive parser as oracle ----------------------------------------------
+
+
+def _parsed(parser_cls, src: str):
+    """The program parser_cls makes of src, or its error and place, and the
+    uid the supply mints next."""
+    supply = NameSupply()
+    try:
+        out = parser_cls(src, supply).parse_program()
+    except SourceError as e:
+        out = ("error", str(e), e.line, e.col)
+    return out, supply.fresh(KIND_EFF).uid
+
+
+def _repl_items(parser_cls, src: str):
+    """Each line of src as a REPL input, in one scope and one supply."""
+    supply, scope, out = NameSupply(), {}, []
+    for line in src.splitlines():
+        parser = parser_cls(line, supply, scope)
+        try:
+            out.append(parser.parse_repl_item())
+            scope = parser.scope
+        except SourceError as e:
+            out.append(("error", str(e), e.line, e.col))
+    return out, supply.fresh(KIND_EFF).uid
+
+
+def test_parser_agrees_with_the_recursive_parser_on_programs():
+    for src in front_end_sources():
+        assert _repl_items(Parser, src) == _repl_items(RecursiveParser, src)
+        # Cut short: errors at every kind of place, and minted names.
+        for cut in [*range(0, len(src), max(1, len(src) // 60)), len(src)]:
+            assert (_parsed(Parser, src[:cut])
+                    == _parsed(RecursiveParser, src[:cut]))
+
+
+_PARSE_PIECES = ["fn (x : Unit) =>", "tfun t =>", "efun e =>", "let y =",
+                 "in", "x", "y", "u", "f", "g", "(", ")", "[eff IO]",
+                 "[eff _]", "[type Unit]", "[type t]", "[", "]", "\n",
+                 "Unit", "->", "->[IO]", "->[_]", "forall eff e.", "extern",
+                 "effect", "type", ":", "=", "pure", "\\/", "_"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_PARSE_PIECES), max_size=25))
+def test_parser_agrees_with_the_recursive_parser_on_token_soup(pieces):
+    src = PRELUDE + " ".join(pieces)
+    assert _parsed(Parser, src) == _parsed(RecursiveParser, src)
+
+
+def _with_an_extern_wildcard(src: str):
+    """src with a `_` added to one arrow of one extern's type, for each
+    arrow of each extern."""
+    lines = src.split("\n")
+    for i, line in enumerate(lines):
+        if not line.startswith("extern"):
+            continue
+        for m in re.finditer(r"->(\[?)", line):
+            j = m.end()
+            wild = ("[_]" if not m.group(1) else "_" if line[j] == "]"
+                    else "_ \\/ ")
+            lines[i] = line[:j] + wild + line[j:]
+            yield "\n".join(lines)
+        lines[i] = line
+
+
+def test_extern_wildcard_count_agrees_with_the_type_walk():
+    seen = 0
+    for src in front_end_sources():
+        for variant in _with_an_extern_wildcard(src):
+            got = _parsed(Parser, variant)
+            assert got == _parsed(RecursiveParser, variant)
+            assert "has a wildcard in its type" in got[0][1]
+            seen += 1
+        prog = parse_program(src, NameSupply())
+        assert all(type_is_wildcard_free(ty) for _, ty in prog.externs)
+    assert seen > 500
+
+
+@pytest.mark.parametrize("tsrc", [
+    "(Unit ->[_] Unit) ->[] Unit",
+    "Unit ->[] Unit ->[_] Unit",
+    "forall eff a. Unit ->[a] Unit ->[_] Unit",
+    "Unit ->[IO \\/ (DB \\/ _)] Unit",
+], ids=["parameter", "result", "under-forall", "inside-join"])
+def test_extern_wildcard_error_names_the_extern(tsrc):
+    src = PRELUDE + f"extern w : {tsrc}\nu\n"
+    got = _parsed(Parser, src)
+    assert got[0] == ("error",
+                      "line 7, col 8: extern 'w' has a wildcard in its type",
+                      7, 8)
+    assert got == _parsed(RecursiveParser, src)
+
+
 # -- nesting depth ---------------------------------------------------------------
-# Each binder form restores its scope inline, so one more level of nesting
-# costs the parser one frame (two for a quantifier: parse_type and
-# parse_type_atom). These sizes sit below the recursion limit only while
-# that holds.
+# Application spines, parenthesised applications and arrow chains are read
+# in loops. Each binder form restores its scope inline, so one more level
+# of binder nesting costs the parser one frame (two for a quantifier:
+# parse_type and parse_type_atom). These sizes sit below the recursion
+# limit only while that holds.
+
+
+def test_nest_2000_deep_parses():
+    prog = parse_program(nest_source(2000), NameSupply())
+    body, depth = prog.defs[0][1].body, 0
+    while isinstance(body, App):
+        body, depth = body.arg, depth + 1
+    assert depth == 2000
+
+
+def test_2000_parentheses_around_a_head_parse():
+    prog = _parse("(" * 2000 + "f" + ")" * 2000 + " [eff IO] u")
+    assert str(prog.main) == "f [eff IO] u"
+
+
+def test_extern_type_with_2000_arrows_parses():
+    prog = _parse("extern w : " + "Unit ->[IO] " * 2000 + "Unit\nu")
+    ty, arrows = prog.externs[-1][1], 0
+    while isinstance(ty, SArrow):
+        ty, arrows = ty.result, arrows + 1
+    assert arrows == 2000
 
 
 def test_nested_fn_900_deep_parses():
