@@ -51,7 +51,7 @@ _ARG_PARSER = build_arg_parser()
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
-        src = Path(args.file).read_text(encoding="utf-8")
+        src = Path(args.file).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as ex:
         print(f"error: cannot read {args.file}: {ex}", file=sys.stderr)
         return 2
@@ -95,13 +95,14 @@ class Repl:
         self.top = TopLevel((), self.supply, config)
 
     def handle(self, line: str) -> str | None:
-        """Process one input line; returns the text to print (or None).
+        """Process one input line; returns the text to print, or None for
+        a blank or comment-only line.
 
         Error columns count from the start of the input line: the text is
         parsed where it stands, a `:type` command blanked out."""
         line = line.rstrip()
         command = line.lstrip()
-        if not command:
+        if not command or command.startswith("--"):
             return None
         if command in (":quit", ":q"):
             raise EOFError

@@ -21,7 +21,7 @@ from .declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
                           check_certificate, subst_cert)
 from .effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar, Type,
                       constraint_set, free_eff_vars_constraints,
-                      free_eff_vars_type, join, mono, omega_to_formula,
+                      effect_of, free_eff_vars_type, mono, omega_to_formula,
                       sorted_constraints, subst_scheme, walk_type)
 from .formulas import TOP, Formula, Prop, conj2, disj2, neg, props
 from .inference import (Config, Generalized, InferError, InferResult,
@@ -58,15 +58,14 @@ class Discharger:
 
     def eliminate_effect(self, e: Effect) -> Effect:
         rigid = set(self.rigid)
-        parts = []
+        atoms = []
         for v, g in e.atoms:
             if v in rigid:
-                parts.append(Effect(((v, g),)))
+                atoms.append((v, g))
             else:
-                for c in self.rigid:
-                    parts.append(Effect(
-                        ((c, conj2(g, Prop(self.membership(v, c)))),)))
-        return join(*parts)
+                atoms.extend((c, conj2(g, Prop(self.membership(v, c))))
+                             for c in self.rigid)
+        return effect_of(atoms)
 
     def eliminate(self, omega) -> frozenset:
         return constraint_set(

@@ -2,10 +2,10 @@
 
 Effects are kept in a guarded-atom normal form: a finite set of atoms, each an
 effect variable paired with a propositional guard, with at most one atom per
-variable. The empty set is the pure effect. Join merges atom sets (guards of a
-shared variable are or-ed), and guarding an effect and-s the formula onto
-every atom. Atoms whose guard folds to F are dropped; under any valuation they
-contribute nothing.
+variable. The empty set is the pure effect. `effect_of` alone builds it: join,
+guard and substitution hand it their atoms, the guards of a repeated variable
+are or-ed, and guarding and-s the formula onto every atom. Atoms whose guard
+folds to F are dropped; under any valuation they contribute nothing.
 
 A substitution that changes nothing returns its argument: an effect, type,
 constraint, constraint set or scheme that no mapped variable reaches comes
@@ -63,12 +63,16 @@ class Effect:
         return " \\/ ".join(parts)
 
 
-def effect_of(entries: Mapping[Name, Formula]) -> Effect:
-    """Build an effect from a var->guard map, dropping F-guarded atoms."""
-    atoms = tuple(sorted(((n, g) for n, g in entries.items()
-                          if not isinstance(g, Bot)),
-                         key=lambda a: a[0].key()))
-    return Effect(atoms)
+def effect_of(atoms: Iterable[tuple[Name, Formula]]) -> Effect:
+    """The normal form of a join of guarded atoms, the one place it is
+    built: the guards of a repeated variable are or-ed left to right in the
+    order given, F-guarded atoms dropped and the rest sorted by name."""
+    merged: dict[Name, Formula] = {}
+    for name, g in atoms:
+        merged[name] = disj2(merged[name], g) if name in merged else g
+    return Effect(tuple(sorted(((n, g) for n, g in merged.items()
+                                if not isinstance(g, Bot)),
+                               key=lambda a: a[0].key())))
 
 
 PURE = Effect(())
@@ -76,19 +80,12 @@ PURE = Effect(())
 
 def join(*effects: Effect) -> Effect:
     """Least upper bound: union of atoms, same-variable guards or-ed."""
-    merged: dict[Name, Formula] = {}
-    for e in effects:
-        for name, g in e.atoms:
-            if name in merged:
-                merged[name] = disj2(merged[name], g)
-            else:
-                merged[name] = g
-    return effect_of(merged)
+    return effect_of(atom for e in effects for atom in e.atoms)
 
 
 def guard(e: Effect, phi: Formula) -> Effect:
     """Guard every atom of e by phi (conjoined onto existing guards)."""
-    return effect_of({n: conj2(g, phi) for n, g in e.atoms})
+    return effect_of((n, conj2(g, phi)) for n, g in e.atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +233,10 @@ def sorted_constraints(omega: Iterable[Constraint]) -> list[Constraint]:
 def omega_to_formula(omega: Iterable[Constraint], *alphas: Name) -> Formula:
     """Conjunction over omega of (lhs presence => rhs presence) at alpha,
     one conjunct per alpha in order; omega is sorted once for all of them."""
-    cs = sorted_constraints(omega)
-    return conj(conj(impl(c.lhs.guard_of(a), c.rhs.guard_of(a)) for c in cs)
+    guards = [(dict(c.lhs.atoms), dict(c.rhs.atoms))
+              for c in sorted_constraints(omega)]
+    return conj(conj(impl(lhs.get(a, BOT), rhs.get(a, BOT))
+                     for lhs, rhs in guards)
                 for a in alphas)
 
 
@@ -278,8 +277,11 @@ def subst_effect(theta: EffSubst, e: Effect) -> Effect:
     images = [theta.get(name) for name, _ in e.atoms]
     if not any(images):  # an Effect is always true, even the pure one
         return e
-    return join(*(Effect((atom,)) if image is None else guard(image, atom[1])
-                  for atom, image in zip(e.atoms, images)))
+    # An unmapped atom stands for itself: conj2(T, g) is g.
+    return effect_of((n, conj2(h, g))
+                     for (name, g), image in zip(e.atoms, images)
+                     for n, h in (((name, TOP),) if image is None
+                                  else image.atoms))
 
 
 def _same(x):

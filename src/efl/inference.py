@@ -18,9 +18,10 @@ from typing import Mapping
 from .declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
                           CVar, Cert, subst_cert)
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                      Scheme, TVar, Type, arrow_count, constraint_set, guard,
-                      join, mono, omega_to_formula, subst_constraints,
-                      subst_effect, subst_type, subst_type_vars)
+                      Scheme, TVar, Type, arrow_count, constraint_set,
+                      effect_of, join, mono, omega_to_formula,
+                      subst_constraints, subst_effect, subst_type,
+                      subst_type_vars)
 from .formulas import TOP, Formula, Prop, conj2
 from .names import KIND_EFF, KIND_PROP, Name, NameSupply
 from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SEVar, SEWild,
@@ -67,14 +68,14 @@ def tr_effect(se: SynEffect,
     """Translate a surface effect; wildcards become fresh variables, minted
     left to right."""
     gen: list[Name] = []
-    parts: list[Effect] = []
+    atoms: list[tuple[Name, Formula]] = []
     for leaf in effect_leaves(se):
         if isinstance(leaf, SEVar):
-            parts.append(Effect.var(leaf.name))
+            atoms.append((leaf.name, TOP))
         elif isinstance(leaf, SEWild):
             gen.append(supply.fresh(KIND_EFF))
-            parts.append(Effect.var(gen[-1]))
-    return tuple(gen), join(*parts)
+            atoms.append((gen[-1], TOP))
+    return tuple(gen), effect_of(atoms)
 
 
 def _rebind_under(alpha: Name, gen: tuple[Name, ...], supply: NameSupply
@@ -91,8 +92,7 @@ def _rebind_under(alpha: Name, gen: tuple[Name, ...], supply: NameSupply
         gamma_b = supply.fresh(KIND_EFF)
         new_props.append(p_b)
         new_gen.append(gamma_b)
-        theta[beta] = join(Effect.var(gamma_b),
-                           guard(Effect.var(alpha), Prop(p_b)))
+        theta[beta] = effect_of(((gamma_b, TOP), (alpha, Prop(p_b))))
     return tuple(new_props), tuple(new_gen), theta
 
 
@@ -237,7 +237,7 @@ def generalize(res: InferResult, supply: NameSupply,
             gamma = supply.fresh(KIND_EFF)
             betas.append(beta)
             gammas.append(gamma)
-            theta[a] = join(Effect.var(beta), Effect.var(gamma))
+            theta[a] = effect_of(((beta, TOP), (gamma, TOP)))
         kept, propagated = separate(frozenset(gammas),
                                     subst_constraints(theta, om))
         scheme = Scheme(tuple(gammas), kept, subst_type(theta, res.type))
@@ -260,13 +260,11 @@ def generalize(res: InferResult, supply: NameSupply,
     grid_props: list[Name] = []
     for a in res.gen:
         beta = supply.fresh(KIND_EFF)
+        grid = [supply.fresh(KIND_PROP) for _ in gammas]
         betas.append(beta)
-        parts = Effect.var(beta)
-        for g in gammas:
-            p = supply.fresh(KIND_PROP)
-            grid_props.append(p)
-            parts = join(parts, guard(Effect.var(g), Prop(p)))
-        theta[a] = parts
+        grid_props += grid
+        theta[a] = effect_of([(beta, TOP)] + [(g, Prop(p))
+                                              for g, p in zip(gammas, grid)])
     om1 = subst_constraints(theta, om)
     propagated = subst_constraints({g: PURE for g in gammas}, om1)
     extra = omega_to_formula(om1, *gammas)

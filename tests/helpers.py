@@ -126,7 +126,7 @@ def effect_props(e: Effect) -> frozenset[Name]:
 
 def erase_guards(e: Effect, rho: Mapping[Name, bool]) -> Effect:
     """Keep the atoms whose guard holds under rho, with guard T."""
-    return effect_of({n: TOP for n, g in e.atoms if evaluate(g, rho)})
+    return effect_of((n, TOP) for n, g in e.atoms if evaluate(g, rho))
 
 
 def effects_equal(e1: Effect, e2: Effect) -> bool:
@@ -222,6 +222,18 @@ def spine_source(n: int) -> str:
     k_type = " -> ".join(["Unit"] * (n + 1))
     return (f"type Unit\nextern u : Unit\nextern k : {k_type}\n"
             f"k{' u' * n}\n")
+
+
+def cf_grid_source(k: int, constrained: bool) -> str:
+    """A binding whose constraint-free grid has 2^(2k+1) variables and no
+    constraint, `fn (g : A) => g` with A a chain of k wildcard arrows; or,
+    constrained, one with 2^(k+3) variables whose wildcard `reg` bounds by
+    IO, `fn (g : Int ->[_] Int) => fn (h : A) => reg g`."""
+    arrows = "Int" + " ->[_] Int" * k
+    if not constrained:
+        return f"type Int\nlet f = fn (g : {arrows}) => g\n"
+    return ("effect IO\ntype Int\nextern reg : (Int ->[IO] Int) ->[] Int\n"
+            f"let f = fn (g : Int ->[_] Int) => fn (h : {arrows}) => reg g\n")
 
 
 # (name, source): every corpus program, g_example x8 and chain x5

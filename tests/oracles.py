@@ -30,6 +30,13 @@ it walked the certificates, schemes and omega for their guard propositions
 defaulted every proposition of the session formula.
 `whole_clause_solve` is `solver._Solver.solve` as it was before it ran one
 component at a time: one DPLL over every clause and unit a solver holds.
+`effect_of_map`, `join_parts`, `guard_parts`, `subst_effect_parts` and
+`eliminate_effect_parts` build effects as `efl.effects` and `efl.driver`
+did before `effects.effect_of` took a list of guarded atoms: each merges
+its own parts, and a substitution or elimination joins one effect per atom.
+They are the reference for the one-call builders, as
+`omega_to_formula_scan`, which scans a constraint's atoms once per guard it
+reads, is for `effects.omega_to_formula`.
 """
 from __future__ import annotations
 
@@ -44,11 +51,11 @@ from efl.declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs,
 from efl.driver import (CheckOutcome, Discharger, check_program,
                         verify_certificates)
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                         Scheme, TVar, Type, constraint_set, guard, join,
-                         map_type, subst_constraints, subst_effect,
-                         subst_type, walk_type)
-from efl.formulas import (BOT, TOP, And, Formula, Implies, Or, Prop, Top,
-                          conj2, disj2, evaluate, impl, props)
+                         Scheme, TVar, Type, constraint_set, map_type,
+                         subst_constraints, subst_effect, subst_type,
+                         walk_type)
+from efl.formulas import (BOT, TOP, And, Bot, Formula, Implies, Or, Prop,
+                          Top, conj, conj2, disj2, evaluate, impl, props)
 from efl.inference import Config, ShapeError, subtype, tr_type
 from efl.names import KIND_EFF, KIND_EXPR, KIND_TYPE, Name, NameSupply
 from efl.solver import _Solver
@@ -177,7 +184,7 @@ def random_effect(rng: random.Random, atoms: list[Name], props: list[Name],
     chosen = rng.sample(atoms, k=rng.randint(0, min(max_atoms, len(atoms))))
     out = PURE
     for v in chosen:
-        out = join(out, Effect(((v, random_guard(rng, props)),)))
+        out = join_parts(out, Effect(((v, random_guard(rng, props)),)))
     return out
 
 
@@ -211,7 +218,8 @@ def _sprinkle_binder(rng: random.Random, t: Type, binder: Name,
     if isinstance(t, Arrow):
         eff = t.effect
         if rng.random() < 0.5:
-            eff = join(eff, Effect(((binder, random_guard(rng, props)),)))
+            eff = join_parts(eff,
+                             Effect(((binder, random_guard(rng, props)),)))
         return Arrow(_sprinkle_binder(rng, t.param, binder, props), eff,
                      _sprinkle_binder(rng, t.result, binder, props))
     if isinstance(t, (ForallTyp, ForallEff)):
@@ -557,7 +565,7 @@ def effect_universe(base: list[Name]) -> list[Effect]:
         e = PURE
         for i in range(n):
             if mask >> i & 1:
-                e = join(e, Effect.var(base[i]))
+                e = join_parts(e, Effect.var(base[i]))
         out.append(e)
     return out
 
@@ -873,13 +881,79 @@ def total_valuation_over_formula(outcome: CheckOutcome,
 
 
 # ---------------------------------------------------------------------------
+# Effect builders merging part by part: the reference for `effects.effect_of`
+# ---------------------------------------------------------------------------
+
+
+def effect_of_map(entries: Mapping[Name, Formula]) -> Effect:
+    """Build an effect from a var->guard map, dropping F-guarded atoms."""
+    atoms = tuple(sorted(((n, g) for n, g in entries.items()
+                          if not isinstance(g, Bot)),
+                         key=lambda a: a[0].key()))
+    return Effect(atoms)
+
+
+def join_parts(*effects: Effect) -> Effect:
+    """Least upper bound: union of atoms, same-variable guards or-ed."""
+    merged: dict[Name, Formula] = {}
+    for e in effects:
+        for name, g in e.atoms:
+            if name in merged:
+                merged[name] = disj2(merged[name], g)
+            else:
+                merged[name] = g
+    return effect_of_map(merged)
+
+
+def guard_parts(e: Effect, phi: Formula) -> Effect:
+    """Guard every atom of e by phi (conjoined onto existing guards)."""
+    return effect_of_map({n: conj2(g, phi) for n, g in e.atoms})
+
+
+def subst_effect_parts(theta: Mapping[Name, Effect], e: Effect) -> Effect:
+    """The join of one part per atom: the atom alone when theta leaves it,
+    else its image guarded by the atom's guard; e itself when theta maps
+    none of its atoms."""
+    images = [theta.get(name) for name, _ in e.atoms]
+    if not any(images):
+        return e
+    return join_parts(*(Effect((atom,)) if image is None
+                        else guard_parts(image, atom[1])
+                        for atom, image in zip(e.atoms, images)))
+
+
+def eliminate_effect_parts(d: Discharger, e: Effect) -> Effect:
+    """`Discharger.eliminate_effect` as the join of one single-atom effect
+    per rigid atom and per (survivor, constant) pair."""
+    rigid = set(d.rigid)
+    parts = []
+    for v, g in e.atoms:
+        if v in rigid:
+            parts.append(Effect(((v, g),)))
+        else:
+            for c in d.rigid:
+                parts.append(Effect(
+                    ((c, conj2(g, Prop(d.membership(v, c)))),)))
+    return join_parts(*parts)
+
+
+def omega_to_formula_scan(omega: Iterable[Constraint],
+                          *alphas: Name) -> Formula:
+    """`effects.omega_to_formula` reading each guard with `Effect.guard_of`,
+    one scan of a side's atoms per constraint and alpha."""
+    cs = sorted(omega, key=Constraint.key)
+    return conj(conj(impl(c.lhs.guard_of(a), c.rhs.guard_of(a)) for c in cs)
+                for a in alphas)
+
+
+# ---------------------------------------------------------------------------
 # Rebuild-always substitutions: the reference for the identity fast paths
 # ---------------------------------------------------------------------------
 
 
 def subst_effect_rebuild(theta: Mapping[Name, Effect], e: Effect) -> Effect:
-    return join(*(guard(theta[name], g) if name in theta
-                  else Effect(((name, g),)) for name, g in e.atoms))
+    return join_parts(*(guard_parts(theta[name], g) if name in theta
+                        else Effect(((name, g),)) for name, g in e.atoms))
 
 
 def subst_constraints_rebuild(theta: Mapping[Name, Effect],

@@ -1,4 +1,5 @@
 """Command line driver: batch checking, flags, exit codes, and the REPL."""
+import hashlib
 import io
 import re
 import subprocess
@@ -10,10 +11,10 @@ import pytest
 from efl.cli import Repl, main
 from efl.formulas import conj2
 from efl.inference import Config
-from efl.names import NameSupply
+from efl.names import Name, NameSupply
 from efl.solver import SolverSession
 from efl.syntax import Parser
-from helpers import nest_source, sat, spine_source
+from helpers import cf_grid_source, nest_source, sat, spine_source
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 ALL_PROGRAMS = sorted(PROGRAMS.glob("*.efl"))
@@ -71,6 +72,21 @@ def test_check_non_utf8_file_is_exit_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"error: cannot read {bad}: ")
     assert "Traceback" not in err
+
+
+def test_check_accepts_a_byte_order_mark(capsys, tmp_path):
+    path = PROGRAMS / "g_example.efl"
+    bom = tmp_path / "bom.efl"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    want = _run(capsys, "check", "--verify", str(path))
+    assert want[0] == 0
+    assert _run(capsys, "check", "--verify", str(bom)) == want
+    bad = tmp_path / "bom_latin1.efl"
+    bad.write_bytes(b"\xef\xbb\xbf" + "-- caf\xe9\n".encode("latin-1"))
+    code, out, err = _run(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}: ")
 
 
 def test_check_parse_error_is_exit_2(capsys, tmp_path):
@@ -179,6 +195,49 @@ def test_check_constraint_free_mode(capsys):
         assert code == 0, (name, err)
 
 
+# stdout of `--mode constraint-free check --verify --dump-formula
+# --dump-cert` on each 2^11-variable grid, as the checker printed it when
+# the grid was built by one join per grid variable
+GRID_SHA256 = {
+    (5, False):
+        "a81fee95e9e51068b6ebdcf6fb4b32929d3f0b88f24e5e8b7ccabcc148b1fec9",
+    (8, True):
+        "0f14b3f49284d2cfa5a601e3888161f79c7d96cba611586450d4ab24ae82e3db",
+}
+
+
+@pytest.mark.parametrize("k,constrained", sorted(GRID_SHA256),
+                         ids=["no-constraint", "constrained"])
+def test_constraint_free_grid_output_and_work(capsys, tmp_path, monkeypatch,
+                                              k, constrained):
+    """A 2^11-variable grid prints what it always printed, and the work of
+    building it stays about linear: counted `Name` calls, not wall time.
+    A grid rebuilt per grid variable makes millions of `Name.key` calls; a
+    projection that scans each constraint once per guard it reads, millions
+    of `Name.__eq__` calls."""
+    path = tmp_path / "grid.efl"
+    path.write_text(cf_grid_source(k, constrained))
+    calls = {"key": 0, "eq": 0}
+
+    def counted(attr, method):
+        def wrapper(*args):
+            calls[attr] += 1
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(Name, "key", counted("key", Name.key))
+    monkeypatch.setattr(Name, "__eq__", counted("eq", Name.__eq__))
+    code, out, err = _run(capsys, "--mode", "constraint-free", "check",
+                          "--verify", "--dump-formula", "--dump-cert",
+                          str(path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GRID_SHA256[k, constrained]
+    assert calls["key"] < 200_000
+    if constrained:
+        assert calls["eq"] < 10_000
+
+
 def test_check_is_deterministic(capsys):
     for path in ALL_PROGRAMS:
         first = _run(capsys, "check", str(path))
@@ -253,6 +312,23 @@ def test_repl_declarations_echo():
         "launch : Unit ->[IO] Unit"
     assert repl.handle("") is None
     assert repl.handle("   ") is None
+
+
+@pytest.mark.parametrize("mode", ["constrained", "constraint-free"])
+def test_repl_ignores_comment_lines(mode):
+    """Fed with its comments, each corpus program gets None for every
+    comment line and, for every other line, the answer it gets without
+    them."""
+    for path in ALL_PROGRAMS:
+        lines = path.read_text().splitlines() + ["  -- indented", "--"]
+        with_comments = Repl(Config(mode=mode))
+        without = Repl(Config(mode=mode))
+        for line in lines:
+            got = with_comments.handle(line)
+            if line.lstrip().startswith("--"):
+                assert got is None, (path.name, line)
+            else:
+                assert got == without.handle(line), (path.name, line)
 
 
 def test_repl_definitions_and_expressions():

@@ -3,14 +3,18 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from efl.driver import Discharger
 from efl.effects import (PURE, Arrow, Effect, Scheme, TVar, arrow_count,
                          constraint_set, effect_of, free_eff_vars_effect,
                          guard, join, mono, omega_to_formula, subst_effect)
 from efl.formulas import (BOT, TOP, And, Implies, Or, conj2, disj2,
                           evaluate)
+from efl.names import NameSupply
 from helpers import (Names, all_valuations, con, effect_props, effects_equal,
                      erase_guards, free_eff_vars_scheme, to_formula)
-from oracles import random_effect, random_guard
+from oracles import (effect_of_map, eliminate_effect_parts, guard_parts,
+                     join_parts, omega_to_formula_scan, random_effect,
+                     random_guard, subst_effect_parts)
 
 
 def test_join_merges_same_variable_guards(ns):
@@ -53,7 +57,7 @@ def test_subst_distributes_over_union_image(ns):
     p = ns.p("p")
     theta = {a: join(Effect.var(b), Effect.var(c))}
     got = subst_effect(theta, ns.atom("a", p))
-    assert got == effect_of({b: p, c: p})
+    assert got == effect_of([(b, p), (c, p)])
 
 
 def test_subst_pushes_guard_inward(ns):
@@ -210,3 +214,77 @@ def test_prop_presence_formula_matches_erasure(seed):
         kept = erase_guards(e, rho).atom_names()
         for alpha in atoms:
             assert (alpha in kept) == evaluate(to_formula(e, alpha), rho)
+
+
+# -- the one builder against the part-by-part builders ----------------------
+
+
+def _pool(seed):
+    ns = Names()
+    atoms = [ns.eff(t) for t in ("a", "b", "c", "d", "e")]
+    props = [ns.prop(t) for t in ("p", "q", "r")]
+    return random.Random(seed), atoms, props
+
+
+def _same(got, want):
+    assert got == want
+    assert str(got) == str(want)
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_effect_of_agrees_with_merging_part_by_part(seed):
+    rng, atoms, props = _pool(seed)
+    # repeated variables and F guards included
+    pairs = [(rng.choice(atoms), random_guard(rng, props))
+             for _ in range(rng.randint(0, 8))]
+    _same(effect_of(pairs), join_parts(*(Effect((p,)) for p in pairs)))
+    entries = dict(pairs)
+    _same(effect_of(entries.items()), effect_of_map(entries))
+    parts = [random_effect(rng, atoms, props, max_atoms=4)
+             for _ in range(rng.randint(0, 4))]
+    _same(join(*parts), join_parts(*parts))
+    phi = random_guard(rng, props)
+    for e in parts:
+        _same(guard(e, phi), guard_parts(e, phi))
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_subst_effect_agrees_with_joining_one_part_per_atom(seed):
+    rng, atoms, props = _pool(seed)
+    e = random_effect(rng, atoms, props, max_atoms=4)
+    # images may share variables with e and with each other, and be pure
+    theta = {v: random_effect(rng, atoms, props)
+             for v in rng.sample(atoms, k=rng.randint(0, 3))}
+    got = subst_effect(theta, e)
+    _same(got, subst_effect_parts(theta, e))
+    if not e.atom_names() & theta.keys():
+        assert got is e
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_eliminate_effect_agrees_with_joining_one_part_per_atom(seed):
+    """Equal effects, and the same membership propositions minted in the
+    same order."""
+    rng, atoms, props = _pool(seed)
+    rigid = tuple(rng.sample(atoms, k=rng.randint(0, 3)))
+    d1 = Discharger(rigid, NameSupply())
+    d2 = Discharger(rigid, NameSupply())
+    for _ in range(4):
+        e = random_effect(rng, atoms, props, max_atoms=4)
+        _same(d1.eliminate_effect(e), eliminate_effect_parts(d2, e))
+    assert list(d1._member.items()) == list(d2._member.items())
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_omega_to_formula_agrees_with_scanning_each_guard(seed):
+    rng, atoms, props = _pool(seed)
+    omega = [con(random_effect(rng, atoms, props, max_atoms=4),
+                 random_effect(rng, atoms, props, max_atoms=4))
+             for _ in range(rng.randint(0, 5))]
+    alphas = rng.sample(atoms, k=rng.randint(0, 3))
+    _same(omega_to_formula(omega, *alphas),
+          omega_to_formula_scan(omega, *alphas))
