@@ -3,7 +3,7 @@
 Exit codes: 0 = accepted, 1 = type/effect error (shape mismatch, an
 unsatisfiable constraint system, or a certificate that fails verification),
 2 = parse or scope error, or a file that cannot be read (missing, unreadable,
-or not UTF-8).
+or not UTF-8), 3 = a program nested too deeply for the checker's recursion.
 """
 from __future__ import annotations
 
@@ -186,7 +186,12 @@ def cmd_repl(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _ARG_PARSER.parse_args(argv)
     if args.command == "check":
-        return cmd_check(args)
+        try:
+            return cmd_check(args)
+        except RecursionError:
+            print(f"error: {args.file}: program nested too deeply",
+                  file=sys.stderr)
+            return 3
     return cmd_repl(args)
 
 

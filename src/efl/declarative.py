@@ -21,14 +21,13 @@ top of the enclosing scope.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       Scheme, TVar, Type, subst_constraints, subst_effect,
                       subst_scheme, subst_type, subst_type_vars)
 from .formulas import evaluate
-from .names import Name
+from .names import Name, Value, _set
 from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SForallEff,
                      SForallTyp, STVar, SynEffect, SynType, TLam, TyApp, Var,
                      effect_parts)
@@ -210,65 +209,83 @@ def subtype_holds(scope: ReplayScope, t1: Type, t2: Type) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class Cert:
+class Cert(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class CVar(Cert):
     """Variable lookup; theta instantiates the scheme's bound variables."""
 
-    theta: tuple[tuple[Name, Effect], ...]
+    __slots__ = ("theta",)
+
+    def __init__(self, theta: tuple[tuple[Name, Effect], ...]) -> None:
+        _set(self, "theta", theta)
 
 
-@dataclass(frozen=True)
 class CAbs(Cert):
-    param_type: Type
-    body: Cert
+    __slots__ = ("param_type", "body")
+
+    def __init__(self, param_type: Type, body: Cert) -> None:
+        _set(self, "param_type", param_type)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class CApp(Cert):
-    fn: Cert
-    arg: Cert
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Cert, arg: Cert) -> None:
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class CTAbs(Cert):
-    body: Cert
+    __slots__ = ("body",)
+
+    def __init__(self, body: Cert) -> None:
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class CEAbs(Cert):
-    body: Cert
+    __slots__ = ("body",)
+
+    def __init__(self, body: Cert) -> None:
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class CTApp(Cert):
-    fn: Cert
-    arg: Type
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Cert, arg: Type) -> None:
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class CEApp(Cert):
-    fn: Cert
-    arg: Effect
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Cert, arg: Effect) -> None:
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class CLet(Cert):
-    scheme: Scheme
-    bound: Cert
-    body: Cert
+    __slots__ = ("scheme", "bound", "body")
+
+    def __init__(self, scheme: Scheme, bound: Cert, body: Cert) -> None:
+        _set(self, "scheme", scheme)
+        _set(self, "bound", bound)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class CSub(Cert):
     """Weakening to the recorded type and effect."""
 
-    typ: Type
-    effect: Effect
-    inner: Cert
+    __slots__ = ("typ", "effect", "inner")
+
+    def __init__(self, typ: Type, effect: Effect, inner: Cert) -> None:
+        _set(self, "typ", typ)
+        _set(self, "effect", effect)
+        _set(self, "inner", inner)
 
 
 class CertificateError(Exception):
@@ -278,9 +295,11 @@ class CertificateError(Exception):
 
 
 def _rebuilt(cert: Cert, *children) -> Cert:
-    """cert itself if every child is the field it replaces (compared with
-    `is`: `==` would walk whole subtrees), else a new node of its class."""
-    if all(new is old for new, old in zip(children, vars(cert).values())):
+    """cert itself if every child is the field it replaces, in the order of
+    its class's `__slots__` (compared with `is`: `==` would walk whole
+    subtrees), else a new node of its class."""
+    if all(new is getattr(cert, f)
+           for new, f in zip(children, cert.__slots__)):
         return cert
     return type(cert)(*children)
 

@@ -14,7 +14,6 @@ items and the REPL one input at a time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
                           CVar, Cert, CertificateError, ReplayScope,
@@ -26,7 +25,7 @@ from .effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar, Type,
 from .formulas import TOP, Formula, Prop, conj2, disj2, neg, props
 from .inference import (Config, Generalized, InferError, InferResult,
                         generalize, infer, normalize, tr_type)
-from .names import KIND_EFF, KIND_PROP, Name, NameSupply
+from .names import KIND_EFF, KIND_PROP, Name, NameSupply, Record
 from .solver import SolverSession, satisfiable
 from .syntax import Expr, Program, SynType
 
@@ -216,28 +215,43 @@ def render_cert(c: Cert) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DefRecord:
-    name: Name
-    expr: Expr
-    res: InferResult
-    gen: Generalized
+class DefRecord(Record):
+    __slots__ = ("name", "expr", "res", "gen")
+
+    def __init__(self, name: Name, expr: Expr, res: InferResult,
+                 gen: Generalized) -> None:
+        self.name = name
+        self.expr = expr
+        self.res = res
+        self.gen = gen
 
 
-@dataclass
-class CheckOutcome:
-    status: str  # "ok" | "unsat" | "infer-error"
-    stdout_lines: list[str]
-    error: str | None
-    exit_code: int
-    externs: dict = field(default_factory=dict)
-    omega: frozenset = frozenset()
-    formula: Formula = TOP
-    witness: dict[Name, bool] | None = None
-    records: list = field(default_factory=list)
-    main: InferResult | None = None
-    main_expr: Expr | None = None
-    discharger: Discharger | None = None
+class CheckOutcome(Record):
+    __slots__ = ("status", "stdout_lines", "error", "exit_code", "externs",
+                 "omega", "formula", "witness", "records", "main",
+                 "main_expr", "discharger")
+
+    def __init__(self, status: str, stdout_lines: list[str],
+                 error: str | None, exit_code: int,
+                 externs: dict | None = None,
+                 omega: frozenset = frozenset(), formula: Formula = TOP,
+                 witness: dict[Name, bool] | None = None,
+                 records: list | None = None,
+                 main: InferResult | None = None,
+                 main_expr: Expr | None = None,
+                 discharger: Discharger | None = None) -> None:
+        self.status = status  # "ok" | "unsat" | "infer-error"
+        self.stdout_lines = stdout_lines
+        self.error = error
+        self.exit_code = exit_code
+        self.externs = {} if externs is None else externs
+        self.omega = omega
+        self.formula = formula
+        self.witness = witness
+        self.records = [] if records is None else records
+        self.main = main
+        self.main_expr = main_expr
+        self.discharger = discharger
 
     def stdout(self) -> str:
         return "".join(line + "\n" for line in self.stdout_lines)

@@ -15,22 +15,31 @@ keeps identity shortcuts such as `declarative.subtype_holds`'s working.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .formulas import BOT, TOP, Bot, Formula, Top, conj, conj2, disj2, impl
-from .names import KIND_EFF, Name
+from .names import KIND_EFF, Name, Value, _set
 
 # ---------------------------------------------------------------------------
 # Effects
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Effect:
+class Effect(Value):
     """A set of guarded effect atoms; () is the pure effect."""
 
-    atoms: tuple[tuple[Name, Formula], ...]
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms: tuple[tuple[Name, Formula], ...]) -> None:
+        _set(self, "atoms", atoms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.atoms,) == (other.atoms,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.atoms,))
 
     @staticmethod
     def var(name: Name) -> "Effect":
@@ -93,7 +102,7 @@ def guard(e: Effect, phi: Formula) -> Effect:
 # ---------------------------------------------------------------------------
 
 
-class Type:
+class Type(Value):
     __slots__ = ()
 
     def __str__(self) -> str:
@@ -132,28 +141,63 @@ class Type:
         return "".join(out)
 
 
-@dataclass(frozen=True)
 class TVar(Type):
-    name: Name
+    __slots__ = ("name",)
+
+    def __init__(self, name: Name) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
 class Arrow(Type):
-    param: Type
-    effect: Effect
-    result: Type
+    __slots__ = ("param", "effect", "result")
+
+    def __init__(self, param: Type, effect: Effect, result: Type) -> None:
+        _set(self, "param", param)
+        _set(self, "effect", effect)
+        _set(self, "result", result)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.param, self.effect, self.result)
+                    == (other.param, other.effect, other.result))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.param, self.effect, self.result))
 
 
-@dataclass(frozen=True)
-class ForallTyp(Type):
-    binder: Name
-    body: Type
+class _Forall(Type):
+    """The methods of the two quantifiers. Each lists the fields in its own
+    `__slots__`, and an instance of one never equals one of the other."""
+    __slots__ = ()
+
+    def __init__(self, binder: Name, body: Type) -> None:
+        _set(self, "binder", binder)
+        _set(self, "body", body)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.binder, self.body) == (other.binder, other.body)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.binder, self.body))
 
 
-@dataclass(frozen=True)
-class ForallEff(Type):
-    binder: Name
-    body: Type
+class ForallTyp(_Forall):
+    __slots__ = ("binder", "body")
+
+
+class ForallEff(_Forall):
+    __slots__ = ("binder", "body")
 
 
 def map_type(t: Type, eff: Callable[[Effect], Effect],
@@ -206,12 +250,22 @@ def arrow_count(t: Type) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Value):
     """A subeffect constraint lhs <= rhs."""
 
-    lhs: Effect
-    rhs: Effect
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Effect, rhs: Effect) -> None:
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lhs, self.rhs))
 
     def __str__(self) -> str:
         rhs = "pure" if self.rhs.is_pure() else str(self.rhs)
@@ -240,13 +294,16 @@ def omega_to_formula(omega: Iterable[Constraint], *alphas: Name) -> Formula:
                 for a in alphas)
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(Value):
     """A constrained effect scheme: forall binders [constraints] => body."""
 
-    binders: tuple[Name, ...]
-    constraints: frozenset[Constraint]
-    body: Type
+    __slots__ = ("binders", "constraints", "body")
+
+    def __init__(self, binders: tuple[Name, ...],
+                 constraints: frozenset[Constraint], body: Type) -> None:
+        _set(self, "binders", binders)
+        _set(self, "constraints", constraints)
+        _set(self, "body", body)
 
     def __str__(self) -> str:
         if not self.binders and not self.constraints:
@@ -271,12 +328,15 @@ EffSubst = Mapping[Name, Effect]
 def subst_effect(theta: EffSubst, e: Effect) -> Effect:
     """Replace atoms by their images, pushing the atom's guard inward.
 
-    e itself when theta maps none of its atoms: an effect is kept in normal
-    form (sorted, one atom per variable, no F guard), so rebuilding it
+    e itself when theta maps none of its atoms, and the image itself when
+    e is one mapped atom guarded by T: an effect is kept in normal form
+    (sorted, one atom per variable, no F guard), so rebuilding either
     would give an equal copy."""
     images = [theta.get(name) for name, _ in e.atoms]
     if not any(images):  # an Effect is always true, even the pure one
         return e
+    if len(images) == 1 and isinstance(e.atoms[0][1], Top):
+        return images[0]
     # An unmapped atom stands for itself: conj2(T, g) is g.
     return effect_of((n, conj2(h, g))
                      for (name, g), image in zip(e.atoms, images)

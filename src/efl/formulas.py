@@ -6,53 +6,80 @@ binary; the builder functions fold constants so that guards stay small.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .names import Name
+from .names import Name, Value, _set
 
 
-class Formula:
+class Formula(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Top(Formula):
+class _Constant(Formula):
+    """T or F, equal to every instance of its own class. Effects hash their
+    guards, mostly T, so these hash without a walk over fields."""
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+
+class Top(_Constant):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "T"
 
 
-@dataclass(frozen=True)
-class Bot(Formula):
+class Bot(_Constant):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "F"
 
 
-@dataclass(frozen=True)
 class Prop(Formula):
-    name: Name
+    __slots__ = ("name",)
+
+    def __init__(self, name: Name) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name.text
 
 
-@dataclass(frozen=True, slots=True)
 class _Binary(Formula):
     """A binary connective, compared by structure.
 
-    Its hash is the one a frozen dataclass would compute, hash((lhs, rhs)),
-    taken once at construction from the children's cached hashes, so
-    hashing a formula costs O(1) instead of a walk over it.
+    Its hash is hash((lhs, rhs)), as for every value class, taken once at
+    construction from the children's cached hashes, so hashing a formula
+    costs O(1) instead of a walk over it.
     """
-    lhs: Formula
-    rhs: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("lhs", "rhs", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.lhs, self.rhs)))
+    def __init__(self, lhs: Formula, rhs: Formula) -> None:
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "_hash", hash((lhs, rhs)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(lhs={self.lhs!r}, rhs={self.rhs!r})"
 
     def __eq__(self, other: object) -> bool:
         """Structural equality, walked with an explicit stack so that two

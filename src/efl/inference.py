@@ -12,7 +12,6 @@ derivation it claims. Generalization at `let` happens in one of two modes:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
@@ -23,7 +22,7 @@ from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       subst_constraints, subst_effect, subst_type,
                       subst_type_vars)
 from .formulas import TOP, Formula, Prop, conj2
-from .names import KIND_EFF, KIND_PROP, Name, NameSupply
+from .names import KIND_EFF, KIND_PROP, Name, NameSupply, Value, _set
 from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SEVar, SEWild,
                      SForallEff, SForallTyp, STVar, SynEffect, SynType, TLam,
                      TyApp, Var, effect_leaves)
@@ -45,13 +44,13 @@ class GenLimitError(InferError):
 MAX_GEN_VARS = 2 ** 16
 
 
-@dataclass(frozen=True)
-class Config:
-    mode: str = "constrained"  # or "constraint-free"
+class Config(Value):
+    __slots__ = ("mode",)
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("constrained", "constraint-free"):
-            raise ValueError(f"bad mode: {self.mode!r}")
+    def __init__(self, mode: str = "constrained") -> None:
+        if mode not in ("constrained", "constraint-free"):
+            raise ValueError(f"bad mode: {mode!r}")
+        _set(self, "mode", mode)
 
 
 def purity(e: Effect) -> Constraint:
@@ -192,8 +191,7 @@ def separate(delta_g: frozenset, omega) -> tuple[frozenset, frozenset]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InferResult:
+class InferResult(Value):
     """What `infer` derived for an expression.
 
     `props` is every guard proposition minted while inferring it, nested
@@ -202,27 +200,37 @@ class InferResult:
     witness over exactly these propositions.
     """
 
-    props: tuple[Name, ...]
-    gen: tuple[Name, ...]
-    type: Type
-    effect: Effect
-    constraints: frozenset
-    formula: Formula
-    cert: Cert
+    __slots__ = ("props", "gen", "type", "effect", "constraints", "formula",
+                 "cert")
+
+    def __init__(self, props: tuple[Name, ...], gen: tuple[Name, ...],
+                 type: Type, effect: Effect, constraints: frozenset,
+                 formula: Formula, cert: Cert) -> None:
+        _set(self, "props", props)
+        _set(self, "gen", gen)
+        _set(self, "type", type)
+        _set(self, "effect", effect)
+        _set(self, "constraints", constraints)
+        _set(self, "formula", formula)
+        _set(self, "cert", cert)
 
 
-@dataclass(frozen=True)
-class Generalized:
+class Generalized(Value):
     """A generalized binding. `props` is every guard proposition minted
     while generalizing (the constraint-free grid); replay's valuation covers
     them through it, as for `InferResult.props`."""
 
-    scheme: Scheme
-    gen: tuple[Name, ...]        # variables that outlive the scheme
-    props: tuple[Name, ...]      # propositions minted while generalizing
-    omega_p: frozenset           # constraints propagated past the scheme
-    formula: Formula             # extra conjuncts (constraint-free mode)
-    theta: Mapping[Name, Effect]
+    __slots__ = ("scheme", "gen", "props", "omega_p", "formula", "theta")
+
+    def __init__(self, scheme: Scheme, gen: tuple[Name, ...],
+                 props: tuple[Name, ...], omega_p: frozenset,
+                 formula: Formula, theta: Mapping[Name, Effect]) -> None:
+        _set(self, "scheme", scheme)
+        _set(self, "gen", gen)        # variables that outlive the scheme
+        _set(self, "props", props)    # propositions minted generalizing
+        _set(self, "omega_p", omega_p)  # constraints propagated past it
+        _set(self, "formula", formula)  # extra conjuncts (constraint-free)
+        _set(self, "theta", theta)
 
 
 def generalize(res: InferResult, supply: NameSupply,

@@ -6,10 +6,53 @@ by its text, kind and id together; ids are unique within a run, so two names
 of one run are equal exactly when their ids are. Plain dictionary
 substitution is therefore capture-avoiding: a substitution can only ever
 mention ids that are in scope where it was built.
+
+The module also holds `Record` and `Value`, the bases of the package's
+value classes: plain slotted classes, each with its own `__init__`, that
+the bases compare, hash and print by the fields in their `__slots__`, as a
+dataclass would. The package imports no `dataclasses`: generating and
+compiling its methods cost a fresh process most of its import time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+# Sets a field of a frozen instance, bypassing its refusing __setattr__.
+_set = object.__setattr__
+
+
+class Record:
+    """A mutable record: compared and printed by the fields its class lists
+    in `__slots__`, in that order, and unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Value(Record):
+    """A frozen record: hashed as the tuple of its fields, and refusing
+    assignment. A hot class writes its own `__eq__` and `__hash__`."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
 # Name kinds. "eff" covers declared effect constants, effect binders and
 # inference-minted effect variables alike; rigidity is a property of the
@@ -24,17 +67,26 @@ KIND_PROP = "prop"
 _PREFIXES = {KIND_TYPE: "t", KIND_EFF: "e", KIND_EXPR: "x", KIND_PROP: "p"}
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(Value):
     """An identifier with a kind and a globally unique id."""
 
-    text: str
-    kind: str
-    uid: int
+    __slots__ = ("text", "kind", "uid")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _PREFIXES:
-            raise ValueError(f"bad name kind: {self.kind!r}")
+    def __init__(self, text: str, kind: str, uid: int) -> None:
+        if kind not in _PREFIXES:
+            raise ValueError(f"bad name kind: {kind!r}")
+        _set(self, "text", text)
+        _set(self, "kind", kind)
+        _set(self, "uid", uid)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.uid == other.uid and self.text == other.text
+                    and self.kind == other.kind)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.text, self.kind, self.uid))
 
     def __str__(self) -> str:
         return self.text

@@ -14,10 +14,10 @@ scope errors carry source positions and map to exit code 2 in the CLI.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .names import KIND_EFF, KIND_EXPR, KIND_TYPE, Name, NameSupply
+from .names import (KIND_EFF, KIND_EXPR, KIND_TYPE, Name, NameSupply, Value,
+                    _set)
 
 
 class SourceError(Exception):
@@ -34,56 +34,67 @@ class SourceError(Exception):
 # ---------------------------------------------------------------------------
 
 
-class SynEffect:
+class SynEffect(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SEVar(SynEffect):
-    name: Name
+    __slots__ = ("name",)
+
+    def __init__(self, name: Name) -> None:
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return self.name.text
 
 
-@dataclass(frozen=True)
 class SEPure(SynEffect):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "pure"
 
 
-@dataclass(frozen=True)
 class SEWild(SynEffect):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "_"
 
 
-@dataclass(frozen=True)
 class SEJoin(SynEffect):
     """A join of two or more operands, none of them a join."""
-    parts: tuple[SynEffect, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[SynEffect, ...]) -> None:
+        _set(self, "parts", parts)
 
     def __str__(self) -> str:
         return " \\/ ".join(map(str, self.parts))
 
 
-class SynType:
+class SynType(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class STVar(SynType):
-    name: Name
+    __slots__ = ("name",)
+
+    def __init__(self, name: Name) -> None:
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return self.name.text
 
 
-@dataclass(frozen=True)
 class SArrow(SynType):
-    param: SynType
-    effect: SynEffect
-    result: SynType
+    __slots__ = ("param", "effect", "result")
+
+    def __init__(self, param: SynType, effect: SynEffect,
+                 result: SynType) -> None:
+        _set(self, "param", param)
+        _set(self, "effect", effect)
+        _set(self, "result", result)
 
     def __str__(self) -> str:
         lhs = f"({self.param})" if isinstance(self.param, (SArrow, SForallTyp,
@@ -93,96 +104,116 @@ class SArrow(SynType):
         return f"{lhs} ->[{eff}] {self.result}"
 
 
-@dataclass(frozen=True)
 class SForallTyp(SynType):
-    binder: Name
-    body: SynType
+    __slots__ = ("binder", "body")
+
+    def __init__(self, binder: Name, body: SynType) -> None:
+        _set(self, "binder", binder)
+        _set(self, "body", body)
 
     def __str__(self) -> str:
         return f"forall typ {self.binder.text}. {self.body}"
 
 
-@dataclass(frozen=True)
 class SForallEff(SynType):
-    binder: Name
-    body: SynType
+    __slots__ = ("binder", "body")
+
+    def __init__(self, binder: Name, body: SynType) -> None:
+        _set(self, "binder", binder)
+        _set(self, "body", body)
 
     def __str__(self) -> str:
         return f"forall eff {self.binder.text}. {self.body}"
 
 
-class Expr:
+class Expr(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: Name
+    __slots__ = ("name",)
+
+    def __init__(self, name: Name) -> None:
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return self.name.text
 
 
-@dataclass(frozen=True)
 class Lam(Expr):
-    param: Name
-    ann: SynType
-    body: Expr
+    __slots__ = ("param", "ann", "body")
+
+    def __init__(self, param: Name, ann: SynType, body: Expr) -> None:
+        _set(self, "param", param)
+        _set(self, "ann", ann)
+        _set(self, "body", body)
 
     def __str__(self) -> str:
         return f"fn ({self.param.text} : {self.ann}) => {self.body}"
 
 
-@dataclass(frozen=True)
 class App(Expr):
-    fn: Expr
-    arg: Expr
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Expr, arg: Expr) -> None:
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
     def __str__(self) -> str:
         return f"{_app_str(self.fn)} {_atom_str(self.arg)}"
 
 
-@dataclass(frozen=True)
 class Let(Expr):
-    name: Name
-    bound: Expr
-    body: Expr
+    __slots__ = ("name", "bound", "body")
+
+    def __init__(self, name: Name, bound: Expr, body: Expr) -> None:
+        _set(self, "name", name)
+        _set(self, "bound", bound)
+        _set(self, "body", body)
 
     def __str__(self) -> str:
         return f"let {self.name.text} = {self.bound} in {self.body}"
 
 
-@dataclass(frozen=True)
 class TLam(Expr):
-    binder: Name
-    body: Expr
+    __slots__ = ("binder", "body")
+
+    def __init__(self, binder: Name, body: Expr) -> None:
+        _set(self, "binder", binder)
+        _set(self, "body", body)
 
     def __str__(self) -> str:
         return f"tfun {self.binder.text} => {self.body}"
 
 
-@dataclass(frozen=True)
 class ELam(Expr):
-    binder: Name
-    body: Expr
+    __slots__ = ("binder", "body")
+
+    def __init__(self, binder: Name, body: Expr) -> None:
+        _set(self, "binder", binder)
+        _set(self, "body", body)
 
     def __str__(self) -> str:
         return f"efun {self.binder.text} => {self.body}"
 
 
-@dataclass(frozen=True)
 class TyApp(Expr):
-    fn: Expr
-    arg: SynType
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Expr, arg: SynType) -> None:
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
     def __str__(self) -> str:
         return f"{_app_str(self.fn)} [type {self.arg}]"
 
 
-@dataclass(frozen=True)
 class EfApp(Expr):
-    fn: Expr
-    arg: SynEffect
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Expr, arg: SynEffect) -> None:
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
     def __str__(self) -> str:
         return f"{_app_str(self.fn)} [eff {self.arg}]"
@@ -200,13 +231,18 @@ def _app_str(e: Expr) -> str:
     return f"({e})"
 
 
-@dataclass(frozen=True)
-class Program:
-    effects: tuple[Name, ...]
-    types: tuple[Name, ...]
-    externs: tuple[tuple[Name, SynType], ...]
-    defs: tuple[tuple[Name, Expr], ...]
-    main: Expr | None
+class Program(Value):
+    __slots__ = ("effects", "types", "externs", "defs", "main")
+
+    def __init__(self, effects: tuple[Name, ...], types: tuple[Name, ...],
+                 externs: tuple[tuple[Name, SynType], ...],
+                 defs: tuple[tuple[Name, Expr], ...],
+                 main: Expr | None) -> None:
+        _set(self, "effects", effects)
+        _set(self, "types", types)
+        _set(self, "externs", externs)
+        _set(self, "defs", defs)
+        _set(self, "main", main)
 
 
 def effect_leaves(se: SynEffect) -> tuple[SynEffect, ...]:

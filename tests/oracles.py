@@ -37,18 +37,21 @@ its own parts, and a substitution or elimination joins one effect per atom.
 They are the reference for the one-call builders, as
 `omega_to_formula_scan`, which scans a constraint's atoms once per guard it
 reads, is for `effects.omega_to_formula`.
+`DATACLASS_FIELDS` lists the fields each value class had when it was a
+dataclass, and `dataclass_mirror` builds that dataclass again: the
+reference for the hand-written slotted classes' equality, hash and repr.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import Iterable, Mapping
 
 from efl.declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs,
                              CTApp, CVar, Cert, ReplayScope, entails,
                              subtype_holds)
-from efl.driver import (CheckOutcome, Discharger, check_program,
+from efl.driver import (CheckOutcome, DefRecord, Discharger, check_program,
                         verify_certificates)
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                          Scheme, TVar, Type, constraint_set, map_type,
@@ -56,13 +59,15 @@ from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                          walk_type)
 from efl.formulas import (BOT, TOP, And, Bot, Formula, Implies, Or, Prop,
                           Top, conj, conj2, disj2, evaluate, impl, props)
-from efl.inference import Config, ShapeError, subtype, tr_type
+from efl.inference import (Config, Generalized, InferResult, ShapeError,
+                            subtype, tr_type)
 from efl.names import KIND_EFF, KIND_EXPR, KIND_TYPE, Name, NameSupply
 from efl.solver import _Solver
 from efl.syntax import (KEYWORDS, EfApp, ELam, Expr, Lam, Let, Program,
-                        SArrow, SEJoin, SEPure, SEWild, SForallEff,
-                        SForallTyp, SynEffect, SynType, TLam, TyApp, App,
-                        Parser, SourceError, Var, effect_parts, parse_program)
+                        SArrow, SEJoin, SEPure, SEVar, SEWild, SForallEff,
+                        SForallTyp, STVar, SynEffect, SynType, TLam, TyApp,
+                        App, Parser, SourceError, Var, effect_parts,
+                        parse_program)
 from helpers import effect_props, erase_guards, sat, scope_of
 
 # ---------------------------------------------------------------------------
@@ -1254,3 +1259,52 @@ class RecursiveParser(Parser):
         if alone:
             self.expect("eof", "end of input")
         return ("extern", self.bind(KIND_EXPR, tok), ty)
+
+
+# ---------------------------------------------------------------------------
+# Dataclass mirrors of the value classes
+# ---------------------------------------------------------------------------
+
+# Each value class and its fields in declaration order, as its dataclass
+# declared them. And, Or and Implies inherited theirs from one dataclass,
+# _Binary, whose cached hash was neither compared nor shown.
+DATACLASS_FIELDS: dict[type, tuple[str, ...]] = {
+    Name: ("text", "kind", "uid"),
+    Top: (), Bot: (), Prop: ("name",), And: ("lhs", "rhs"),
+    Or: ("lhs", "rhs"), Implies: ("lhs", "rhs"),
+    Effect: ("atoms",), TVar: ("name",),
+    Arrow: ("param", "effect", "result"), ForallTyp: ("binder", "body"),
+    ForallEff: ("binder", "body"), Constraint: ("lhs", "rhs"),
+    Scheme: ("binders", "constraints", "body"),
+    SEVar: ("name",), SEPure: (), SEWild: (), SEJoin: ("parts",),
+    STVar: ("name",), SArrow: ("param", "effect", "result"),
+    SForallTyp: ("binder", "body"), SForallEff: ("binder", "body"),
+    Var: ("name",), Lam: ("param", "ann", "body"), App: ("fn", "arg"),
+    Let: ("name", "bound", "body"), TLam: ("binder", "body"),
+    ELam: ("binder", "body"), TyApp: ("fn", "arg"), EfApp: ("fn", "arg"),
+    Program: ("effects", "types", "externs", "defs", "main"),
+    CVar: ("theta",), CAbs: ("param_type", "body"), CApp: ("fn", "arg"),
+    CTAbs: ("body",), CEAbs: ("body",), CTApp: ("fn", "arg"),
+    CEApp: ("fn", "arg"), CLet: ("scheme", "bound", "body"),
+    CSub: ("typ", "effect", "inner"),
+    Config: ("mode",),
+    InferResult: ("props", "gen", "type", "effect", "constraints", "formula",
+                  "cert"),
+    Generalized: ("scheme", "gen", "props", "omega_p", "formula", "theta"),
+    DefRecord: ("name", "expr", "res", "gen"),
+    CheckOutcome: ("status", "stdout_lines", "error", "exit_code", "externs",
+                   "omega", "formula", "witness", "records", "main",
+                   "main_expr", "discharger"),
+}
+
+# The two that were plain, mutable dataclasses; the rest were frozen.
+MUTABLE_CLASSES = frozenset((DefRecord, CheckOutcome))
+
+
+def dataclass_mirror(cls: type) -> type:
+    """The dataclass cls was: its name and fields, frozen unless it is
+    mutable, with the `__repr__` that Name wrote for itself."""
+    namespace = {"__repr__": Name.__repr__} if cls is Name else {}
+    return make_dataclass(cls.__name__, DATACLASS_FIELDS[cls],
+                          frozen=cls not in MUTABLE_CLASSES,
+                          namespace=namespace)

@@ -1,6 +1,7 @@
 """Command line driver: batch checking, flags, exit codes, and the REPL."""
 import hashlib
 import io
+import os
 import re
 import subprocess
 import sys
@@ -130,6 +131,24 @@ def test_check_verify_passes_nest_400_deep(capsys, tmp_path):
     code, out, err = _run(capsys, "check", "--verify", str(src))
     assert (code, err) == (0, "")
     assert out == "r : Int ->[IO] Int\ncertificates: verified\n"
+
+
+@pytest.mark.parametrize("source,flags", [(nest_source(1000), ()),
+                                          (spine_source(800), ("--verify",))],
+                         ids=["nest-1000", "spine-800-verify"])
+def test_check_too_deep_is_exit_3_without_traceback(tmp_path, source,
+                                                    flags):
+    """A program deeper than the checker's recursion reaches (inference
+    for nest×1000, certificate replay for spine×800) is reported in one
+    line with exit code 3, in a fresh process at the default limit."""
+    src = tmp_path / "deep.efl"
+    src.write_text(source)
+    env = dict(os.environ, PYTHONPATH=str(PROGRAMS.parent / "src"))
+    run = subprocess.run([sys.executable, "-m", "efl.cli", "check", *flags,
+                          str(src)], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 3
+    assert run.stderr == f"error: {src}: program nested too deeply\n"
 
 
 def test_check_accepts_a_join_of_1500_atoms(capsys, tmp_path):

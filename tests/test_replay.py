@@ -15,7 +15,6 @@ checking mints must be in the record.
 import random
 import sys
 from collections import Counter
-from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import pytest
@@ -213,10 +212,20 @@ def _both(outcome, monkeypatch):
     return new
 
 
+def _fields(node):
+    """The fields of a value-class instance by name, in the order of its
+    class's `__slots__`, which is also the order of its `__init__`."""
+    return {f: getattr(node, f) for f in node.__slots__}
+
+
+def _replace(node, **changes):
+    """A copy of node with the given fields changed."""
+    return type(node)(**{**_fields(node), **changes})
+
+
 def _nodes(cert):
     yield cert
-    for f in fields(cert):
-        child = getattr(cert, f.name)
+    for child in _fields(cert).values():
         if isinstance(child, Cert):
             yield from _nodes(child)
 
@@ -224,9 +233,9 @@ def _nodes(cert):
 def _swap(cert, old, new):
     if cert is old:
         return new
-    return replace(cert, **{f.name: _swap(getattr(cert, f.name), old, new)
-                            for f in fields(cert)
-                            if isinstance(getattr(cert, f.name), Cert)})
+    return _replace(cert, **{f: _swap(child, old, new)
+                             for f, child in _fields(cert).items()
+                             if isinstance(child, Cert)})
 
 
 def _tampered(outcome, per_kind=4):
@@ -239,7 +248,7 @@ def _tampered(outcome, per_kind=4):
         for node in _nodes(rec.res.cert):
             if isinstance(node, CSub) and node.effect.atoms:
                 kind = "sub"
-                bad = replace(node, effect=Effect(node.effect.atoms[1:]))
+                bad = _replace(node, effect=Effect(node.effect.atoms[1:]))
             elif isinstance(node, CVar) and node.theta:
                 kind, bad = "var", CVar(node.theta[:-1])
             else:
@@ -247,10 +256,10 @@ def _tampered(outcome, per_kind=4):
             if made[kind] == per_kind:
                 continue
             made[kind] += 1
-            res = replace(rec.res, cert=_swap(rec.res.cert, node, bad))
+            res = _replace(rec.res, cert=_swap(rec.res.cert, node, bad))
             records = list(outcome.records)
-            records[i] = replace(rec, res=res)
-            yield kind, replace(outcome, records=records)
+            records[i] = _replace(rec, res=res)
+            yield kind, _replace(outcome, records=records)
 
 
 @pytest.mark.parametrize("mode", MODES)

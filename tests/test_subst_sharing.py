@@ -70,7 +70,7 @@ def _mentioned(x) -> set:
             out.update(x.binders)
             todo += (x.body, *x.constraints)
         elif isinstance(x, Cert):
-            todo.extend(vars(x).values())
+            todo.extend(getattr(x, f) for f in x.__slots__)
         elif isinstance(x, tuple):
             todo.extend(e for _, e in x)
         else:
