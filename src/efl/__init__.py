@@ -12,14 +12,14 @@ from .declarative import (Cert, CertificateError, ReplayScope,
 from .driver import (CheckOutcome, Discharger, check_program, display_scheme,
                      simplify_constraints, verify_certificates)
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                      Scheme, TVar, Type, guard, join, omega_to_formula)
+                      Scheme, TVar, Type, join, omega_to_formula)
 from .formulas import BOT, TOP, Formula, Prop, evaluate
 from .inference import (Config, GenLimitError, InferError, InferResult,
                         ShapeError, generalize, infer, normalize, separate,
                         subtype, tr_effect, tr_type)
 from .names import Name, NameSupply
 from .solver import SolverSession
-from .syntax import Program, SourceError, parse_expr, parse_program
+from .syntax import Program, SourceError, parse_program
 
 __version__ = "0.1.0"
 
@@ -31,8 +31,8 @@ __all__ = [
     "SolverSession", "SourceError", "TOP", "TVar", "Type",
     "check_certificate", "check_program",
     "display_scheme", "entails", "evaluate", "generalize",
-    "guard", "infer", "join", "match_effect", "match_type", "normalize",
-    "omega_to_formula", "parse_expr", "parse_program", "separate",
+    "infer", "join", "match_effect", "match_type", "normalize",
+    "omega_to_formula", "parse_program", "separate",
     "simplify_constraints", "subeffect_holds", "subtype", "subtype_holds",
     "tr_effect", "tr_type", "verify_certificates",
 ]

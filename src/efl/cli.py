@@ -99,7 +99,9 @@ class Repl:
         a blank or comment-only line.
 
         Error columns count from the start of the input line: the text is
-        parsed where it stands, a `:type` command blanked out."""
+        parsed where it stands, a `:type` command blanked out. An input
+        nested too deeply for the checker's recursion is answered with an
+        error, and the session goes on."""
         line = line.rstrip()
         command = line.lstrip()
         if not command or command.startswith("--"):
@@ -113,12 +115,15 @@ class Repl:
             if not simplified:
                 return "(no constraints)"
             return "\n".join(str(c) for c in sorted_constraints(simplified))
-        if command.split(maxsplit=1)[0] == ":type":
-            end = line.index(":type") + len(":type")
-            return self._show_type(" " * end + line[end:])
-        if command.startswith(":"):
-            return f"error: unknown command {command.split()[0]!r}"
-        return self._handle_item(line)
+        try:
+            if command.split(maxsplit=1)[0] == ":type":
+                end = line.index(":type") + len(":type")
+                return self._show_type(" " * end + line[end:])
+            if command.startswith(":"):
+                return f"error: unknown command {command.split()[0]!r}"
+            return self._handle_item(line)
+        except RecursionError:
+            return "error: input nested too deeply"
 
     def _show_type(self, src: str) -> str:
         try:

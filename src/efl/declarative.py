@@ -24,8 +24,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                      Scheme, TVar, Type, subst_constraints, subst_effect,
-                      subst_scheme, subst_type, subst_type_vars)
+                      Scheme, TVar, Type, open_forall, subst_constraints,
+                      subst_effect, subst_scheme, subst_type, subst_type_vars)
 from .formulas import evaluate
 from .names import Name, Value, _set
 from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SForallEff,
@@ -60,16 +60,10 @@ def match_type(st: SynType, t: Type, rho: Mapping[Name, bool]) -> bool:
                 and match_type(st.param, t.param, rho)
                 and match_effect(st.effect, t.effect, rho)
                 and match_type(st.result, t.result, rho))
-    if isinstance(st, SForallTyp):
-        if not isinstance(t, ForallTyp):
-            return False
-        body = subst_type_vars({t.binder: TVar(st.binder)}, t.body)
-        return match_type(st.body, body, rho)
-    if isinstance(st, SForallEff):
-        if not isinstance(t, ForallEff):
-            return False
-        body = subst_type({t.binder: Effect.var(st.binder)}, t.body)
-        return match_type(st.body, body, rho)
+    if isinstance(st, (SForallTyp, SForallEff)):
+        kind = ForallTyp if isinstance(st, SForallTyp) else ForallEff
+        return (isinstance(t, kind)
+                and match_type(st.body, open_forall(t, st.binder), rho))
     raise TypeError(f"not a surface type: {st!r}")
 
 
@@ -191,16 +185,9 @@ def subtype_holds(scope: ReplayScope, t1: Type, t2: Type) -> bool:
                 and subtype_holds(scope, t2.param, t1.param)
                 and subeffect_holds(scope, t1.effect, t2.effect)
                 and subtype_holds(scope, t1.result, t2.result))
-    if isinstance(t1, ForallTyp):
-        if not isinstance(t2, ForallTyp):
-            return False
-        body2 = subst_type_vars({t2.binder: TVar(t1.binder)}, t2.body)
-        return subtype_holds(scope, t1.body, body2)
-    if isinstance(t1, ForallEff):
-        if not isinstance(t2, ForallEff):
-            return False
-        body2 = subst_type({t2.binder: Effect.var(t1.binder)}, t2.body)
-        return subtype_holds(scope, t1.body, body2)
+    if isinstance(t1, (ForallTyp, ForallEff)):
+        return type(t2) is type(t1) and subtype_holds(
+            scope, t1.body, open_forall(t2, t1.binder))
     raise TypeError(f"not a type: {t1!r}")
 
 
@@ -210,6 +197,11 @@ def subtype_holds(scope: ReplayScope, t1: Type, t2: Type) -> bool:
 
 
 class Cert(Value):
+    """A node of a typing derivation. Each concrete class names its rule in
+    `RULE` and lists its fields in `__slots__`, each a certificate, an
+    effect, a scheme or a type: `subst_cert` and `driver.render_cert` walk
+    any node by them, and `check_certificate` checks shapes by `CERT_OF`."""
+
     __slots__ = ()
 
 
@@ -217,6 +209,7 @@ class CVar(Cert):
     """Variable lookup; theta instantiates the scheme's bound variables."""
 
     __slots__ = ("theta",)
+    RULE = "var"
 
     def __init__(self, theta: tuple[tuple[Name, Effect], ...]) -> None:
         _set(self, "theta", theta)
@@ -224,6 +217,7 @@ class CVar(Cert):
 
 class CAbs(Cert):
     __slots__ = ("param_type", "body")
+    RULE = "abs"
 
     def __init__(self, param_type: Type, body: Cert) -> None:
         _set(self, "param_type", param_type)
@@ -232,6 +226,7 @@ class CAbs(Cert):
 
 class CApp(Cert):
     __slots__ = ("fn", "arg")
+    RULE = "app"
 
     def __init__(self, fn: Cert, arg: Cert) -> None:
         _set(self, "fn", fn)
@@ -240,6 +235,7 @@ class CApp(Cert):
 
 class CTAbs(Cert):
     __slots__ = ("body",)
+    RULE = "tabs"
 
     def __init__(self, body: Cert) -> None:
         _set(self, "body", body)
@@ -247,6 +243,7 @@ class CTAbs(Cert):
 
 class CEAbs(Cert):
     __slots__ = ("body",)
+    RULE = "eabs"
 
     def __init__(self, body: Cert) -> None:
         _set(self, "body", body)
@@ -254,6 +251,7 @@ class CEAbs(Cert):
 
 class CTApp(Cert):
     __slots__ = ("fn", "arg")
+    RULE = "tapp"
 
     def __init__(self, fn: Cert, arg: Type) -> None:
         _set(self, "fn", fn)
@@ -262,6 +260,7 @@ class CTApp(Cert):
 
 class CEApp(Cert):
     __slots__ = ("fn", "arg")
+    RULE = "eapp"
 
     def __init__(self, fn: Cert, arg: Effect) -> None:
         _set(self, "fn", fn)
@@ -270,6 +269,7 @@ class CEApp(Cert):
 
 class CLet(Cert):
     __slots__ = ("scheme", "bound", "body")
+    RULE = "let"
 
     def __init__(self, scheme: Scheme, bound: Cert, body: Cert) -> None:
         _set(self, "scheme", scheme)
@@ -281,6 +281,7 @@ class CSub(Cert):
     """Weakening to the recorded type and effect."""
 
     __slots__ = ("typ", "effect", "inner")
+    RULE = "sub"
 
     def __init__(self, typ: Type, effect: Effect, inner: Cert) -> None:
         _set(self, "typ", typ)
@@ -294,14 +295,10 @@ class CertificateError(Exception):
         self.rule = rule
 
 
-def _rebuilt(cert: Cert, *children) -> Cert:
-    """cert itself if every child is the field it replaces, in the order of
-    its class's `__slots__` (compared with `is`: `==` would walk whole
-    subtrees), else a new node of its class."""
-    if all(new is getattr(cert, f)
-           for new, f in zip(children, cert.__slots__)):
-        return cert
-    return type(cert)(*children)
+# The certificate node that proves each expression form; a `CSub` may
+# wrap any of them.
+CERT_OF = {Var: CVar, Lam: CAbs, App: CApp, Let: CLet, TLam: CTAbs,
+           ELam: CEAbs, TyApp: CTApp, EfApp: CEApp}
 
 
 def subst_cert(theta: Mapping[Name, Effect], cert: Cert) -> Cert:
@@ -316,29 +313,22 @@ def subst_cert(theta: Mapping[Name, Effect], cert: Cert) -> Cert:
         if all(new is old for (_, new), (_, old) in zip(inst, cert.theta)):
             return cert
         return CVar(inst)
-    if isinstance(cert, CAbs):
-        return _rebuilt(cert, subst_type(theta, cert.param_type),
-                        subst_cert(theta, cert.body))
-    if isinstance(cert, CApp):
-        return _rebuilt(cert, subst_cert(theta, cert.fn),
-                        subst_cert(theta, cert.arg))
-    if isinstance(cert, (CTAbs, CEAbs)):
-        return _rebuilt(cert, subst_cert(theta, cert.body))
-    if isinstance(cert, CTApp):
-        return _rebuilt(cert, subst_cert(theta, cert.fn),
-                        subst_type(theta, cert.arg))
-    if isinstance(cert, CEApp):
-        return _rebuilt(cert, subst_cert(theta, cert.fn),
-                        subst_effect(theta, cert.arg))
-    if isinstance(cert, CLet):
-        return _rebuilt(cert, subst_scheme(theta, cert.scheme),
-                        subst_cert(theta, cert.bound),
-                        subst_cert(theta, cert.body))
-    if isinstance(cert, CSub):
-        return _rebuilt(cert, subst_type(theta, cert.typ),
-                        subst_effect(theta, cert.effect),
-                        subst_cert(theta, cert.inner))
-    raise TypeError(f"not a certificate: {cert!r}")
+    # Each field is mapped by its kind; a plain loop, as a comprehension
+    # would add a frame per certificate level.
+    fields, same = [], True
+    for f in cert.__slots__:
+        old = getattr(cert, f)
+        if isinstance(old, Cert):
+            new = subst_cert(theta, old)
+        elif isinstance(old, Effect):
+            new = subst_effect(theta, old)
+        elif isinstance(old, Scheme):
+            new = subst_scheme(theta, old)
+        else:
+            new = subst_type(theta, old)
+        fields.append(new)
+        same = same and new is old
+    return cert if same else type(cert)(*fields)
 
 
 def check_certificate(scope: ReplayScope, gamma: Mapping[Name, Scheme],
@@ -349,7 +339,8 @@ def check_certificate(scope: ReplayScope, gamma: Mapping[Name, Scheme],
     must cover every guard proposition in its omega, gamma and cert.
     """
     rho = scope.rho
-    if isinstance(cert, CSub):
+    kind = type(cert)
+    if kind is CSub:
         t_in, e_in = check_certificate(scope, gamma, expr, cert.inner)
         if not subtype_holds(scope, t_in, cert.typ):
             raise CertificateError("sub", f"{t_in} is not a subtype of "
@@ -358,10 +349,14 @@ def check_certificate(scope: ReplayScope, gamma: Mapping[Name, Scheme],
             raise CertificateError("sub", f"[{e_in}] is not a subeffect of "
                                           f"[{cert.effect}]")
         return cert.typ, cert.effect
+    want = CERT_OF.get(type(expr))
+    if want is None:
+        raise CertificateError("shape", f"no rule for {type(expr).__name__} "
+                                        f"against {kind.__name__}")
+    if kind is not want:
+        raise CertificateError(want.RULE, "certificate shape mismatch")
 
-    if isinstance(expr, Var):
-        if not isinstance(cert, CVar):
-            raise CertificateError("var", "certificate shape mismatch")
+    if kind is CVar:
         if expr.name not in gamma:
             raise CertificateError("var", f"unbound variable {expr.name}")
         scheme = gamma[expr.name]
@@ -375,9 +370,7 @@ def check_certificate(scope: ReplayScope, gamma: Mapping[Name, Scheme],
                                           "not entailed")
         return subst_type(theta, scheme.body), PURE
 
-    if isinstance(expr, Lam):
-        if not isinstance(cert, CAbs):
-            raise CertificateError("abs", "certificate shape mismatch")
+    if kind is CAbs:
         if not match_type(expr.ann, cert.param_type, rho):
             raise CertificateError("abs", f"annotation {expr.ann} does not "
                                           f"match {cert.param_type}")
@@ -386,9 +379,7 @@ def check_certificate(scope: ReplayScope, gamma: Mapping[Name, Scheme],
         t_body, e_body = check_certificate(scope, inner, expr.body, cert.body)
         return Arrow(cert.param_type, e_body, t_body), PURE
 
-    if isinstance(expr, App):
-        if not isinstance(cert, CApp):
-            raise CertificateError("app", "certificate shape mismatch")
+    if kind is CApp:
         t_fn, e_fn = check_certificate(scope, gamma, expr.fn, cert.fn)
         t_arg, e_arg = check_certificate(scope, gamma, expr.arg, cert.arg)
         if not isinstance(t_fn, Arrow):
@@ -401,9 +392,7 @@ def check_certificate(scope: ReplayScope, gamma: Mapping[Name, Scheme],
                                           "effects differ")
         return t_fn.result, t_fn.effect
 
-    if isinstance(expr, Let):
-        if not isinstance(cert, CLet):
-            raise CertificateError("let", "certificate shape mismatch")
+    if kind is CLet:
         scheme = cert.scheme
         t1, e1 = check_certificate(scope.extend(scheme.constraints), gamma,
                                    expr.bound, cert.bound)
@@ -416,25 +405,14 @@ def check_certificate(scope: ReplayScope, gamma: Mapping[Name, Scheme],
         inner[expr.name] = scheme
         return check_certificate(scope, inner, expr.body, cert.body)
 
-    if isinstance(expr, TLam):
-        if not isinstance(cert, CTAbs):
-            raise CertificateError("tabs", "certificate shape mismatch")
+    if kind is CTAbs or kind is CEAbs:
         t_body, e_body = check_certificate(scope, gamma, expr.body, cert.body)
         if not e_body.is_pure():
-            raise CertificateError("tabs", "body is not pure")
-        return ForallTyp(expr.binder, t_body), PURE
+            raise CertificateError(kind.RULE, "body is not pure")
+        quantifier = ForallTyp if kind is CTAbs else ForallEff
+        return quantifier(expr.binder, t_body), PURE
 
-    if isinstance(expr, ELam):
-        if not isinstance(cert, CEAbs):
-            raise CertificateError("eabs", "certificate shape mismatch")
-        t_body, e_body = check_certificate(scope, gamma, expr.body, cert.body)
-        if not e_body.is_pure():
-            raise CertificateError("eabs", "body is not pure")
-        return ForallEff(expr.binder, t_body), PURE
-
-    if isinstance(expr, TyApp):
-        if not isinstance(cert, CTApp):
-            raise CertificateError("tapp", "certificate shape mismatch")
+    if kind is CTApp:
         t_fn, e_fn = check_certificate(scope, gamma, expr.fn, cert.fn)
         if not isinstance(t_fn, ForallTyp):
             raise CertificateError("tapp", f"type-applied a non-forall: "
@@ -444,17 +422,12 @@ def check_certificate(scope: ReplayScope, gamma: Mapping[Name, Scheme],
                                            f"match {cert.arg}")
         return subst_type_vars({t_fn.binder: cert.arg}, t_fn.body), e_fn
 
-    if isinstance(expr, EfApp):
-        if not isinstance(cert, CEApp):
-            raise CertificateError("eapp", "certificate shape mismatch")
-        t_fn, e_fn = check_certificate(scope, gamma, expr.fn, cert.fn)
-        if not isinstance(t_fn, ForallEff):
-            raise CertificateError("eapp", f"effect-applied a non-forall: "
-                                           f"{t_fn}")
-        if not match_effect(expr.arg, cert.arg, rho):
-            raise CertificateError("eapp", f"annotation {expr.arg} does not "
-                                           f"match [{cert.arg}]")
-        return subst_type({t_fn.binder: cert.arg}, t_fn.body), e_fn
-
-    raise CertificateError("shape", f"no rule for {type(expr).__name__} "
-                                    f"against {type(cert).__name__}")
+    # kind is CEApp
+    t_fn, e_fn = check_certificate(scope, gamma, expr.fn, cert.fn)
+    if not isinstance(t_fn, ForallEff):
+        raise CertificateError("eapp", f"effect-applied a non-forall: "
+                                       f"{t_fn}")
+    if not match_effect(expr.arg, cert.arg, rho):
+        raise CertificateError("eapp", f"annotation {expr.arg} does not "
+                                       f"match [{cert.arg}]")
+    return subst_type({t_fn.binder: cert.arg}, t_fn.body), e_fn

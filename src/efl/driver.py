@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
-                          CVar, Cert, CertificateError, ReplayScope,
+from .declarative import (CSub, CVar, Cert, CertificateError, ReplayScope,
                           check_certificate, subst_cert)
 from .effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar, Type,
                       constraint_set, free_eff_vars_constraints,
@@ -177,36 +176,27 @@ def display_type_and_effect(t: Type, e: Effect) -> str:
 
 
 def render_cert(c: Cert) -> str:
-    """Deterministic s-expression form of a certificate (for --dump-cert),
-    written by one explicit-stack walk so that a certificate as deep as the
-    program prints."""
+    """Deterministic s-expression form of a certificate (for --dump-cert):
+    `(RULE field ...)`, the fields in `__slots__` order and an effect in
+    brackets. One explicit-stack walk writes it, so that a certificate as
+    deep as the program prints."""
     out: list[str] = []
     stack: list[Cert | str] = [c]
     while stack:
         node = stack.pop()
         if type(node) is str:
             out.append(node)
-        elif isinstance(node, CVar):
+        elif type(node) is CVar:
             inst = ", ".join(f"{n.text} := {e}" for n, e in node.theta)
             out.append(f"(var {{{inst}}})")
-        elif isinstance(node, CAbs):
-            stack += (")", node.body, f"(abs {node.param_type} ")
-        elif isinstance(node, CApp):
-            stack += (")", node.arg, " ", node.fn, "(app ")
-        elif isinstance(node, CTAbs):
-            stack += (")", node.body, "(tabs ")
-        elif isinstance(node, CEAbs):
-            stack += (")", node.body, "(eabs ")
-        elif isinstance(node, CTApp):
-            stack += (f" {node.arg})", node.fn, "(tapp ")
-        elif isinstance(node, CEApp):
-            stack += (f" [{node.arg}])", node.fn, "(eapp ")
-        elif isinstance(node, CLet):
-            stack += (")", node.body, " ", node.bound, f"(let {node.scheme} ")
-        elif isinstance(node, CSub):
-            stack += (")", node.inner, f"(sub {node.typ} [{node.effect}] ")
         else:
-            raise TypeError(f"not a certificate: {node!r}")
+            stack.append(")")
+            for f in reversed(node.__slots__):
+                x = getattr(node, f)
+                if not isinstance(x, Cert):
+                    x = f"[{x}]" if isinstance(x, Effect) else str(x)
+                stack += (x, " ")
+            stack.append(f"({node.RULE}")
     return "".join(out)
 
 

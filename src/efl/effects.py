@@ -3,9 +3,9 @@
 Effects are kept in a guarded-atom normal form: a finite set of atoms, each an
 effect variable paired with a propositional guard, with at most one atom per
 variable. The empty set is the pure effect. `effect_of` alone builds it: join,
-guard and substitution hand it their atoms, the guards of a repeated variable
-are or-ed, and guarding and-s the formula onto every atom. Atoms whose guard
-folds to F are dropped; under any valuation they contribute nothing.
+elimination and substitution hand it their atoms, and the guards of a repeated
+variable are or-ed. Atoms whose guard folds to F are dropped; under any
+valuation they contribute nothing.
 
 A substitution that changes nothing returns its argument: an effect, type,
 constraint, constraint set or scheme that no mapped variable reaches comes
@@ -90,11 +90,6 @@ PURE = Effect(())
 def join(*effects: Effect) -> Effect:
     """Least upper bound: union of atoms, same-variable guards or-ed."""
     return effect_of(atom for e in effects for atom in e.atoms)
-
-
-def guard(e: Effect, phi: Formula) -> Effect:
-    """Guard every atom of e by phi (conjoined onto existing guards)."""
-    return effect_of((n, conj2(g, phi)) for n, g in e.atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +380,17 @@ def subst_type_vars(tmap: Mapping[Name, Type], t: Type) -> Type:
     return map_type(t, _same, lambda v: tmap.get(v.name, v))
 
 
+def open_forall(t: Type, binder: Name) -> Type:
+    """The body of the quantified type t, its binder renamed to binder:
+    the one step by which two quantified types are compared."""
+    if isinstance(t, ForallTyp):
+        return subst_type_vars({t.binder: TVar(binder)}, t.body)
+    return subst_type({t.binder: Effect.var(binder)}, t.body)
+
+
 # ---------------------------------------------------------------------------
 # Free variables
 # ---------------------------------------------------------------------------
-
-
-def free_eff_vars_effect(e: Effect) -> frozenset[Name]:
-    return e.atom_names()
 
 
 def free_eff_vars_type(t: Type) -> frozenset[Name]:
@@ -405,5 +404,5 @@ def free_eff_vars_type(t: Type) -> frozenset[Name]:
 def free_eff_vars_constraints(omega: Iterable[Constraint]) -> frozenset[Name]:
     out: frozenset[Name] = frozenset()
     for c in omega:
-        out |= free_eff_vars_effect(c.lhs) | free_eff_vars_effect(c.rhs)
+        out |= c.lhs.atom_names() | c.rhs.atom_names()
     return out

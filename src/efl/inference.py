@@ -18,7 +18,7 @@ from .declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
                           CVar, Cert, subst_cert)
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       Scheme, TVar, Type, arrow_count, constraint_set,
-                      effect_of, join, mono, omega_to_formula,
+                      effect_of, join, mono, omega_to_formula, open_forall,
                       subst_constraints, subst_effect, subst_type,
                       subst_type_vars)
 from .formulas import TOP, Formula, Prop, conj2
@@ -139,13 +139,11 @@ def subtype(t1: Type, t2: Type) -> tuple[frozenset, Formula]:
         o2, f2 = subtype(t1.result, t2.result)
         o3 = constraint_set((Constraint(t1.effect, t2.effect),))
         return o1 | o2 | o3, conj2(f1, f2)
-    if isinstance(t1, ForallTyp) and isinstance(t2, ForallTyp):
-        body2 = subst_type_vars({t2.binder: TVar(t1.binder)}, t2.body)
-        return subtype(t1.body, body2)
-    if isinstance(t1, ForallEff) and isinstance(t2, ForallEff):
+    if isinstance(t1, (ForallTyp, ForallEff)) and type(t2) is type(t1):
         alpha = t1.binder
-        body2 = subst_type({t2.binder: Effect.var(alpha)}, t2.body)
-        omega, phi = subtype(t1.body, body2)
+        omega, phi = subtype(t1.body, open_forall(t2, alpha))
+        if isinstance(t1, ForallTyp):
+            return omega, phi
         # The quantified variable must not be constrained: project it out of
         # the constraints and demand the projection was already implied.
         projected = subst_constraints({alpha: PURE}, omega)

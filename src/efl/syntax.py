@@ -136,9 +136,6 @@ class Var(Expr):
     def __init__(self, name: Name) -> None:
         _set(self, "name", name)
 
-    def __str__(self) -> str:
-        return self.name.text
-
 
 class Lam(Expr):
     __slots__ = ("param", "ann", "body")
@@ -148,9 +145,6 @@ class Lam(Expr):
         _set(self, "ann", ann)
         _set(self, "body", body)
 
-    def __str__(self) -> str:
-        return f"fn ({self.param.text} : {self.ann}) => {self.body}"
-
 
 class App(Expr):
     __slots__ = ("fn", "arg")
@@ -158,9 +152,6 @@ class App(Expr):
     def __init__(self, fn: Expr, arg: Expr) -> None:
         _set(self, "fn", fn)
         _set(self, "arg", arg)
-
-    def __str__(self) -> str:
-        return f"{_app_str(self.fn)} {_atom_str(self.arg)}"
 
 
 class Let(Expr):
@@ -171,9 +162,6 @@ class Let(Expr):
         _set(self, "bound", bound)
         _set(self, "body", body)
 
-    def __str__(self) -> str:
-        return f"let {self.name.text} = {self.bound} in {self.body}"
-
 
 class TLam(Expr):
     __slots__ = ("binder", "body")
@@ -181,9 +169,6 @@ class TLam(Expr):
     def __init__(self, binder: Name, body: Expr) -> None:
         _set(self, "binder", binder)
         _set(self, "body", body)
-
-    def __str__(self) -> str:
-        return f"tfun {self.binder.text} => {self.body}"
 
 
 class ELam(Expr):
@@ -193,9 +178,6 @@ class ELam(Expr):
         _set(self, "binder", binder)
         _set(self, "body", body)
 
-    def __str__(self) -> str:
-        return f"efun {self.binder.text} => {self.body}"
-
 
 class TyApp(Expr):
     __slots__ = ("fn", "arg")
@@ -204,9 +186,6 @@ class TyApp(Expr):
         _set(self, "fn", fn)
         _set(self, "arg", arg)
 
-    def __str__(self) -> str:
-        return f"{_app_str(self.fn)} [type {self.arg}]"
-
 
 class EfApp(Expr):
     __slots__ = ("fn", "arg")
@@ -214,21 +193,6 @@ class EfApp(Expr):
     def __init__(self, fn: Expr, arg: SynEffect) -> None:
         _set(self, "fn", fn)
         _set(self, "arg", arg)
-
-    def __str__(self) -> str:
-        return f"{_app_str(self.fn)} [eff {self.arg}]"
-
-
-def _atom_str(e: Expr) -> str:
-    if isinstance(e, (Var,)):
-        return str(e)
-    return f"({e})"
-
-
-def _app_str(e: Expr) -> str:
-    if isinstance(e, (Var, App, TyApp, EfApp)):
-        return str(e)
-    return f"({e})"
 
 
 class Program(Value):
@@ -669,18 +633,3 @@ class Parser:
 def parse_program(src: str, supply: NameSupply) -> Program:
     return Parser(src, supply).parse_program()
 
-
-def parse_expr(src: str, supply: NameSupply,
-               scope: Scope | None = None) -> Expr:
-    p = Parser(src, supply, scope)
-    e = p.parse_expr()
-    p.expect("eof", "end of input")
-    return e
-
-
-def parse_type(src: str, supply: NameSupply,
-               scope: Scope | None = None) -> SynType:
-    p = Parser(src, supply, scope)
-    t = p.parse_type()
-    p.expect("eof", "end of input")
-    return t

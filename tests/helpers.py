@@ -10,11 +10,14 @@ from efl.declarative import (CertificateError, ReplayScope, check_certificate,
 from efl.driver import CheckOutcome, Discharger, check_program
 from efl.effects import (Constraint, Effect, Scheme, effect_of,
                          free_eff_vars_constraints, free_eff_vars_type)
-from efl.formulas import BOT, TOP, Formula, Prop, disj2, evaluate, props
+from efl.formulas import (BOT, TOP, Formula, Prop, conj2, disj2, evaluate,
+                          props)
 from efl.inference import Config
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply
 from efl.solver import SolverSession, _Solver
-from efl.syntax import Token, _scan, parse_program
+from efl.syntax import (App, EfApp, ELam, Expr, Lam, Let, Parser, Scope,
+                        SynType, TLam, Token, TyApp, Var, _scan,
+                        parse_program)
 
 _uids = itertools.count(10_000)
 
@@ -92,6 +95,55 @@ def to_formula(e: Effect, alpha: Name) -> Formula:
 
 def tokenize(src: str) -> list[Token]:
     return _scan(src)[0]
+
+
+def guard(e: Effect, phi: Formula) -> Effect:
+    """Guard every atom of e by phi (conjoined onto existing guards)."""
+    return effect_of((n, conj2(g, phi)) for n, g in e.atoms)
+
+
+# -- expressions: parsed alone and printed back ------------------------------
+
+
+def parse_expr(src: str, supply: NameSupply,
+               scope: Scope | None = None) -> Expr:
+    p = Parser(src, supply, scope)
+    e = p.parse_expr()
+    p.expect("eof", "end of input")
+    return e
+
+
+def parse_type(src: str, supply: NameSupply,
+               scope: Scope | None = None) -> SynType:
+    p = Parser(src, supply, scope)
+    t = p.parse_type()
+    p.expect("eof", "end of input")
+    return t
+
+
+def expr_str(e: Expr) -> str:
+    """Source text that parses back to e: an operand that is not a
+    variable, and an operator that is not an application spine, in
+    parentheses."""
+    if isinstance(e, Var):
+        return e.name.text
+    if isinstance(e, Lam):
+        return f"fn ({e.param.text} : {e.ann}) => {expr_str(e.body)}"
+    if isinstance(e, Let):
+        return (f"let {e.name.text} = {expr_str(e.bound)} in "
+                f"{expr_str(e.body)}")
+    if isinstance(e, (TLam, ELam)):
+        word = "tfun" if isinstance(e, TLam) else "efun"
+        return f"{word} {e.binder.text} => {expr_str(e.body)}"
+    fn = expr_str(e.fn)
+    if not isinstance(e.fn, (Var, App, TyApp, EfApp)):
+        fn = f"({fn})"
+    if isinstance(e, TyApp):
+        return f"{fn} [type {e.arg}]"
+    if isinstance(e, EfApp):
+        return f"{fn} [eff {e.arg}]"
+    arg = expr_str(e.arg)
+    return f"{fn} {arg}" if isinstance(e.arg, Var) else f"{fn} ({arg})"
 
 
 def free_eff_vars_scheme(s: Scheme) -> frozenset[Name]:
@@ -215,6 +267,16 @@ def nest_source(n: int) -> str:
         body = f"f ({body})"
     return ("effect IO\ntype Int\nextern f : Int ->[IO] Int\n"
             f"let r = fn (x : Int) => {body}\n")
+
+
+def wild_nest_source(n: int) -> str:
+    """g (g (... x)), n applications deep, of a parameter g whose arrow
+    carries a wildcard effect."""
+    body = "x"
+    for _ in range(n):
+        body = f"g ({body})"
+    return ("type Int\nlet r = fn (g : Int ->[_] Int) => "
+            f"fn (x : Int) => {body}\n")
 
 
 def spine_source(n: int) -> str:

@@ -18,6 +18,11 @@ character-at-a-time lexer, for the regex lexer (`helpers.tokenize`).
 arrow, and `type_is_wildcard_free` the walk it checks an extern's type
 with: the reference for the looping `efl.syntax.Parser` and its count of
 wildcards.
+`subst_cert_per_class` and `render_cert_per_class` are
+`declarative.subst_cert` and `driver.render_cert` as they were before both
+read a certificate's fields from its class's `__slots__` and `RULE`: one
+branch per certificate class. They are the reference for the node-table
+walks.
 `subst_type_rec` and `subst_type_vars_rec` also rebuild every node, as
 `map_type` did before it returned unchanged nodes themselves; with
 `subst_effect_rebuild`, `subst_constraints_rebuild`, `subst_scheme_rebuild`
@@ -55,8 +60,8 @@ from efl.driver import (CheckOutcome, DefRecord, Discharger, check_program,
                         verify_certificates)
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                          Scheme, TVar, Type, constraint_set, map_type,
-                         subst_constraints, subst_effect, subst_type,
-                         walk_type)
+                         subst_constraints, subst_effect, subst_scheme,
+                         subst_type, walk_type)
 from efl.formulas import (BOT, TOP, And, Bot, Formula, Implies, Or, Prop,
                           Top, conj, conj2, disj2, evaluate, impl, props)
 from efl.inference import (Config, Generalized, InferResult, ShapeError,
@@ -1002,6 +1007,87 @@ def subst_cert_rebuild(theta: Mapping[Name, Effect], cert: Cert) -> Cert:
     if isinstance(cert, CSub):
         return CSub(typ(cert.typ), eff(cert.effect), sub(cert.inner))
     raise TypeError(f"not a certificate: {cert!r}")
+
+
+# Per-class certificate walks: the reference for the node-table ones
+# ---------------------------------------------------------------------------
+
+
+def _rebuilt(cert: Cert, *children) -> Cert:
+    """cert itself if every child is the field it replaces, in the order of
+    its class's `__slots__`, else a new node of its class."""
+    if all(new is getattr(cert, f)
+           for new, f in zip(children, cert.__slots__)):
+        return cert
+    return type(cert)(*children)
+
+
+def subst_cert_per_class(theta: Mapping[Name, Effect], cert: Cert) -> Cert:
+    """`declarative.subst_cert` written out per certificate class, returning
+    every node whose children all come back unchanged itself."""
+    if not theta:
+        return cert
+    if isinstance(cert, CVar):
+        inst = tuple((n, subst_effect(theta, e)) for n, e in cert.theta)
+        if all(new is old for (_, new), (_, old) in zip(inst, cert.theta)):
+            return cert
+        return CVar(inst)
+    if isinstance(cert, CAbs):
+        return _rebuilt(cert, subst_type(theta, cert.param_type),
+                        subst_cert_per_class(theta, cert.body))
+    if isinstance(cert, CApp):
+        return _rebuilt(cert, subst_cert_per_class(theta, cert.fn),
+                        subst_cert_per_class(theta, cert.arg))
+    if isinstance(cert, (CTAbs, CEAbs)):
+        return _rebuilt(cert, subst_cert_per_class(theta, cert.body))
+    if isinstance(cert, CTApp):
+        return _rebuilt(cert, subst_cert_per_class(theta, cert.fn),
+                        subst_type(theta, cert.arg))
+    if isinstance(cert, CEApp):
+        return _rebuilt(cert, subst_cert_per_class(theta, cert.fn),
+                        subst_effect(theta, cert.arg))
+    if isinstance(cert, CLet):
+        return _rebuilt(cert, subst_scheme(theta, cert.scheme),
+                        subst_cert_per_class(theta, cert.bound),
+                        subst_cert_per_class(theta, cert.body))
+    if isinstance(cert, CSub):
+        return _rebuilt(cert, subst_type(theta, cert.typ),
+                        subst_effect(theta, cert.effect),
+                        subst_cert_per_class(theta, cert.inner))
+    raise TypeError(f"not a certificate: {cert!r}")
+
+
+def render_cert_per_class(c: Cert) -> str:
+    """`driver.render_cert` written out per certificate class: the same
+    explicit-stack walk, each class pushing its own pieces."""
+    out: list[str] = []
+    stack: list[Cert | str] = [c]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            out.append(node)
+        elif isinstance(node, CVar):
+            inst = ", ".join(f"{n.text} := {e}" for n, e in node.theta)
+            out.append(f"(var {{{inst}}})")
+        elif isinstance(node, CAbs):
+            stack += (")", node.body, f"(abs {node.param_type} ")
+        elif isinstance(node, CApp):
+            stack += (")", node.arg, " ", node.fn, "(app ")
+        elif isinstance(node, CTAbs):
+            stack += (")", node.body, "(tabs ")
+        elif isinstance(node, CEAbs):
+            stack += (")", node.body, "(eabs ")
+        elif isinstance(node, CTApp):
+            stack += (f" {node.arg})", node.fn, "(tapp ")
+        elif isinstance(node, CEApp):
+            stack += (f" [{node.arg}])", node.fn, "(eapp ")
+        elif isinstance(node, CLet):
+            stack += (")", node.body, " ", node.bound, f"(let {node.scheme} ")
+        elif isinstance(node, CSub):
+            stack += (")", node.inner, f"(sub {node.typ} [{node.effect}] ")
+        else:
+            raise TypeError(f"not a certificate: {node!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from efl.inference import Config
 from efl.names import Name, NameSupply
 from efl.solver import SolverSession
 from efl.syntax import Parser
-from helpers import cf_grid_source, nest_source, sat, spine_source
+from helpers import (cf_grid_source, nest_source, sat, spine_source,
+                     wild_nest_source)
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 ALL_PROGRAMS = sorted(PROGRAMS.glob("*.efl"))
@@ -143,12 +144,42 @@ def test_check_too_deep_is_exit_3_without_traceback(tmp_path, source,
     line with exit code 3, in a fresh process at the default limit."""
     src = tmp_path / "deep.efl"
     src.write_text(source)
-    env = dict(os.environ, PYTHONPATH=str(PROGRAMS.parent / "src"))
-    run = subprocess.run([sys.executable, "-m", "efl.cli", "check", *flags,
-                          str(src)], env=env, capture_output=True, text=True,
-                         timeout=120)
+    run = _fresh_efl("check", *flags, str(src))
     assert run.returncode == 3
     assert run.stderr == f"error: {src}: program nested too deeply\n"
+
+
+def _fresh_efl(*argv, stdin=None):
+    """`python -m efl.cli` in a fresh process, at the default recursion
+    limit."""
+    env = dict(os.environ, PYTHONPATH=str(PROGRAMS.parent / "src"))
+    return subprocess.run([sys.executable, "-m", "efl.cli", *argv], env=env,
+                          input=stdin, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_check_verify_passes_a_wildcard_nest_450_deep(tmp_path):
+    """Substituting into and replaying the certificate of g (g (... x)),
+    with g's arrow effect a wildcard, costs one frame per level: a
+    comprehension around the recursive call would add one more and fail
+    well below this depth."""
+    src = tmp_path / "wild.efl"
+    src.write_text(wild_nest_source(450))
+    run = _fresh_efl("check", "--verify", str(src))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.endswith("certificates: verified\n")
+
+
+def test_repl_answers_a_too_deep_input_and_goes_on():
+    """An input deeper than the checker's recursion reaches gets one error
+    line; the session keeps what it had and answers the inputs after it."""
+    stdin = (nest_source(1000) + "effect DB\n"
+             + "let k = fn (x : Int) => f x\n")
+    run = _fresh_efl("repl", stdin=stdin)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines() == [
+        "effect IO", "type Int", "f : Int ->[IO] Int",
+        "error: input nested too deeply", "effect DB", "k : Int ->[IO] Int"]
 
 
 def test_check_accepts_a_join_of_1500_atoms(capsys, tmp_path):

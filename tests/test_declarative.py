@@ -7,11 +7,12 @@ from efl.declarative import (CAbs, CApp, CertificateError, CLet, CSub, CVar,
                              ReplayScope, check_certificate, entails,
                              match_effect, match_type, subeffect_holds,
                              subst_cert, subtype_holds)
-from efl.effects import (PURE, Arrow, Effect, ForallEff, Scheme, TVar, join,
-                         map_type, mono)
+from efl.effects import (PURE, Arrow, Effect, ForallEff, ForallTyp, Scheme,
+                         TVar, join, map_type, mono)
 from efl.names import KIND_EFF, KIND_EXPR, KIND_PROP, KIND_TYPE, NameSupply
-from efl.syntax import App, Var, parse_expr, parse_type
-from helpers import certificate_valid, con, scope_of, types_equivalent
+from efl.syntax import App, SForallEff, SForallTyp, STVar, Var
+from helpers import (certificate_valid, con, parse_expr, parse_type, scope_of,
+                     types_equivalent)
 from oracles import cert_props, random_effect, random_type
 
 RHO0 = {}
@@ -74,6 +75,25 @@ def test_match_type_renames_quantifier_binders(ns, supply):
     # binder positions matter: the body must use the bound variable
     t_wrong = ForallEff(other, Arrow(u, ns.ev("IO"), u))
     assert not match_type(ann, t_wrong, RHO0)
+
+
+def test_quantifiers_of_different_kinds_never_relate(ns):
+    """A type quantifier and an effect quantifier over one body: neither is
+    a subtype of the other, and an annotation quantified one way matches no
+    type quantified the other way. Each kind against itself still does."""
+    u = TVar(ns.typ("Unit"))
+    by_typ = ForallTyp(ns.typ("t"), u)
+    by_eff = ForallEff(ns.eff("e"), u)
+    assert not subtype_holds(EMPTY, by_typ, by_eff)
+    assert not subtype_holds(EMPTY, by_eff, by_typ)
+    assert subtype_holds(EMPTY, by_typ, ForallTyp(ns.typ("s"), u))
+    assert subtype_holds(EMPTY, by_eff, ForallEff(ns.eff("f"), u))
+    ann_typ = SForallTyp(ns.typ("s"), STVar(ns.typ("Unit")))
+    ann_eff = SForallEff(ns.eff("f"), STVar(ns.typ("Unit")))
+    assert not match_type(ann_typ, by_eff, RHO0)
+    assert not match_type(ann_eff, by_typ, RHO0)
+    assert match_type(ann_typ, by_typ, RHO0)
+    assert match_type(ann_eff, by_eff, RHO0)
 
 
 # -- subeffecting ------------------------------------------------------------

@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from efl.driver import Discharger, verify_certificates
 from efl.effects import (PURE, Arrow, Effect, Scheme, TVar, arrow_count,
-                         constraint_set, effect_of, free_eff_vars_effect,
-                         guard, join, mono, omega_to_formula, subst_effect)
+                         constraint_set, effect_of, join, mono,
+                         omega_to_formula, subst_effect)
 from efl.formulas import (BOT, TOP, And, Implies, Or, conj2, disj2,
                           evaluate)
 from efl.names import Name, NameSupply
 from helpers import (Names, all_valuations, cf_grid_source, check_source, con,
                      effect_props, effects_equal, erase_guards,
-                     free_eff_vars_scheme, to_formula)
+                     free_eff_vars_scheme, guard, to_formula)
 from oracles import (effect_of_map, eliminate_effect_parts, guard_parts,
                      join_parts, omega_to_formula_scan, random_effect,
                      random_guard, subst_effect_parts)
@@ -119,7 +119,7 @@ def test_to_formula(ns):
 def test_effect_props_and_free_vars(ns):
     e = join(ns.atom("a", ns.p("p")), ns.atom("b", And(ns.p("q"), ns.p("p"))))
     assert effect_props(e) == {ns.prop("p"), ns.prop("q")}
-    assert free_eff_vars_effect(e) == {ns.eff("a"), ns.eff("b")}
+    assert e.atom_names() == {ns.eff("a"), ns.eff("b")}
 
 
 def test_omega_to_formula_projects_one_variable(ns):

@@ -3,15 +3,14 @@ import pytest
 
 from efl.declarative import (CApp, CLet, CSub, CVar, ReplayScope,
                              check_certificate)
-from efl.effects import (PURE, Arrow, Effect, ForallEff, Scheme, TVar, join,
-                         mono)
+from efl.effects import (PURE, Arrow, Effect, ForallEff, ForallTyp, Scheme,
+                         TVar, join, mono)
 from efl.formulas import TOP, Implies, Prop
 from efl.inference import (Config, GenLimitError, InferError, ShapeError,
                            generalize, infer, normalize, separate, subtype,
                            tr_effect, tr_type)
 from efl.names import KIND_EFF, KIND_EXPR
-from efl.syntax import parse_expr, parse_type
-from helpers import con, scope_of
+from helpers import con, parse_expr, parse_type, scope_of
 from oracles import cert_props
 
 CF = Config(mode="constraint-free")
@@ -127,6 +126,19 @@ def test_subtype_shape_errors(ns):
         subtype(u, w)
     with pytest.raises(ShapeError):
         subtype(u, Arrow(u, PURE, u))
+
+
+def test_subtype_of_quantifiers_of_different_kinds_is_a_shape_error(ns):
+    """A type quantifier against an effect quantifier, in both orders, even
+    over one body; each kind against itself is still related."""
+    u = TVar(ns.typ("Unit"))
+    by_typ = ForallTyp(ns.typ("t"), u)
+    by_eff = ForallEff(ns.eff("e"), u)
+    for t1, t2 in ((by_typ, by_eff), (by_eff, by_typ)):
+        with pytest.raises(ShapeError, match="shape mismatch"):
+            subtype(t1, t2)
+    assert subtype(by_typ, ForallTyp(ns.typ("s"), u)) == (frozenset(), TOP)
+    assert subtype(by_eff, ForallEff(ns.eff("f"), u)) == (frozenset(), TOP)
 
 
 # -- normalization and separation --------------------------------------------

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import efl
 from efl import cli, driver, inference
+from efl.declarative import CERT_OF, Cert, CSub, CVar, subst_cert
+from efl.effects import PURE, Arrow, Constraint, Effect, Scheme, TVar
 from efl.formulas import And, Bot, Implies, Or, Prop, Top
+from efl.names import KIND_EFF, KIND_TYPE, NameSupply
 
 PACKAGE = Path(efl.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -147,3 +150,75 @@ def test_every_imported_name_is_read():
     unread = [entry for f in sorted(PACKAGE.glob("*.py"))
               + sorted(TESTS.glob("*.py")) for entry in _unread_imports(f)]
     assert unread == []
+
+
+def _unused_definitions() -> list[str]:
+    """Module-level functions and classes of the package that no code of
+    the package reads outside their own definition. An import counts only
+    where the importing module reads the name, and a method of the same
+    name does not count: the package reads its modules' names unqualified."""
+    defined: dict[str, str] = {}
+    used: set[tuple[str, str, str | None]] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                defined[owner] = path.name
+            used.update((node.id, path.name, owner)
+                        for node in ast.walk(stmt)
+                        if isinstance(node, ast.Name)
+                        and not isinstance(node.ctx, ast.Store))
+    return [f"{module}:{name}" for name, module in sorted(defined.items())
+            if not any(n == name and (m != module or o != name)
+                       for n, m, o in used)]
+
+
+def test_every_module_level_definition_is_used_by_the_package():
+    """Code that only the tests call lives under `tests/`, not in the
+    shipped package."""
+    assert _unused_definitions() == []
+
+
+def _certificate_classes() -> list[type]:
+    """The concrete certificate classes: every leaf below `Cert`."""
+    todo, out = [Cert], []
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if not cls.__subclasses__():
+            out.append(cls)
+    return sorted(out, key=lambda c: c.__name__)
+
+
+def test_every_certificate_class_has_a_rule_and_walks():
+    """Each concrete certificate class names its rule, is the node of one
+    expression form (a `CSub` wraps any of them), and prints and takes a
+    substitution through the field-kind walks: a node whose constructor
+    takes a field of a kind the walks do not know fails here."""
+    supply = NameSupply()
+    alpha = supply.fresh(KIND_EFF, "alpha")
+    beta = supply.fresh(KIND_EFF, "beta")
+    binder = supply.fresh(KIND_EFF, "b")
+    unit = TVar(supply.fresh(KIND_TYPE, "Unit"))
+    eff = Effect.var(alpha)
+    typ = Arrow(unit, eff, unit)
+    leaf = CVar(((binder, eff),))
+    # One field of each kind, by the annotation the constructor gives it;
+    # each mentions alpha.
+    samples = {"Cert": leaf, "Effect": eff, "Type": typ,
+               "Scheme": Scheme((), frozenset({Constraint(eff, PURE)}), typ),
+               "tuple[tuple[Name, Effect], ...]": ((binder, eff),)}
+    classes = _certificate_classes()
+    assert set(CERT_OF.values()) == set(classes) - {CSub}
+    for cls in classes:
+        assert "RULE" in vars(cls), cls
+        hints = dict(cls.__init__.__annotations__)
+        hints.pop("return")
+        assert tuple(hints) == cls.__slots__, cls
+        node = cls(*(samples[hint] for hint in hints.values()))
+        assert driver.render_cert(node).startswith(f"({cls.RULE} "), cls
+        moved = subst_cert({alpha: Effect.var(beta)}, node)
+        shown = driver.render_cert(moved)
+        assert type(moved) is cls and "alpha" not in shown, shown
+        assert "beta" in shown

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from efl.names import KIND_EFF, NameSupply
 from efl.syntax import (App, Lam, Parser, SArrow, SForallEff, SourceError,
                         parse_program)
-from helpers import front_end_sources, nest_source, tokenize
+from helpers import expr_str, front_end_sources, nest_source, tokenize
 from oracles import RecursiveParser, tokenize_chars, type_is_wildcard_free
 
 PRELUDE = """effect IO
@@ -154,45 +154,45 @@ def test_type_rendering_round_trips(tsrc):
 ])
 def test_expr_rendering_round_trips(esrc):
     prog = _parse(esrc)
-    rendered = str(prog.main)
+    rendered = expr_str(prog.main)
     again = _parse(rendered)
-    assert str(again.main) == rendered
+    assert expr_str(again.main) == rendered
 
 
 def test_application_is_left_associative():
     prog = _parse("extern two : Unit ->[] Unit ->[] Unit\ntwo u u")
     main = prog.main
     assert isinstance(main, App) and isinstance(main.fn, App)
-    assert str(main) == "two u u"
+    assert expr_str(main) == "two u u"
 
 
 def test_instantiation_binds_like_an_atom():
     bare = _parse("f [eff IO] u")
     parened = _parse("(f [eff IO]) u")
-    assert str(bare.main) == str(parened.main) == "f [eff IO] u"
+    assert expr_str(bare.main) == expr_str(parened.main) == "f [eff IO] u"
     assert isinstance(bare.main, App)
 
 
 def test_application_stops_at_line_break():
     prog = _parse("extern a : Unit ->[] Unit\nlet r = a\nu")
-    assert str(prog.defs[-1][1]) == "a"
-    assert str(prog.main) == "u"
+    assert expr_str(prog.defs[-1][1]) == "a"
+    assert expr_str(prog.main) == "u"
 
 
 def test_application_continues_inside_brackets():
     prog = _parse("extern a : Unit ->[] Unit\nlet r = (a\nu)\nr")
-    assert str(prog.defs[-1][1]) == "a u"
+    assert expr_str(prog.defs[-1][1]) == "a u"
 
 
 def test_lambda_body_extends_right():
     prog = _parse("fn (x : Unit) => f [eff IO] x")
     assert isinstance(prog.main, Lam)
-    assert str(prog.main) == "fn (x : Unit) => f [eff IO] x"
+    assert expr_str(prog.main) == "fn (x : Unit) => f [eff IO] x"
 
 
 def test_let_in_is_an_expression():
     prog = _parse("let w = u in f [eff IO] w")
-    assert str(prog.main) == "let w = u in f [eff IO] w"
+    assert expr_str(prog.main) == "let w = u in f [eff IO] w"
 
 
 def test_duplicate_declarations_rejected():
@@ -208,7 +208,7 @@ def test_toplevel_let_may_shadow():
     assert len(prog.defs) == 2
     # the second definition's body refers to the first, not to itself
     first_name = prog.defs[0][0]
-    assert str(prog.defs[1][1]) == "u"
+    assert expr_str(prog.defs[1][1]) == "u"
     assert prog.defs[1][1].name == first_name
 
 
@@ -229,7 +229,7 @@ def test_extern_types_must_be_wildcard_free():
 
 def test_lambda_annotations_may_use_wildcards():
     prog = _parse("fn (k : Unit ->[_] Unit) => k u")
-    assert str(prog.main) == "fn (k : Unit ->[_] Unit) => k u"
+    assert expr_str(prog.main) == "fn (k : Unit ->[_] Unit) => k u"
 
 
 def test_main_expression_is_optional():
@@ -373,7 +373,7 @@ def test_nest_2000_deep_parses():
 
 def test_2000_parentheses_around_a_head_parse():
     prog = _parse("(" * 2000 + "f" + ")" * 2000 + " [eff IO] u")
-    assert str(prog.main) == "f [eff IO] u"
+    assert expr_str(prog.main) == "f [eff IO] u"
 
 
 def test_extern_type_with_2000_arrows_parses():
