@@ -18,28 +18,21 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from .formulas import BOT, TOP, Bot, Formula, Top, conj, conj2, disj2, impl
-from .names import KIND_EFF, Name, Value, _set
+from .names import KIND_EFF, Name, TupleValue, Value, _set
 
 # ---------------------------------------------------------------------------
 # Effects
 # ---------------------------------------------------------------------------
 
 
-class Effect(Value):
+class Effect(TupleValue):
     """A set of guarded effect atoms; () is the pure effect."""
 
-    __slots__ = ("atoms",)
+    __slots__ = ()
+    _fields = ("atoms",)
 
-    def __init__(self, atoms: tuple[tuple[Name, Formula], ...]) -> None:
-        _set(self, "atoms", atoms)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.atoms,) == (other.atoms,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.atoms,))
+    def __new__(cls, atoms: tuple[tuple[Name, Formula], ...]) -> "Effect":
+        return tuple.__new__(cls, (atoms,))
 
     @staticmethod
     def var(name: Name) -> "Effect":
@@ -245,22 +238,14 @@ def arrow_count(t: Type) -> int:
 # ---------------------------------------------------------------------------
 
 
-class Constraint(Value):
+class Constraint(TupleValue):
     """A subeffect constraint lhs <= rhs."""
 
-    __slots__ = ("lhs", "rhs")
+    __slots__ = ()
+    _fields = ("lhs", "rhs")
 
-    def __init__(self, lhs: Effect, rhs: Effect) -> None:
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lhs, self.rhs))
+    def __new__(cls, lhs: Effect, rhs: Effect) -> "Constraint":
+        return tuple.__new__(cls, (lhs, rhs))
 
     def __str__(self) -> str:
         rhs = "pure" if self.rhs.is_pure() else str(self.rhs)

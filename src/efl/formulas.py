@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .names import Name, Value, _set
+from .names import Name, TupleValue, Value, _set
 
 
 class Formula(Value):
@@ -43,19 +43,14 @@ class Bot(_Constant):
         return "F"
 
 
-class Prop(Formula):
-    __slots__ = ("name",)
+class Prop(TupleValue, Formula):
+    """A proposition variable: the one tuple-backed formula, as it holds
+    no formula."""
+    __slots__ = ()
+    _fields = ("name",)
 
-    def __init__(self, name: Name) -> None:
-        _set(self, "name", name)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.name,) == (other.name,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
+    def __new__(cls, name: Name) -> "Prop":
+        return tuple.__new__(cls, (name,))
 
     def __str__(self) -> str:
         return self.name.text

@@ -11,9 +11,14 @@ The module also holds `Record` and `Value`, the bases of the package's
 value classes: plain slotted classes, each with its own `__init__`, that
 the bases compare, hash and print by the fields in their `__slots__`, as a
 dataclass would. The package imports no `dataclasses`: generating and
-compiling its methods cost a fresh process most of its import time.
+compiling its methods cost a fresh process most of its import time. The
+hottest dictionary keys (`Name`, `Prop`, `Effect`, `Constraint`) are
+`TupleValue`s instead: stored as the tuple of their fields, so that they
+hash in C, to the hash a `Value` with those fields has.
 """
 from __future__ import annotations
+
+from operator import itemgetter
 
 # Sets a field of a frozen instance, bypassing its refusing __setattr__.
 _set = object.__setattr__
@@ -54,6 +59,50 @@ class Value(Record):
 
     __delattr__ = __setattr__
 
+
+_tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
+
+
+class TupleValue(tuple):
+    """A frozen value stored as the tuple of the fields its class lists in
+    `_fields`, each read through a property. Its hash is that tuple's,
+    taken in C with no Python frame. It equals only an equal instance of
+    its exact class, and is unequal to any other tuple in both operand
+    orders: Python asks a tuple subclass's `__eq__` first.
+
+    A recursive class (a type, a connective) stays a `Value`: a tuple
+    hashes its items recursively in C with no depth check, so hashing a
+    deep one could crash the interpreter instead of raising
+    `RecursionError`. A tuple-backed value nests a bounded depth: a
+    `Constraint` holds effects, which hold names and guards, and a
+    connective guard returns its cached hash."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = tuple.__hash__
+
+    def __init_subclass__(cls) -> None:
+        for i, f in enumerate(cls.__dict__.get("_fields", ())):
+            setattr(cls, f, property(itemgetter(i)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return _tuple_eq(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return _tuple_ne(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    def __getnewargs__(self) -> tuple:
+        """The constructor's arguments, for copy and pickle: the fields."""
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self))
+        return f"{type(self).__qualname__}({fields})"
+
 # Name kinds. "eff" covers declared effect constants, effect binders and
 # inference-minted effect variables alike; rigidity is a property of the
 # context (which names sit in delta), not of the name.
@@ -67,26 +116,16 @@ KIND_PROP = "prop"
 _PREFIXES = {KIND_TYPE: "t", KIND_EFF: "e", KIND_EXPR: "x", KIND_PROP: "p"}
 
 
-class Name(Value):
+class Name(TupleValue):
     """An identifier with a kind and a globally unique id."""
 
-    __slots__ = ("text", "kind", "uid")
+    __slots__ = ()
+    _fields = ("text", "kind", "uid")
 
-    def __init__(self, text: str, kind: str, uid: int) -> None:
+    def __new__(cls, text: str, kind: str, uid: int) -> "Name":
         if kind not in _PREFIXES:
             raise ValueError(f"bad name kind: {kind!r}")
-        _set(self, "text", text)
-        _set(self, "kind", kind)
-        _set(self, "uid", uid)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.uid == other.uid and self.text == other.text
-                    and self.kind == other.kind)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.text, self.kind, self.uid))
+        return tuple.__new__(cls, (text, kind, uid))
 
     def __str__(self) -> str:
         return self.text

@@ -9,9 +9,10 @@ from pathlib import Path
 import efl
 from efl import cli, driver, inference
 from efl.declarative import CERT_OF, Cert, CSub, CVar, subst_cert
-from efl.effects import PURE, Arrow, Constraint, Effect, Scheme, TVar
+from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff,
+                         ForallTyp, Scheme, TVar)
 from efl.formulas import And, Bot, Implies, Or, Prop, Top
-from efl.names import KIND_EFF, KIND_TYPE, NameSupply
+from efl.names import KIND_EFF, KIND_TYPE, Name, NameSupply
 
 PACKAGE = Path(efl.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -222,3 +223,16 @@ def test_every_certificate_class_has_a_rule_and_walks():
         shown = driver.render_cert(moved)
         assert type(moved) is cls and "alpha" not in shown, shown
         assert "beta" in shown
+
+
+def test_hot_keys_hash_in_c_and_recursive_values_are_not_tuples():
+    """The four hottest dictionary keys hash as a tuple does, with no
+    Python frame. A type or a connective is no tuple: a tuple's hash
+    recurses in C with no depth check, so a deep one could crash the
+    interpreter instead of raising `RecursionError`. `Top` and `Bot` are no
+    tuple either: an empty tuple is false."""
+    assert [cls.__name__ for cls in (Name, Prop, Effect, Constraint)
+            if cls.__hash__ is not tuple.__hash__] == []
+    assert [cls.__name__ for cls in (Arrow, ForallTyp, ForallEff, And, Or,
+                                     Implies, Top, Bot)
+            if issubclass(cls, tuple)] == []

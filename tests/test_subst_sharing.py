@@ -20,8 +20,9 @@ import efl.effects
 import efl.inference
 from efl.declarative import Cert
 from efl.driver import _names_in_type, render_cert, verify_certificates
-from efl.effects import (Arrow, Effect, Scheme, TVar, Type, sorted_constraints,
-                         subst_type, subst_type_vars, walk_type)
+from efl.effects import (Arrow, Constraint, Effect, Scheme, TVar, Type,
+                         sorted_constraints, subst_type, subst_type_vars,
+                         walk_type)
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, NameSupply
 from helpers import SOURCES, check_source, nest_source, spine_source
 from oracles import (random_effect, random_type, subst_cert_rebuild,
@@ -57,7 +58,8 @@ def _random_programs(seed: int, per_mode: int = 250, size: int = 20):
 def _mentioned(x) -> set:
     """Every name in x that a substitution could map: effect atoms, type
     variables and binders, through certificates and constraint sets (a
-    type's guard propositions come along)."""
+    type's guard propositions come along). The value classes are matched
+    before plain tuples: an `Effect` and a `Constraint` are tuples too."""
     out: set = set()
     todo = [x]
     while todo:
@@ -71,10 +73,12 @@ def _mentioned(x) -> set:
             todo += (x.body, *x.constraints)
         elif isinstance(x, Cert):
             todo.extend(getattr(x, f) for f in x.__slots__)
+        elif isinstance(x, Constraint):
+            todo += (x.lhs, x.rhs)
         elif isinstance(x, tuple):
             todo.extend(e for _, e in x)
         else:
-            todo += (x.lhs, x.rhs) if hasattr(x, "lhs") else tuple(x)
+            todo += tuple(x)
     return out
 
 
