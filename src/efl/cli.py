@@ -15,7 +15,6 @@ from .declarative import CertificateError
 from .driver import (TopLevel, check_program, display_scheme,
                      display_type_and_effect, render_cert,
                      simplify_constraints, verify_certificates, wrapped_cert)
-from .effects import sorted_constraints
 from .inference import Config, InferError
 from .names import NameSupply
 from .syntax import Parser, SourceError, parse_program
@@ -114,7 +113,7 @@ class Repl:
                                               protected)
             if not simplified:
                 return "(no constraints)"
-            return "\n".join(str(c) for c in sorted_constraints(simplified))
+            return "\n".join(sorted(map(str, simplified)))
         try:
             if command.split(maxsplit=1)[0] == ":type":
                 end = line.index(":type") + len(":type")

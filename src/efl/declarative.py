@@ -5,23 +5,23 @@ propositions to booleans: an answer is relative to one choice of guards.
 Under rho a constraint set is a set of propositional Horn rules over effect
 atoms, and subeffecting is closure under them. A `ReplayScope` is a
 constraint set compiled under one valuation: each constraint's guards are
-erased once and the rules are indexed by the atoms of their right-hand
-side. Every replay query takes a scope and reads its rho from it. Each
-query propagates from its start set by counting down the rules' missing
-atoms (Dowling & Gallier, JLP 1984), in time linear in the rules it
-touches, and stops once its goal is covered.
+erased once, and one index lists each rule under the atoms of its
+right-hand side. Every replay query takes a scope and reads its rho from
+it. Each query propagates from its start set by counting down the rules'
+missing atoms (Dowling & Gallier, JLP 1984), in time linear in the rules
+it touches, and stops once its goal is covered.
 `derivation_search_subeffect` in `tests/oracles.py` is the independent
 bounded proof search the closure is validated against.
 
 A Certificate records the rule applied at every node of a typing derivation.
 `check_certificate` replays it bottom-up against the expression and recomputes
 each judgement; it trusts nothing from inference beyond the certificate. One
-replay compiles its scope once; a `let` layers the scheme's constraints on
-top of the enclosing scope.
+replay compiles its scope once; a `let` compiles the scheme's constraints
+into a new scope over a copy of the enclosing scope's index.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       Scheme, TVar, Type, open_forall, subst_constraints,
@@ -87,21 +87,19 @@ class ReplayScope:
     """A constraint set compiled under one valuation.
 
     Each constraint l <= r becomes a rule: once every atom of r's erasure is
-    covered, so is every atom of l's. A rule is listed under each atom of its
-    erased RHS and counts down as those atoms get covered; a rule whose RHS
-    erases to nothing fires unconditionally. `extend` layers further
-    constraints on top, erasing only those and sharing the layers below.
+    covered, so is every atom of l's. `index` lists a rule under each atom
+    of its erased RHS, where it counts down as those atoms get covered; a
+    rule whose RHS erases to nothing fires unconditionally, from `free`.
+    `extend` erases only the constraints it adds, into a copy of the index.
     """
 
     def __init__(self, omega: Iterable[Constraint],
                  rho: Mapping[Name, bool],
                  parent: "ReplayScope | None" = None) -> None:
-        own = frozenset(omega)
-        self.rho = rho
-        self.sets = (parent.sets if parent else ()) + (own,)
+        base = parent.index if parent else {}
         index: dict[Name, list[tuple]] = {}
-        free: set[Name] = set()
-        for c in own:
+        free = set(parent.free) if parent else set()
+        for c in omega:
             lhs, rhs = erase_rule(c, rho)
             if not lhs:
                 continue
@@ -110,44 +108,40 @@ class ReplayScope:
                 continue
             rule = (rhs, lhs)
             for atom in rhs:
-                index.setdefault(atom, []).append(rule)
-        # A layer that adds no rule or free atom is left out, so a query
-        # looks only at the layers that can fire.
-        self.indexes = ((parent.indexes if parent else ())
-                        + ((index,) if index else ()))
-        self.free = ((parent.free if parent else ())
-                     + ((frozenset(free),) if free else ()))
+                if atom not in index:
+                    index[atom] = list(base.get(atom, ()))
+                index[atom].append(rule)
+        self.rho = rho
+        self.index = base | index
+        self.free = frozenset(free)
 
-    def extend(self, omega: Iterable[Constraint]) -> "ReplayScope":
-        """This scope with omega added; itself if omega adds nothing."""
-        new = [c for c in omega if not any(c in own for own in self.sets)]
-        return ReplayScope(new, self.rho, self) if new else self
+    def extend(self, omega: Collection[Constraint]) -> "ReplayScope":
+        """This scope with omega added; itself if omega is empty."""
+        return ReplayScope(omega, self.rho, self) if omega else self
 
     def covers(self, start: frozenset[Name], goal: frozenset[Name]) -> bool:
         """Is every atom of goal covered once the atoms of start are?
         Propagation stops as soon as it is."""
-        missing = set(goal).difference(start, *self.free)
+        missing = set(goal).difference(start, self.free)
         if not missing:
             return True
-        queue = [atom for free in self.free for atom in free]
-        queue.extend(start)
+        queue = [*self.free, *start]
         covered: set[Name] = set()
         # RHS atoms each touched rule still lacks, keyed by the rule object:
         # two constraints may erase to equal rules, each counting alone.
         waiting: dict[int, int] = {}
-        indexes = self.indexes
+        index = self.index
         while missing and queue:
             atom = queue.pop()
             if atom in covered:
                 continue
             covered.add(atom)
-            for index in indexes:
-                for rule in index.get(atom, ()):
-                    need = waiting.get(id(rule), len(rule[0])) - 1
-                    waiting[id(rule)] = need
-                    if need == 0:
-                        queue.extend(rule[1])
-                        missing.difference_update(rule[1])
+            for rule in index.get(atom, ()):
+                need = waiting.get(id(rule), len(rule[0])) - 1
+                waiting[id(rule)] = need
+                if need == 0:
+                    queue.extend(rule[1])
+                    missing.difference_update(rule[1])
         return not missing
 
 

@@ -72,9 +72,9 @@ def effect_of(atoms: Iterable[tuple[Name, Formula]]) -> Effect:
     merged: dict[Name, Formula] = {}
     for name, g in atoms:
         merged[name] = disj2(merged[name], g) if name in merged else g
-    return Effect(tuple(sorted(((n, g) for n, g in merged.items()
-                                if not isinstance(g, Bot)),
-                               key=lambda a: a[0].key())))
+    names = sorted([n for n, g in merged.items() if not isinstance(g, Bot)],
+                   key=Name.KEY)
+    return Effect(tuple([(n, merged[n]) for n in names]))
 
 
 PURE = Effect(())
@@ -289,7 +289,7 @@ class Scheme(Value):
         if not self.binders and not self.constraints:
             return str(self.body)
         names = " ".join(b.text for b in self.binders)
-        cs = ", ".join(str(c) for c in sorted_constraints(self.constraints))
+        cs = ", ".join(sorted(map(str, self.constraints)))
         mid = f" [{cs}]" if cs else ""
         return f"forall {names}{mid} => {self.body}"
 

@@ -76,6 +76,9 @@ class _Binary(Formula):
     def __repr__(self) -> str:
         return f"{type(self).__name__}(lhs={self.lhs!r}, rhs={self.rhs!r})"
 
+    def __reduce__(self) -> tuple:
+        return type(self), (self.lhs, self.rhs)
+
     def __eq__(self, other: object) -> bool:
         """Structural equality, walked with an explicit stack so that two
         separately built formulas as deep as the program compare. A pair

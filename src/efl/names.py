@@ -59,6 +59,10 @@ class Value(Record):
 
     __delattr__ = __setattr__
 
+    def __reduce__(self) -> tuple:
+        """Copy and pickle through the constructor, given the fields."""
+        return type(self), self._values()
+
 
 _tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
 
@@ -95,9 +99,9 @@ class TupleValue(tuple):
             return _tuple_ne(self, other)
         return True if isinstance(other, tuple) else NotImplemented
 
-    def __getnewargs__(self) -> tuple:
-        """The constructor's arguments, for copy and pickle: the fields."""
-        return tuple(self)
+    def __reduce__(self) -> tuple:
+        """Copy and pickle through the constructor, given the fields."""
+        return type(self), tuple(self)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self))
@@ -121,6 +125,7 @@ class Name(TupleValue):
 
     __slots__ = ()
     _fields = ("text", "kind", "uid")
+    KEY = itemgetter(1, 2, 0)  # `key` read in C, without a Python frame
 
     def __new__(cls, text: str, kind: str, uid: int) -> "Name":
         if kind not in _PREFIXES:

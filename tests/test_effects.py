@@ -10,9 +10,9 @@ from efl.effects import (PURE, Arrow, Effect, Scheme, TVar, arrow_count,
 from efl.formulas import (BOT, TOP, And, Implies, Or, conj2, disj2,
                           evaluate)
 from efl.names import Name, NameSupply
-from helpers import (Names, all_valuations, cf_grid_source, check_source, con,
-                     effect_props, effects_equal, erase_guards,
-                     free_eff_vars_scheme, guard, to_formula)
+from helpers import (Names, all_valuations, cf_grid_source, chain_source,
+                     check_source, con, effect_props, effects_equal,
+                     erase_guards, free_eff_vars_scheme, guard, to_formula)
 from oracles import (effect_of_map, eliminate_effect_parts, guard_parts,
                      join_parts, omega_to_formula_scan, random_effect,
                      random_guard, subst_effect_parts)
@@ -100,6 +100,29 @@ def test_grid_substitution_does_not_sort_an_image_again(monkeypatch):
     assert outcome.status == "ok"
     verify_certificates(outcome)
     assert calls[0] < 40_000
+
+
+def test_effect_of_sorts_names_without_calling_name_key(monkeypatch):
+    """`effect_of` sorts by `Name.key` read in C from the name's tuple.
+    Calling the method per atom made 8 118 calls while checking and
+    replaying chain x4, x7 and x10; what is left are the driver's sorts
+    of the rigid names."""
+    calls = [0]
+    key = Name.key
+
+    def counted(name):
+        calls[0] += 1
+        return key(name)
+    monkeypatch.setattr(Name, "key", counted)
+    for n in (4, 7, 10):
+        outcome = check_source(chain_source(n))
+        assert outcome.status == "ok"
+        verify_certificates(outcome)
+    assert calls[0] < 50
+    ns = Names()
+    names = [ns.eff(t) for t in "abcd"]
+    e = effect_of((n, TOP) for n in reversed(names))
+    assert [n for n, _ in e.atoms] == sorted(names, key=key) == names
 
 
 def test_erase_guards(ns):

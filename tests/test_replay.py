@@ -1,13 +1,15 @@
 """Certificate replay on compiled scopes, against the plain closure fixpoint.
 
 `declarative.ReplayScope` erases a constraint set once per valuation and
-answers subeffect queries by counter-based Horn propagation; a `let` layers
-its scheme's constraints on top. `oracles.subeffect_fixpoint` is the closure
-it replaced: every constraint erased on every query, rules swept until
-nothing changes. Both must decide the same queries, give the same replay
-judgements on real programs, and reject the same tampered certificates.
-Each definition must also replay under the environment it was inferred
-under. `driver.total_valuation` reads the propositions inference recorded as
+answers subeffect queries by counter-based Horn propagation; a `let`
+extends it by its scheme's constraints. A scope keeps only its compiled
+index, so the tests record which constraints each scope was built from.
+`oracles.subeffect_fixpoint` is the closure it replaced: every constraint
+erased on every query, rules swept until nothing changes. Both must
+decide the same queries, give the same replay judgements on real programs,
+and reject the same tampered certificates. Each definition must also
+replay under the environment it was inferred under.
+`driver.total_valuation` reads the propositions inference recorded as
 minted; it must agree with the old walk over certificates, schemes, omega
 and the session formula wherever that walk reaches, and every proposition
 checking mints must be in the record.
@@ -68,9 +70,28 @@ def _random_rho(rng, props):
     return {p: rng.random() < 0.5 for p in props}
 
 
+# The constraints compiled into each scope built while `_track` is on,
+# its parent's included.
+_COMPILED: dict[ReplayScope, set[Constraint]] = {}
+
+
+def _track(m):
+    """Record in `_COMPILED` the constraints of every scope built while
+    the monkeypatch context m lasts."""
+    _COMPILED.clear()
+    init = ReplayScope.__init__
+
+    def recording_init(self, omega, rho, parent=None):
+        omega = list(omega)
+        init(self, omega, rho, parent)
+        _COMPILED[self] = _COMPILED.get(parent, set()) | set(omega)
+
+    m.setattr(ReplayScope, "__init__", recording_init)
+
+
 def _constraints(scope):
-    """The constraints compiled into scope, over all its layers."""
-    return set().union(*scope.sets)
+    """The constraints compiled into scope, as `_track` recorded them."""
+    return _COMPILED[scope]
 
 
 def _erases_rhs_only(omega, rho):
@@ -110,7 +131,9 @@ def test_closure_agrees_with_fixpoint_on_random_cases():
                                  "chain")) >= 30, seen
 
 
-def test_scope_extended_twice_agrees_with_fixpoint_on_the_union():
+def test_scope_extended_twice_agrees_with_fixpoint_on_the_union(
+        monkeypatch):
+    _track(monkeypatch)
     atoms, props = _material()
     rng = random.Random(5)
     crossings = 0
@@ -120,13 +143,13 @@ def test_scope_extended_twice_agrees_with_fixpoint_on_the_union():
         cut1, cut2 = sorted(rng.randint(0, len(omega)) for _ in range(2))
         parts = [omega[:cut1], omega[cut1:cut2], omega[cut2:]]
         if omega and rng.random() < 0.3:
-            parts[2].append(rng.choice(omega))  # already in a layer below
+            parts[2].append(rng.choice(omega))  # already in the parent
         base = ReplayScope(parts[0], rho)
         once = base.extend(parts[1])
         twice = once.extend(parts[2])
         assert _constraints(twice) == set(omega)
-        # Query the layers in a random order: no answer may depend on
-        # which scope was queried before.
+        # Query the scopes in a random order: no answer may depend on
+        # which scope was queried or built before.
         layers = [(base, parts[0]), (once, parts[0] + parts[1]),
                   (twice, omega)]
         rng.shuffle(layers)
@@ -142,7 +165,6 @@ def test_extend_without_new_constraints_is_the_same_scope(ns):
     c = Constraint(ns.ev("x"), ns.ev("y"))
     scope = ReplayScope([c], {})
     assert scope.extend([]) is scope
-    assert scope.extend([c]) is scope
 
 
 def test_equal_erased_rules_count_apart(ns):
@@ -192,6 +214,7 @@ def _replay(outcome, monkeypatch, closure):
         return out
 
     with monkeypatch.context() as m:
+        _track(m)
         m.setattr(driver, "check_certificate", recording_check)
         m.setattr(declarative, "subeffect_holds", recording_query)
         try:
@@ -307,24 +330,19 @@ def test_deep_let_nest_replays_layer_by_layer(monkeypatch):
     outcome = check_source(let_nest_source(30))
     assert outcome.status == "ok"
     _both(outcome, monkeypatch)
-    depths, erasures = [], Counter()
-    extend, erase = ReplayScope.extend, declarative.erase_rule
-
-    def recording_extend(self, omega):
-        out = extend(self, omega)
-        depths.append(len(out.sets))
-        return out
+    erasures = Counter()
+    erase = declarative.erase_rule
 
     def counting(c, rho):
         erasures[c] += 1
         return erase(c, rho)
 
     with monkeypatch.context() as m:
-        m.setattr(ReplayScope, "extend", recording_extend)
+        _track(m)
         m.setattr(declarative, "erase_rule", counting)
         driver.verify_certificates(outcome)
-    # outcome.omega, the definition's scheme, then one layer per let
-    assert max(depths) == 31
+    # outcome.omega, the definition's scheme, then one scope per let
+    assert len(_COMPILED) == 31
     assert set(erasures.values()) == {1}
 
 
