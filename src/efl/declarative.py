@@ -108,9 +108,7 @@ class ReplayScope:
                 continue
             rule = (rhs, lhs)
             for atom in rhs:
-                if atom not in index:
-                    index[atom] = list(base.get(atom, ()))
-                index[atom].append(rule)
+                index.setdefault(atom, [*base.get(atom, ())]).append(rule)
         self.rho = rho
         self.index = base | index
         self.free = frozenset(free)

@@ -38,14 +38,14 @@ class Discharger:
     """
 
     def __init__(self, rigid: tuple[Name, ...], supply: NameSupply) -> None:
-        self.rigid = tuple(sorted(set(rigid), key=Name.key))
+        self.rigid = tuple(sorted(set(rigid), key=Name.KEY))
         self.supply = supply
         self._member: dict[tuple[Name, Name], Name] = {}
 
     def add_rigid(self, name: Name) -> None:
         """Admit a new constant (REPL use). Formulas already pushed keep the
         elimination they were given; only later discharges see the newcomer."""
-        self.rigid = tuple(sorted(set(self.rigid) | {name}, key=Name.key))
+        self.rigid = tuple(sorted(set(self.rigid) | {name}, key=Name.KEY))
 
     def membership(self, var: Name, const: Name) -> Name:
         key = (var, const)

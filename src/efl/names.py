@@ -100,7 +100,8 @@ class TupleValue(tuple):
         return True if isinstance(other, tuple) else NotImplemented
 
     def __reduce__(self) -> tuple:
-        """Copy and pickle through the constructor, given the fields."""
+        """Copy and pickle through the constructor, given the fields (ahead
+        of `Value.__reduce__` in a class that is both, as `Prop` is)."""
         return type(self), tuple(self)
 
     def __repr__(self) -> str:
@@ -125,7 +126,7 @@ class Name(TupleValue):
 
     __slots__ = ()
     _fields = ("text", "kind", "uid")
-    KEY = itemgetter(1, 2, 0)  # `key` read in C, without a Python frame
+    KEY = itemgetter(1, 2, 0)  # the sort key (kind, id, text), read in C
 
     def __new__(cls, text: str, kind: str, uid: int) -> "Name":
         if kind not in _PREFIXES:
@@ -139,8 +140,7 @@ class Name(TupleValue):
         return f"{self.text}#{self.uid}"
 
     def key(self) -> tuple[str, int, str]:
-        """Deterministic sort key (kind, id, text)."""
-        return (self.kind, self.uid, self.text)
+        return Name.KEY(self)
 
 
 class NameSupply:

@@ -70,6 +70,7 @@ class _Solver:
         self._clauses: list[tuple[int, ...]] = []
         self._pair: list[list[int] | None] = []
         self._watches: dict[int, list[int]] = {}
+        self._units: list[int] = []  # the unit clauses, as given
         self._occ: dict[int, int] = {}
         self._fixed: dict[int, bool] = {}
         self._parent = [0]
@@ -160,6 +161,7 @@ class _Solver:
             self._unsat = True
             return
         if len(out) == 1:
+            self._units.append(out[0])
             self._assert(out[0])
             return
         self._clauses.append(tuple(out))

@@ -1170,11 +1170,7 @@ def whole_clause_solve(solver: _Solver,
                 return False
         return True
 
-    # the unit clauses, as the solver keeps them: fixed variables and
-    # component units (these also hold committed literals)
-    units = [v if on else -v for v, on in solver._fixed.items()]
-    units += [lit for comp in solver._comps.values() for lit in comp.units]
-    for lit in (*units, *assumptions):
+    for lit in (*solver._units, *assumptions):
         if not enqueue(lit):
             return None
     if not propagate(0):

@@ -275,7 +275,7 @@ def test_constraint_free_grid_output_and_work(capsys, tmp_path, monkeypatch,
             return method(*args)
         return wrapper
 
-    monkeypatch.setattr(Name, "key", counted("key", Name.key))
+    monkeypatch.setattr(Name, "KEY", counted("key", Name.KEY))
     monkeypatch.setattr(Name, "__eq__", counted("eq", Name.__eq__))
     code, out, err = _run(capsys, "--mode", "constraint-free", "check",
                           "--verify", "--dump-formula", "--dump-cert",

@@ -90,23 +90,23 @@ def test_grid_substitution_does_not_sort_an_image_again(monkeypatch):
     about 31 k `Name.key` calls. Rebuilding the image of each mapped
     one-atom effect, 2^11 atoms sorted again every time, made 61 k."""
     calls = [0]
-    key = Name.key
+    key = Name.KEY
 
     def counted(name):
         calls[0] += 1
         return key(name)
-    monkeypatch.setattr(Name, "key", counted)
+    monkeypatch.setattr(Name, "KEY", counted)
     outcome = check_source(cf_grid_source(5, False), "constraint-free")
     assert outcome.status == "ok"
     verify_certificates(outcome)
     assert calls[0] < 40_000
 
 
-def test_effect_of_sorts_names_without_calling_name_key(monkeypatch):
-    """`effect_of` sorts by `Name.key` read in C from the name's tuple.
-    Calling the method per atom made 8 118 calls while checking and
-    replaying chain x4, x7 and x10; what is left are the driver's sorts
-    of the rigid names."""
+def test_checking_sorts_names_without_calling_name_key(monkeypatch):
+    """`effect_of` and the driver's rigid names sort by `Name.KEY`, the
+    value of `Name.key` read in C from the name's tuple. Calling the
+    method per atom made 8 118 calls while checking and replaying chain
+    x4, x7 and x10."""
     calls = [0]
     key = Name.key
 
@@ -118,9 +118,11 @@ def test_effect_of_sorts_names_without_calling_name_key(monkeypatch):
         outcome = check_source(chain_source(n))
         assert outcome.status == "ok"
         verify_certificates(outcome)
-    assert calls[0] < 50
+    assert calls[0] == 0
     ns = Names()
     names = [ns.eff(t) for t in "abcd"]
+    assert all(Name.KEY(n) == (n.kind, n.uid, n.text) == key(n)
+               for n in names + [ns.prop("p"), ns.typ("t")])
     e = effect_of((n, TOP) for n in reversed(names))
     assert [n for n, _ in e.atoms] == sorted(names, key=key) == names
 

@@ -94,6 +94,22 @@ def _constraints(scope):
     return _COMPILED[scope]
 
 
+def _assert_compiled(scope, omega, rho):
+    """scope's index lists each rule of omega under rho once per
+    constraint and RHS atom, and nothing else; its free atoms are the LHS
+    atoms of the rules whose RHS erases to nothing."""
+    listed, free = Counter(), set()
+    for c in omega:
+        lhs, rhs = declarative.erase_rule(c, rho)
+        if lhs and not rhs:
+            free |= lhs
+        elif lhs:
+            listed.update((atom, (rhs, lhs)) for atom in rhs)
+    assert Counter((atom, rule) for atom, rules in scope.index.items()
+                   for rule in rules) == listed
+    assert scope.free == free
+
+
 def _erases_rhs_only(omega, rho):
     return any(declarative.erased_atoms(c.lhs, rho)
                and not declarative.erased_atoms(c.rhs, rho) for c in omega)
@@ -147,7 +163,9 @@ def test_scope_extended_twice_agrees_with_fixpoint_on_the_union(
         base = ReplayScope(parts[0], rho)
         once = base.extend(parts[1])
         twice = once.extend(parts[2])
-        assert _constraints(twice) == set(omega)
+        _assert_compiled(base, parts[0], rho)
+        _assert_compiled(once, parts[0] + parts[1], rho)
+        _assert_compiled(twice, parts[0] + parts[1] + parts[2], rho)
         # Query the scopes in a random order: no answer may depend on
         # which scope was queried or built before.
         layers = [(base, parts[0]), (once, parts[0] + parts[1]),

@@ -93,10 +93,7 @@ def test_tseitin_encodes_a_deep_chain_with_three_clauses_per_and():
     s = _Solver()
     root = s.literal(chain)
     assert s.nvars == 2 * n - 1
-    assert len(s._clauses) == 3 * (n - 1)
-    # no unit clause: none fixed a variable or reached a component
-    assert not s._fixed
-    assert not any(comp.units for comp in s._comps.values())
+    assert len(s._clauses) == 3 * (n - 1) and not s._units
     assert s.literal(chain) == root
     assert len(s._clauses) == 3 * (n - 1)
 
