@@ -27,7 +27,7 @@ from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       Scheme, TVar, Type, open_forall, subst_constraints,
                       subst_effect, subst_scheme, subst_type, subst_type_vars)
 from .formulas import evaluate
-from .names import Name, Value, _set
+from .names import Name, Value
 from .syntax import (App, EfApp, ELam, Expr, Lam, Let, SArrow, SForallEff,
                      SForallTyp, STVar, SynEffect, SynType, TLam, TyApp, Var,
                      effect_parts)
@@ -203,70 +203,40 @@ class CVar(Cert):
     __slots__ = ("theta",)
     RULE = "var"
 
-    def __init__(self, theta: tuple[tuple[Name, Effect], ...]) -> None:
-        _set(self, "theta", theta)
-
 
 class CAbs(Cert):
     __slots__ = ("param_type", "body")
     RULE = "abs"
-
-    def __init__(self, param_type: Type, body: Cert) -> None:
-        _set(self, "param_type", param_type)
-        _set(self, "body", body)
 
 
 class CApp(Cert):
     __slots__ = ("fn", "arg")
     RULE = "app"
 
-    def __init__(self, fn: Cert, arg: Cert) -> None:
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
-
 
 class CTAbs(Cert):
     __slots__ = ("body",)
     RULE = "tabs"
-
-    def __init__(self, body: Cert) -> None:
-        _set(self, "body", body)
 
 
 class CEAbs(Cert):
     __slots__ = ("body",)
     RULE = "eabs"
 
-    def __init__(self, body: Cert) -> None:
-        _set(self, "body", body)
-
 
 class CTApp(Cert):
     __slots__ = ("fn", "arg")
     RULE = "tapp"
-
-    def __init__(self, fn: Cert, arg: Type) -> None:
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
 
 
 class CEApp(Cert):
     __slots__ = ("fn", "arg")
     RULE = "eapp"
 
-    def __init__(self, fn: Cert, arg: Effect) -> None:
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
-
 
 class CLet(Cert):
     __slots__ = ("scheme", "bound", "body")
     RULE = "let"
-
-    def __init__(self, scheme: Scheme, bound: Cert, body: Cert) -> None:
-        _set(self, "scheme", scheme)
-        _set(self, "bound", bound)
-        _set(self, "body", body)
 
 
 class CSub(Cert):
@@ -274,11 +244,6 @@ class CSub(Cert):
 
     __slots__ = ("typ", "effect", "inner")
     RULE = "sub"
-
-    def __init__(self, typ: Type, effect: Effect, inner: Cert) -> None:
-        _set(self, "typ", typ)
-        _set(self, "effect", effect)
-        _set(self, "inner", inner)
 
 
 class CertificateError(Exception):

@@ -21,9 +21,9 @@ from .effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar, Type,
                       constraint_set, free_eff_vars_constraints,
                       effect_of, free_eff_vars_type, mono, omega_to_formula,
                       sorted_constraints, subst_scheme, walk_type)
-from .formulas import TOP, Formula, Prop, conj2, disj2, neg, props
-from .inference import (Config, Generalized, InferError, InferResult,
-                        generalize, infer, normalize, tr_type)
+from .formulas import Formula, Prop, conj2, disj2, neg, props
+from .inference import (Config, InferError, InferResult, generalize, infer,
+                        normalize, tr_type)
 from .names import KIND_EFF, KIND_PROP, Name, NameSupply, Record
 from .solver import SolverSession, satisfiable
 from .syntax import Expr, Program, SynType
@@ -208,40 +208,14 @@ def render_cert(c: Cert) -> str:
 class DefRecord(Record):
     __slots__ = ("name", "expr", "res", "gen")
 
-    def __init__(self, name: Name, expr: Expr, res: InferResult,
-                 gen: Generalized) -> None:
-        self.name = name
-        self.expr = expr
-        self.res = res
-        self.gen = gen
-
 
 class CheckOutcome(Record):
+    """What checking a program found. `status` is "ok", "unsat" or
+    "infer-error"."""
+
     __slots__ = ("status", "stdout_lines", "error", "exit_code", "externs",
                  "omega", "formula", "witness", "records", "main",
                  "main_expr", "discharger")
-
-    def __init__(self, status: str, stdout_lines: list[str],
-                 error: str | None, exit_code: int,
-                 externs: dict | None = None,
-                 omega: frozenset = frozenset(), formula: Formula = TOP,
-                 witness: dict[Name, bool] | None = None,
-                 records: list | None = None,
-                 main: InferResult | None = None,
-                 main_expr: Expr | None = None,
-                 discharger: Discharger | None = None) -> None:
-        self.status = status  # "ok" | "unsat" | "infer-error"
-        self.stdout_lines = stdout_lines
-        self.error = error
-        self.exit_code = exit_code
-        self.externs = {} if externs is None else externs
-        self.omega = omega
-        self.formula = formula
-        self.witness = witness
-        self.records = [] if records is None else records
-        self.main = main
-        self.main_expr = main_expr
-        self.discharger = discharger
 
     def stdout(self) -> str:
         return "".join(line + "\n" for line in self.stdout_lines)
@@ -330,10 +304,10 @@ def check_program(program: Program, supply: NameSupply,
     def outcome(status: str = "ok", error: str | None = None,
                 main: InferResult | None = None) -> CheckOutcome:
         return CheckOutcome(
-            status, lines, error, 0 if error is None else 1, externs=externs,
-            omega=frozenset(top.omega), formula=top.session.formula,
-            witness=None if error else top.session.model(), records=records,
-            main=main, main_expr=program.main, discharger=top.discharger)
+            status, lines, error, 0 if error is None else 1, externs,
+            frozenset(top.omega), top.session.formula,
+            None if error else top.session.model(), records, main,
+            program.main, top.discharger)
 
     for name, expr in program.defs:
         try:

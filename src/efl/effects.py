@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from .formulas import BOT, TOP, Bot, Formula, Top, conj, conj2, disj2, impl
-from .names import KIND_EFF, Name, TupleValue, Value, _set
+from .names import KIND_EFF, Name, TupleValue, Value
 
 # ---------------------------------------------------------------------------
 # Effects
@@ -132,9 +132,6 @@ class Type(Value):
 class TVar(Type):
     __slots__ = ("name",)
 
-    def __init__(self, name: Name) -> None:
-        _set(self, "name", name)
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return (self.name,) == (other.name,)
@@ -146,11 +143,6 @@ class TVar(Type):
 
 class Arrow(Type):
     __slots__ = ("param", "effect", "result")
-
-    def __init__(self, param: Type, effect: Effect, result: Type) -> None:
-        _set(self, "param", param)
-        _set(self, "effect", effect)
-        _set(self, "result", result)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -166,10 +158,6 @@ class _Forall(Type):
     """The methods of the two quantifiers. Each lists the fields in its own
     `__slots__`, and an instance of one never equals one of the other."""
     __slots__ = ()
-
-    def __init__(self, binder: Name, body: Type) -> None:
-        _set(self, "binder", binder)
-        _set(self, "body", body)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -251,9 +239,6 @@ class Constraint(TupleValue):
         rhs = "pure" if self.rhs.is_pure() else str(self.rhs)
         return f"{self.lhs} <: {rhs}"
 
-    def key(self) -> str:
-        return str(self)
-
 
 def constraint_set(items: Iterable[Constraint]) -> frozenset[Constraint]:
     """Build a constraint set, dropping trivial pure-LHS constraints."""
@@ -261,7 +246,7 @@ def constraint_set(items: Iterable[Constraint]) -> frozenset[Constraint]:
 
 
 def sorted_constraints(omega: Iterable[Constraint]) -> list[Constraint]:
-    return sorted(omega, key=Constraint.key)
+    return sorted(omega, key=str)
 
 
 def omega_to_formula(omega: Iterable[Constraint], *alphas: Name) -> Formula:
@@ -278,12 +263,6 @@ class Scheme(Value):
     """A constrained effect scheme: forall binders [constraints] => body."""
 
     __slots__ = ("binders", "constraints", "body")
-
-    def __init__(self, binders: tuple[Name, ...],
-                 constraints: frozenset[Constraint], body: Type) -> None:
-        _set(self, "binders", binders)
-        _set(self, "constraints", constraints)
-        _set(self, "body", body)
 
     def __str__(self) -> str:
         if not self.binders and not self.constraints:

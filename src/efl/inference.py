@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
-                          CVar, Cert, subst_cert)
+                          CVar, subst_cert)
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       Scheme, TVar, Type, arrow_count, constraint_set,
                       effect_of, join, mono, omega_to_formula, open_forall,
@@ -201,34 +201,15 @@ class InferResult(Value):
     __slots__ = ("props", "gen", "type", "effect", "constraints", "formula",
                  "cert")
 
-    def __init__(self, props: tuple[Name, ...], gen: tuple[Name, ...],
-                 type: Type, effect: Effect, constraints: frozenset,
-                 formula: Formula, cert: Cert) -> None:
-        _set(self, "props", props)
-        _set(self, "gen", gen)
-        _set(self, "type", type)
-        _set(self, "effect", effect)
-        _set(self, "constraints", constraints)
-        _set(self, "formula", formula)
-        _set(self, "cert", cert)
-
 
 class Generalized(Value):
-    """A generalized binding. `props` is every guard proposition minted
-    while generalizing (the constraint-free grid); replay's valuation covers
-    them through it, as for `InferResult.props`."""
+    """A generalized binding. `gen` is the variables that outlive the
+    scheme, `omega_p` the constraints propagated past it, and `formula` the
+    extra conjuncts (constraint-free). `props` is every guard proposition
+    minted while generalizing (the constraint-free grid); replay's
+    valuation covers them through it, as for `InferResult.props`."""
 
     __slots__ = ("scheme", "gen", "props", "omega_p", "formula", "theta")
-
-    def __init__(self, scheme: Scheme, gen: tuple[Name, ...],
-                 props: tuple[Name, ...], omega_p: frozenset,
-                 formula: Formula, theta: Mapping[Name, Effect]) -> None:
-        _set(self, "scheme", scheme)
-        _set(self, "gen", gen)        # variables that outlive the scheme
-        _set(self, "props", props)    # propositions minted generalizing
-        _set(self, "omega_p", omega_p)  # constraints propagated past it
-        _set(self, "formula", formula)  # extra conjuncts (constraint-free)
-        _set(self, "theta", theta)
 
 
 def generalize(res: InferResult, supply: NameSupply,
@@ -297,11 +278,9 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
         deltas = [supply.fresh(KIND_EFF) for _ in scheme.binders]
         theta = {b: Effect.var(d) for b, d in zip(scheme.binders, deltas)}
         return InferResult(
-            props=(), gen=tuple(deltas),
-            type=subst_type(theta, scheme.body), effect=PURE,
-            constraints=subst_constraints(theta, scheme.constraints),
-            formula=TOP,
-            cert=CVar(tuple((b, theta[b]) for b in scheme.binders)))
+            (), tuple(deltas), subst_type(theta, scheme.body), PURE,
+            subst_constraints(theta, scheme.constraints), TOP,
+            CVar(tuple((b, theta[b]) for b in scheme.binders)))
 
     if isinstance(expr, Lam):
         props, gen, t1 = tr_type(expr.ann, supply)
@@ -309,10 +288,8 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
         inner[expr.param] = mono(t1)
         r = infer(inner, expr.body, supply, config)
         return InferResult(
-            props=props + r.props, gen=gen + r.gen,
-            type=Arrow(t1, r.effect, r.type), effect=PURE,
-            constraints=r.constraints, formula=r.formula,
-            cert=CAbs(t1, r.cert))
+            props + r.props, gen + r.gen, Arrow(t1, r.effect, r.type), PURE,
+            r.constraints, r.formula, CAbs(t1, r.cert))
 
     if isinstance(expr, App):
         r1 = infer(gamma, expr.fn, supply, config)
@@ -324,12 +301,11 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
         eff = join(r1.effect, r2.effect, arrow.effect)
         target = Arrow(arrow.param, eff, arrow.result)
         return InferResult(
-            props=r1.props + r2.props, gen=r1.gen + r2.gen,
-            type=arrow.result, effect=eff,
-            constraints=r1.constraints | r2.constraints | o_sub,
-            formula=conj2(r1.formula, conj2(r2.formula, f_sub)),
-            cert=CApp(CSub(target, eff, r1.cert),
-                      CSub(arrow.param, eff, r2.cert)))
+            r1.props + r2.props, r1.gen + r2.gen, arrow.result, eff,
+            r1.constraints | r2.constraints | o_sub,
+            conj2(r1.formula, conj2(r2.formula, f_sub)),
+            CApp(CSub(target, eff, r1.cert),
+                 CSub(arrow.param, eff, r2.cert)))
 
     if isinstance(expr, Let):
         r1 = infer(gamma, expr.bound, supply, config)
@@ -339,21 +315,17 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
         r2 = infer(inner, expr.body, supply, config)
         bound_cert = CSub(g.scheme.body, PURE, subst_cert(g.theta, r1.cert))
         return InferResult(
-            props=r1.props + g.props + r2.props, gen=g.gen + r2.gen,
-            type=r2.type, effect=r2.effect,
-            constraints=g.omega_p | r2.constraints,
-            formula=conj2(r1.formula, conj2(g.formula, r2.formula)),
-            cert=CLet(g.scheme, bound_cert, r2.cert))
+            r1.props + g.props + r2.props, g.gen + r2.gen, r2.type,
+            r2.effect, g.omega_p | r2.constraints,
+            conj2(r1.formula, conj2(g.formula, r2.formula)),
+            CLet(g.scheme, bound_cert, r2.cert))
 
     if isinstance(expr, TLam):
         r = infer(gamma, expr.body, supply, config)
         return InferResult(
-            props=r.props, gen=r.gen,
-            type=ForallTyp(expr.binder, r.type), effect=PURE,
-            constraints=constraint_set(set(r.constraints)
-                                       | {purity(r.effect)}),
-            formula=r.formula,
-            cert=CTAbs(CSub(r.type, PURE, r.cert)))
+            r.props, r.gen, ForallTyp(expr.binder, r.type), PURE,
+            constraint_set(set(r.constraints) | {purity(r.effect)}),
+            r.formula, CTAbs(CSub(r.type, PURE, r.cert)))
 
     if isinstance(expr, ELam):
         r = infer(gamma, expr.body, supply, config)
@@ -363,11 +335,10 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
         om1 = subst_constraints(theta, om)
         body_type = subst_type(theta, r.type)
         return InferResult(
-            props=r.props + new_props, gen=new_gen,
-            type=ForallEff(alpha, body_type), effect=PURE,
-            constraints=subst_constraints({alpha: PURE}, om1),
-            formula=conj2(r.formula, omega_to_formula(om1, alpha)),
-            cert=CEAbs(CSub(body_type, PURE, subst_cert(theta, r.cert))))
+            r.props + new_props, new_gen, ForallEff(alpha, body_type), PURE,
+            subst_constraints({alpha: PURE}, om1),
+            conj2(r.formula, omega_to_formula(om1, alpha)),
+            CEAbs(CSub(body_type, PURE, subst_cert(theta, r.cert))))
 
     if isinstance(expr, TyApp):
         r = infer(gamma, expr.fn, supply, config)
@@ -376,10 +347,9 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
                              f"{r.type}")
         props, gen, t2 = tr_type(expr.arg, supply)
         return InferResult(
-            props=r.props + props, gen=r.gen + gen,
-            type=subst_type_vars({r.type.binder: t2}, r.type.body),
-            effect=r.effect, constraints=r.constraints, formula=r.formula,
-            cert=CTApp(r.cert, t2))
+            r.props + props, r.gen + gen,
+            subst_type_vars({r.type.binder: t2}, r.type.body), r.effect,
+            r.constraints, r.formula, CTApp(r.cert, t2))
 
     if isinstance(expr, EfApp):
         r = infer(gamma, expr.fn, supply, config)
@@ -388,9 +358,7 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
                              f"{r.type}")
         gen, e2 = tr_effect(expr.arg, supply)
         return InferResult(
-            props=r.props, gen=r.gen + gen,
-            type=subst_type({r.type.binder: e2}, r.type.body),
-            effect=r.effect, constraints=r.constraints, formula=r.formula,
-            cert=CEApp(r.cert, e2))
+            r.props, r.gen + gen, subst_type({r.type.binder: e2}, r.type.body),
+            r.effect, r.constraints, r.formula, CEApp(r.cert, e2))
 
     raise TypeError(f"not an expression: {expr!r}")

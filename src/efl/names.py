@@ -8,28 +8,73 @@ substitution is therefore capture-avoiding: a substitution can only ever
 mention ids that are in scope where it was built.
 
 The module also holds `Record` and `Value`, the bases of the package's
-value classes: plain slotted classes, each with its own `__init__`, that
-the bases compare, hash and print by the fields in their `__slots__`, as a
-dataclass would. The package imports no `dataclasses`: generating and
-compiling its methods cost a fresh process most of its import time. The
-hottest dictionary keys (`Name`, `Prop`, `Effect`, `Constraint`) are
-`TupleValue`s instead: stored as the tuple of their fields, so that they
-hash in C, to the hash a `Value` with those fields has.
+value classes: plain slotted classes that the bases build, compare, hash
+and print by the fields in their `__slots__`, as a dataclass would. The
+package imports no `dataclasses`: generating and compiling its methods
+cost a fresh process most of its import time. The hottest dictionary keys
+(`Name`, `Prop`, `Effect`, `Constraint`) are `TupleValue`s instead: stored
+as the tuple of their fields, so that they hash in C, to the hash a
+`Value` with those fields has.
 """
 from __future__ import annotations
 
 from operator import itemgetter
+from typing import Callable
 
 # Sets a field of a frozen instance, bypassing its refusing __setattr__.
 _set = object.__setattr__
 
 
+def _constructor(sets: list[Callable]) -> Callable:
+    """An `__init__` storing one positional argument per slot, in order,
+    through each slot's descriptor setter, as `_set` would. Up to three
+    fields it is straight-line: `efl` builds a node per token and per
+    inference step, and a loop over the fields made checking slower."""
+    if len(sets) == 1:
+        (s0,) = sets
+
+        def __init__(self, a, /) -> None:
+            s0(self, a)
+    elif len(sets) == 2:
+        s0, s1 = sets
+
+        def __init__(self, a, b, /) -> None:
+            s0(self, a)
+            s1(self, b)
+    elif len(sets) == 3:
+        s0, s1, s2 = sets
+
+        def __init__(self, a, b, c, /) -> None:
+            s0(self, a)
+            s1(self, b)
+            s2(self, c)
+    else:
+        def __init__(self, *args) -> None:
+            if len(args) != len(sets):
+                raise TypeError(f"{type(self).__qualname__}() takes "
+                                f"{len(sets)} arguments ({len(args)} given)")
+            for s, a in zip(sets, args):
+                s(self, a)
+    return __init__
+
+
 class Record:
-    """A mutable record: compared and printed by the fields its class lists
-    in `__slots__`, in that order, and unhashable."""
+    """A mutable record: built, compared and printed by the fields its
+    class lists in `__slots__`, in that order, and unhashable.
+
+    A class that lists fields and writes no `__init__` is given one that
+    takes each field positionally, in that order; a class with
+    `__slots__ = ()` inherits its parent's."""
 
     __slots__ = ()
     __hash__ = None
+
+    def __init_subclass__(cls) -> None:
+        fields = cls.__dict__.get("__slots__", ())
+        if fields and "__init__" not in cls.__dict__:
+            init = _constructor([cls.__dict__[f].__set__ for f in fields])
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])

@@ -16,8 +16,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .names import (KIND_EFF, KIND_EXPR, KIND_TYPE, Name, NameSupply, Value,
-                    _set)
+from .names import KIND_EFF, KIND_EXPR, KIND_TYPE, Name, NameSupply, Value
 
 
 class SourceError(Exception):
@@ -41,9 +40,6 @@ class SynEffect(Value):
 class SEVar(SynEffect):
     __slots__ = ("name",)
 
-    def __init__(self, name: Name) -> None:
-        _set(self, "name", name)
-
     def __str__(self) -> str:
         return self.name.text
 
@@ -66,9 +62,6 @@ class SEJoin(SynEffect):
     """A join of two or more operands, none of them a join."""
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple[SynEffect, ...]) -> None:
-        _set(self, "parts", parts)
-
     def __str__(self) -> str:
         return " \\/ ".join(map(str, self.parts))
 
@@ -80,21 +73,12 @@ class SynType(Value):
 class STVar(SynType):
     __slots__ = ("name",)
 
-    def __init__(self, name: Name) -> None:
-        _set(self, "name", name)
-
     def __str__(self) -> str:
         return self.name.text
 
 
 class SArrow(SynType):
     __slots__ = ("param", "effect", "result")
-
-    def __init__(self, param: SynType, effect: SynEffect,
-                 result: SynType) -> None:
-        _set(self, "param", param)
-        _set(self, "effect", effect)
-        _set(self, "result", result)
 
     def __str__(self) -> str:
         lhs = f"({self.param})" if isinstance(self.param, (SArrow, SForallTyp,
@@ -107,20 +91,12 @@ class SArrow(SynType):
 class SForallTyp(SynType):
     __slots__ = ("binder", "body")
 
-    def __init__(self, binder: Name, body: SynType) -> None:
-        _set(self, "binder", binder)
-        _set(self, "body", body)
-
     def __str__(self) -> str:
         return f"forall typ {self.binder.text}. {self.body}"
 
 
 class SForallEff(SynType):
     __slots__ = ("binder", "body")
-
-    def __init__(self, binder: Name, body: SynType) -> None:
-        _set(self, "binder", binder)
-        _set(self, "body", body)
 
     def __str__(self) -> str:
         return f"forall eff {self.binder.text}. {self.body}"
@@ -133,80 +109,37 @@ class Expr(Value):
 class Var(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: Name) -> None:
-        _set(self, "name", name)
-
 
 class Lam(Expr):
     __slots__ = ("param", "ann", "body")
-
-    def __init__(self, param: Name, ann: SynType, body: Expr) -> None:
-        _set(self, "param", param)
-        _set(self, "ann", ann)
-        _set(self, "body", body)
 
 
 class App(Expr):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: Expr, arg: Expr) -> None:
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
-
 
 class Let(Expr):
     __slots__ = ("name", "bound", "body")
-
-    def __init__(self, name: Name, bound: Expr, body: Expr) -> None:
-        _set(self, "name", name)
-        _set(self, "bound", bound)
-        _set(self, "body", body)
 
 
 class TLam(Expr):
     __slots__ = ("binder", "body")
 
-    def __init__(self, binder: Name, body: Expr) -> None:
-        _set(self, "binder", binder)
-        _set(self, "body", body)
-
 
 class ELam(Expr):
     __slots__ = ("binder", "body")
-
-    def __init__(self, binder: Name, body: Expr) -> None:
-        _set(self, "binder", binder)
-        _set(self, "body", body)
 
 
 class TyApp(Expr):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: Expr, arg: SynType) -> None:
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
-
 
 class EfApp(Expr):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: Expr, arg: SynEffect) -> None:
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
-
 
 class Program(Value):
     __slots__ = ("effects", "types", "externs", "defs", "main")
-
-    def __init__(self, effects: tuple[Name, ...], types: tuple[Name, ...],
-                 externs: tuple[tuple[Name, SynType], ...],
-                 defs: tuple[tuple[Name, Expr], ...],
-                 main: Expr | None) -> None:
-        _set(self, "effects", effects)
-        _set(self, "types", types)
-        _set(self, "externs", externs)
-        _set(self, "defs", defs)
-        _set(self, "main", main)
 
 
 def effect_leaves(se: SynEffect) -> tuple[SynEffect, ...]:

@@ -13,7 +13,8 @@ from efl.effects import (Constraint, Effect, Scheme, effect_of,
 from efl.formulas import (BOT, TOP, Formula, Prop, conj2, disj2, evaluate,
                           props)
 from efl.inference import Config
-from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply
+from efl.names import (KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply,
+                       Record)
 from efl.solver import SolverSession, _Solver
 from efl.syntax import (App, EfApp, ELam, Expr, Lam, Let, Parser, Scope,
                         SynType, TLam, Token, TyApp, Var, _scan,
@@ -51,6 +52,18 @@ class Names:
 
     def atom(self, text: str, guard) -> Effect:
         return Effect(((self.eff(text), guard),))
+
+
+def value_classes() -> list[type]:
+    """Every `Record` subclass that a module of the package defines, by
+    name."""
+    todo, out = [Record], []
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("efl."):
+            out.append(cls)
+    return sorted(out, key=lambda c: c.__qualname__)
 
 
 def scope_of(*names: Name) -> dict[tuple[str, str], Name]:

@@ -951,7 +951,7 @@ def omega_to_formula_scan(omega: Iterable[Constraint],
                           *alphas: Name) -> Formula:
     """`effects.omega_to_formula` reading each guard with `Effect.guard_of`,
     one scan of a side's atoms per constraint and alpha."""
-    cs = sorted(omega, key=Constraint.key)
+    cs = sorted(omega, key=str)
     return conj(conj(impl(c.lhs.guard_of(a), c.rhs.guard_of(a)) for c in cs)
                 for a in alphas)
 

@@ -10,9 +10,10 @@ import efl
 from efl import cli, driver, inference
 from efl.declarative import CERT_OF, Cert, CSub, CVar, subst_cert
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff,
-                         ForallTyp, Scheme, TVar)
+                         ForallTyp, Scheme, TVar, Type)
 from efl.formulas import And, Bot, Implies, Or, Prop, Top
-from efl.names import KIND_EFF, KIND_TYPE, Name, NameSupply
+from efl.names import KIND_EFF, KIND_TYPE, Name, NameSupply, Record
+from helpers import SOURCES, check_source, value_classes
 
 PACKAGE = Path(efl.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -21,17 +22,20 @@ _PROBE = """
 import json, sys
 import efl.cli
 import efl
-missing = [n for n in efl.__all__ if not hasattr(efl, n)]
 loaded = sorted(m for m in sys.modules if m == "efl" or m.startswith("efl."))
+exported = [n for n in vars(efl)
+            if not n.startswith("_") and f"efl.{n}" not in sys.modules]
 slow = [m for m in ("dataclasses", "inspect") if m in sys.modules]
-print(json.dumps({"loaded": loaded, "missing": missing, "slow": slow}))
+print(json.dumps({"loaded": loaded, "exported": exported, "slow": slow}))
 """
 
 
-def test_cli_import_loads_every_module_and_exports_resolve():
+def test_cli_import_loads_every_module_and_the_package_exports_nothing():
     """A fresh `import efl.cli` loads every module of the package, and
     neither `dataclasses` nor `inspect`: generating a dataclass's methods
-    at every start cost a fresh process most of its import time."""
+    at every start cost a fresh process most of its import time. The
+    package itself holds its modules and no re-exported name: every user
+    imports the module that defines what it needs."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", _PROBE], env=env,
                          capture_output=True, text=True, check=True,
@@ -40,7 +44,7 @@ def test_cli_import_loads_every_module_and_exports_resolve():
     files = {"efl" if f.stem == "__init__" else f"efl.{f.stem}"
              for f in PACKAGE.glob("*.py")}
     assert set(report["loaded"]) == files
-    assert report["missing"] == []
+    assert report["exported"] == []
     assert report["slow"] == []
 
 
@@ -192,11 +196,30 @@ def _certificate_classes() -> list[type]:
     return sorted(out, key=lambda c: c.__name__)
 
 
+def _certificates_reached() -> dict[type, Cert]:
+    """The first node of each certificate class that a walk over the
+    certificates of checking `SOURCES` in both modes reaches."""
+    found: dict[type, Cert] = {}
+    for mode in ("constrained", "constraint-free"):
+        for _, src in SOURCES:
+            outcome = check_source(src, mode)
+            todo = [rec.res.cert for rec in outcome.records]
+            if outcome.main is not None:
+                todo.append(outcome.main.cert)
+            while todo:
+                node = todo.pop()
+                found.setdefault(type(node), node)
+                todo += (x for x in (getattr(node, f) for f in node.__slots__)
+                         if isinstance(x, Cert))
+    return found
+
+
 def test_every_certificate_class_has_a_rule_and_walks():
     """Each concrete certificate class names its rule, is the node of one
-    expression form (a `CSub` wraps any of them), and prints and takes a
-    substitution through the field-kind walks: a node whose constructor
-    takes a field of a kind the walks do not know fails here."""
+    expression form (a `CSub` wraps any of them), is reached by checking
+    `SOURCES`, and prints and takes a substitution through the field-kind
+    walks: a node with a field of a kind the walks do not know fails
+    here."""
     supply = NameSupply()
     alpha = supply.fresh(KIND_EFF, "alpha")
     beta = supply.fresh(KIND_EFF, "beta")
@@ -205,19 +228,20 @@ def test_every_certificate_class_has_a_rule_and_walks():
     eff = Effect.var(alpha)
     typ = Arrow(unit, eff, unit)
     leaf = CVar(((binder, eff),))
-    # One field of each kind, by the annotation the constructor gives it;
-    # each mentions alpha.
-    samples = {"Cert": leaf, "Effect": eff, "Type": typ,
-               "Scheme": Scheme((), frozenset({Constraint(eff, PURE)}), typ),
-               "tuple[tuple[Name, Effect], ...]": ((binder, eff),)}
+    # One field of each kind, by the kind of the field in a node checking
+    # builds; each mentions alpha. An effect is a tuple, so it comes first.
+    samples = ((Cert, leaf), (Effect, eff), (Type, typ),
+               (Scheme, Scheme((), frozenset({Constraint(eff, PURE)}), typ)),
+               (tuple, ((binder, eff),)))
     classes = _certificate_classes()
     assert set(CERT_OF.values()) == set(classes) - {CSub}
+    reached = _certificates_reached()
+    assert set(reached) == set(classes)
     for cls in classes:
         assert "RULE" in vars(cls), cls
-        hints = dict(cls.__init__.__annotations__)
-        hints.pop("return")
-        assert tuple(hints) == cls.__slots__, cls
-        node = cls(*(samples[hint] for hint in hints.values()))
+        fields = [getattr(reached[cls], f) for f in cls.__slots__]
+        node = cls(*(next(s for kind, s in samples if isinstance(x, kind))
+                     for x in fields))
         assert driver.render_cert(node).startswith(f"({cls.RULE} "), cls
         moved = subst_cert({alpha: Effect.var(beta)}, node)
         shown = driver.render_cert(moved)
@@ -236,3 +260,14 @@ def test_hot_keys_hash_in_c_and_recursive_values_are_not_tuples():
     assert [cls.__name__ for cls in (Arrow, ForallTyp, ForallEff, And, Or,
                                      Implies, Top, Bot)
             if issubclass(cls, tuple)] == []
+
+
+def test_only_binary_and_config_write_a_constructor():
+    """Every other value class is built by the constructor `Record` makes
+    from its `__slots__`, so how a value is built from its fields is
+    decided once, in `names`. `_Binary` caches its hash and `Config`
+    checks its mode and has a default."""
+    written = [cls.__name__ for cls in value_classes()
+               if "__init__" in vars(cls)
+               and cls.__init__.__module__ != Record.__module__]
+    assert written == ["Config", "_Binary"]

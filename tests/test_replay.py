@@ -25,7 +25,7 @@ from efl import declarative, driver
 from efl.declarative import (CSub, CVar, Cert, CertificateError, ReplayScope,
                              subeffect_holds)
 from efl.effects import PURE, Constraint, Effect, join
-from efl.formulas import evaluate, props
+from efl.formulas import TOP, evaluate, props
 from efl.inference import Config
 from efl.names import KIND_PROP, NameSupply
 from efl.syntax import parse_program
@@ -255,13 +255,13 @@ def _both(outcome, monkeypatch):
 
 def _fields(node):
     """The fields of a value-class instance by name, in the order of its
-    class's `__slots__`, which is also the order of its `__init__`."""
+    class's `__slots__`, which is also the order its constructor takes."""
     return {f: getattr(node, f) for f in node.__slots__}
 
 
 def _replace(node, **changes):
     """A copy of node with the given fields changed."""
-    return type(node)(**{**_fields(node), **changes})
+    return type(node)(*{**_fields(node), **changes}.values())
 
 
 def _nodes(cert):
@@ -477,9 +477,9 @@ def test_total_valuation_defaults_only_what_the_witness_misses(ns):
     a, b, c, d, m = (ns.prop(t) for t in "abcdm")
     rec = SimpleNamespace(res=SimpleNamespace(props=(a, b)),
                           gen=SimpleNamespace(props=(c,)))
-    outcome = driver.CheckOutcome("ok", [], None, 0, records=[rec],
-                                  main=SimpleNamespace(props=(d,)),
-                                  witness={a: True, b: False, m: True})
+    outcome = driver.CheckOutcome("ok", [], None, 0, {}, frozenset(), TOP,
+                                  {a: True, b: False, m: True}, [rec],
+                                  SimpleNamespace(props=(d,)), None, None)
     rho = driver.total_valuation(outcome)
     assert rho == {a: True, b: False, c: False, d: False, m: True}
     assert evaluate(ns.p("a"), rho) and not evaluate(ns.p("c"), rho)
