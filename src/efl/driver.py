@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import itertools
 
-from .declarative import (CSub, CVar, Cert, CertificateError, ReplayScope,
-                          check_certificate, subst_cert)
-from .effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar, Type,
+from .declarative import (CVar, Cert, CertificateError, ReplayScope,
+                          check_certificate)
+from .effects import (Arrow, Constraint, Effect, Scheme, TVar, Type,
                       constraint_set, free_eff_vars_constraints,
                       effect_of, free_eff_vars_type, mono, omega_to_formula,
                       sorted_constraints, subst_scheme, walk_type)
 from .formulas import Formula, Prop, conj2, disj2, neg, props
-from .inference import (Config, InferError, InferResult, generalize, infer,
-                        normalize, tr_type)
+from .inference import (Config, InferError, InferResult, generalize,
+                        generalized_cert, infer, normalize, tr_type)
 from .names import KIND_EFF, KIND_PROP, Name, NameSupply, Record
 from .solver import SolverSession, satisfiable
 from .syntax import Expr, Program, SynType
@@ -211,11 +211,12 @@ class DefRecord(Record):
 
 class CheckOutcome(Record):
     """What checking a program found. `status` is "ok", "unsat" or
-    "infer-error"."""
+    "infer-error"; `props` is every guard proposition the run's supply
+    minted, in order."""
 
     __slots__ = ("status", "stdout_lines", "error", "exit_code", "externs",
                  "omega", "formula", "witness", "records", "main",
-                 "main_expr", "discharger")
+                 "main_expr", "discharger", "props")
 
     def stdout(self) -> str:
         return "".join(line + "\n" for line in self.stdout_lines)
@@ -262,7 +263,7 @@ class TopLevel:
         self.omega: set[Constraint] = set()
 
     def add_extern(self, name: Name, st: SynType) -> Type:
-        _, _, t = tr_type(st, self.supply)
+        _, t = tr_type(st, self.supply)
         self.gamma[name] = mono(t)
         return t
 
@@ -307,7 +308,7 @@ def check_program(program: Program, supply: NameSupply,
             status, lines, error, 0 if error is None else 1, externs,
             frozenset(top.omega), top.session.formula,
             None if error else top.session.model(), records, main,
-            program.main, top.discharger)
+            program.main, top.discharger, tuple(supply.props))
 
     for name, expr in program.defs:
         try:
@@ -338,23 +339,15 @@ def check_program(program: Program, supply: NameSupply,
 
 
 def total_valuation(outcome: CheckOutcome) -> dict[Name, bool]:
-    """The witness extended with False over every proposition inference
-    minted for the records and the final expression. Replay reads no other:
-    a guard proposition is minted by `infer` or `generalize` and recorded in
-    its result's `props`, or is a membership proposition of the session
-    formula, which the witness maps."""
-    minted = [p for rec in outcome.records
-              for p in rec.res.props + rec.gen.props]
-    if outcome.main is not None:
-        minted += outcome.main.props
-    return dict.fromkeys(minted, False) | (outcome.witness or {})
+    """The witness extended with False over every proposition the run's
+    supply minted. Replay reads no other: every proposition is minted by
+    `NameSupply.fresh`, which records it."""
+    return dict.fromkeys(outcome.props, False) | (outcome.witness or {})
 
 
 def wrapped_cert(rec: DefRecord) -> Cert:
-    """The definition's certificate as used at top level: substituted by the
-    generalization and weakened to (scheme body, pure)."""
-    return CSub(rec.gen.scheme.body, PURE,
-                subst_cert(rec.gen.theta, rec.res.cert))
+    """The definition's certificate as used at top level."""
+    return generalized_cert(rec.gen, rec.res.cert)
 
 
 def verify_certificates(outcome: CheckOutcome) -> None:
@@ -367,12 +360,8 @@ def verify_certificates(outcome: CheckOutcome) -> None:
     gamma = dict(outcome.externs)
     for rec in outcome.records:
         scheme = rec.gen.scheme
-        t, e = check_certificate(scope.extend(scheme.constraints), gamma,
-                                 rec.expr, wrapped_cert(rec))
-        if t != scheme.body or not e.is_pure():
-            raise CertificateError(
-                "toplevel", f"definition '{rec.name.text}' derived {t} @ "
-                            f"[{e}], expected its scheme body, pure")
+        check_certificate(scope.extend(scheme.constraints), gamma, rec.expr,
+                          wrapped_cert(rec))
         gamma[rec.name] = scheme
     if outcome.main is not None:
         t, e = check_certificate(scope, gamma, outcome.main_expr,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
-                          CVar, subst_cert)
+                          CVar, Cert, subst_cert)
 from .effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
                       Scheme, TVar, Type, arrow_count, constraint_set,
                       effect_of, join, mono, omega_to_formula, open_forall,
@@ -78,26 +78,24 @@ def tr_effect(se: SynEffect,
 
 
 def _rebind_under(alpha: Name, gen: tuple[Name, ...], supply: NameSupply
-                 ) -> tuple[tuple[Name, ...], tuple[Name, ...],
-                            dict[Name, Effect]]:
+                 ) -> tuple[tuple[Name, ...], dict[Name, Effect]]:
     """Rebuild each generated variable beta under the effect binder alpha as
     gamma_beta \\/ alpha ? p_beta, minting p_beta then gamma_beta per beta.
 
-    Returns (the p's, the gamma's, the substitution)."""
-    new_props, new_gen = [], []
+    Returns (the gamma's, the substitution)."""
+    new_gen = []
     theta: dict[Name, Effect] = {}
     for beta in gen:
         p_b = supply.fresh(KIND_PROP)
         gamma_b = supply.fresh(KIND_EFF)
-        new_props.append(p_b)
         new_gen.append(gamma_b)
         theta[beta] = effect_of(((gamma_b, TOP), (alpha, Prop(p_b))))
-    return tuple(new_props), tuple(new_gen), theta
+    return tuple(new_gen), theta
 
 
-def tr_type(st: SynType, supply: NameSupply
-            ) -> tuple[tuple[Name, ...], tuple[Name, ...], Type]:
-    """Translate a surface type to (props, generated effect vars, type).
+def tr_type(st: SynType,
+            supply: NameSupply) -> tuple[tuple[Name, ...], Type]:
+    """Translate a surface type to (generated effect vars, type).
 
     Under an effect quantifier, each effect variable generated in the body is
     rebuilt as "fresh variable joined with the binder guarded by a fresh
@@ -105,20 +103,19 @@ def tr_type(st: SynType, supply: NameSupply
     wildcard includes the quantified variable.
     """
     if isinstance(st, STVar):
-        return (), (), TVar(st.name)
+        return (), TVar(st.name)
     if isinstance(st, SArrow):
-        p1, g1, t1 = tr_type(st.param, supply)
+        g1, t1 = tr_type(st.param, supply)
         g0, eff = tr_effect(st.effect, supply)
-        p2, g2, t2 = tr_type(st.result, supply)
-        return p1 + p2, g1 + g0 + g2, Arrow(t1, eff, t2)
+        g2, t2 = tr_type(st.result, supply)
+        return g1 + g0 + g2, Arrow(t1, eff, t2)
     if isinstance(st, SForallTyp):
-        p, g, t = tr_type(st.body, supply)
-        return p, g, ForallTyp(st.binder, t)
+        g, t = tr_type(st.body, supply)
+        return g, ForallTyp(st.binder, t)
     if isinstance(st, SForallEff):
-        p1, g1, t = tr_type(st.body, supply)
-        new_props, new_gen, theta = _rebind_under(st.binder, g1, supply)
-        return (p1 + new_props, new_gen,
-                ForallEff(st.binder, subst_type(theta, t)))
+        g1, t = tr_type(st.body, supply)
+        new_gen, theta = _rebind_under(st.binder, g1, supply)
+        return new_gen, ForallEff(st.binder, subst_type(theta, t))
     raise TypeError(f"not a surface type: {st!r}")
 
 
@@ -190,26 +187,25 @@ def separate(delta_g: frozenset, omega) -> tuple[frozenset, frozenset]:
 
 
 class InferResult(Value):
-    """What `infer` derived for an expression.
+    """What `infer` derived for an expression. The guard propositions it
+    minted are recorded in the supply's `props`, not here."""
 
-    `props` is every guard proposition minted while inferring it, nested
-    generalizations included, whether or not the result still mentions it.
-    Certificate replay depends on it: `driver.total_valuation` extends the
-    witness over exactly these propositions.
-    """
-
-    __slots__ = ("props", "gen", "type", "effect", "constraints", "formula",
-                 "cert")
+    __slots__ = ("gen", "type", "effect", "constraints", "formula", "cert")
 
 
 class Generalized(Value):
     """A generalized binding. `gen` is the variables that outlive the
     scheme, `omega_p` the constraints propagated past it, and `formula` the
-    extra conjuncts (constraint-free). `props` is every guard proposition
-    minted while generalizing (the constraint-free grid); replay's
-    valuation covers them through it, as for `InferResult.props`."""
+    extra conjuncts (constraint-free). The constraint-free grid's guard
+    propositions are recorded in the supply's `props`."""
 
-    __slots__ = ("scheme", "gen", "props", "omega_p", "formula", "theta")
+    __slots__ = ("scheme", "gen", "omega_p", "formula", "theta")
+
+
+def generalized_cert(g: Generalized, cert: Cert) -> Cert:
+    """A bound expression's certificate as the binding uses it: substituted
+    by the generalization and weakened to (scheme body, pure)."""
+    return CSub(g.scheme.body, PURE, subst_cert(g.theta, cert))
 
 
 def generalize(res: InferResult, supply: NameSupply,
@@ -228,13 +224,13 @@ def generalize(res: InferResult, supply: NameSupply,
         kept, propagated = separate(frozenset(gammas),
                                     subst_constraints(theta, om))
         scheme = Scheme(tuple(gammas), kept, subst_type(theta, res.type))
-        return Generalized(scheme, tuple(betas), (), propagated, TOP, theta)
+        return Generalized(scheme, tuple(betas), propagated, TOP, theta)
 
     # Constraint-free mode. With nothing generalized the substitution grid is
     # empty and minting would change nothing, so skip it.
     if not res.gen:
-        return Generalized(Scheme((), frozenset(), res.type), (), (), om,
-                           TOP, {})
+        return Generalized(Scheme((), frozenset(), res.type), (), om, TOP,
+                           {})
     n = 2 ** arrow_count(res.type)
     if n > MAX_GEN_VARS:
         raise GenLimitError(
@@ -244,20 +240,17 @@ def generalize(res: InferResult, supply: NameSupply,
     gammas = [supply.fresh(KIND_EFF) for _ in range(n)]
     theta = {}
     betas = []
-    grid_props: list[Name] = []
     for a in res.gen:
         beta = supply.fresh(KIND_EFF)
         grid = [supply.fresh(KIND_PROP) for _ in gammas]
         betas.append(beta)
-        grid_props += grid
         theta[a] = effect_of([(beta, TOP)] + [(g, Prop(p))
                                               for g, p in zip(gammas, grid)])
     om1 = subst_constraints(theta, om)
     propagated = subst_constraints({g: PURE for g in gammas}, om1)
     extra = omega_to_formula(om1, *gammas)
     scheme = Scheme(tuple(gammas), frozenset(), subst_type(theta, res.type))
-    return Generalized(scheme, tuple(betas), tuple(grid_props), propagated,
-                       extra, theta)
+    return Generalized(scheme, tuple(betas), propagated, extra, theta)
 
 
 def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
@@ -278,17 +271,17 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
         deltas = [supply.fresh(KIND_EFF) for _ in scheme.binders]
         theta = {b: Effect.var(d) for b, d in zip(scheme.binders, deltas)}
         return InferResult(
-            (), tuple(deltas), subst_type(theta, scheme.body), PURE,
+            tuple(deltas), subst_type(theta, scheme.body), PURE,
             subst_constraints(theta, scheme.constraints), TOP,
             CVar(tuple((b, theta[b]) for b in scheme.binders)))
 
     if isinstance(expr, Lam):
-        props, gen, t1 = tr_type(expr.ann, supply)
+        gen, t1 = tr_type(expr.ann, supply)
         inner = dict(gamma)
         inner[expr.param] = mono(t1)
         r = infer(inner, expr.body, supply, config)
         return InferResult(
-            props + r.props, gen + r.gen, Arrow(t1, r.effect, r.type), PURE,
+            gen + r.gen, Arrow(t1, r.effect, r.type), PURE,
             r.constraints, r.formula, CAbs(t1, r.cert))
 
     if isinstance(expr, App):
@@ -301,7 +294,7 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
         eff = join(r1.effect, r2.effect, arrow.effect)
         target = Arrow(arrow.param, eff, arrow.result)
         return InferResult(
-            r1.props + r2.props, r1.gen + r2.gen, arrow.result, eff,
+            r1.gen + r2.gen, arrow.result, eff,
             r1.constraints | r2.constraints | o_sub,
             conj2(r1.formula, conj2(r2.formula, f_sub)),
             CApp(CSub(target, eff, r1.cert),
@@ -313,17 +306,15 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
         inner = dict(gamma)
         inner[expr.name] = g.scheme
         r2 = infer(inner, expr.body, supply, config)
-        bound_cert = CSub(g.scheme.body, PURE, subst_cert(g.theta, r1.cert))
         return InferResult(
-            r1.props + g.props + r2.props, g.gen + r2.gen, r2.type,
-            r2.effect, g.omega_p | r2.constraints,
+            g.gen + r2.gen, r2.type, r2.effect, g.omega_p | r2.constraints,
             conj2(r1.formula, conj2(g.formula, r2.formula)),
-            CLet(g.scheme, bound_cert, r2.cert))
+            CLet(g.scheme, generalized_cert(g, r1.cert), r2.cert))
 
     if isinstance(expr, TLam):
         r = infer(gamma, expr.body, supply, config)
         return InferResult(
-            r.props, r.gen, ForallTyp(expr.binder, r.type), PURE,
+            r.gen, ForallTyp(expr.binder, r.type), PURE,
             constraint_set(set(r.constraints) | {purity(r.effect)}),
             r.formula, CTAbs(CSub(r.type, PURE, r.cert)))
 
@@ -331,11 +322,11 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
         r = infer(gamma, expr.body, supply, config)
         alpha = expr.binder
         om = constraint_set(set(r.constraints) | {purity(r.effect)})
-        new_props, new_gen, theta = _rebind_under(alpha, r.gen, supply)
+        new_gen, theta = _rebind_under(alpha, r.gen, supply)
         om1 = subst_constraints(theta, om)
         body_type = subst_type(theta, r.type)
         return InferResult(
-            r.props + new_props, new_gen, ForallEff(alpha, body_type), PURE,
+            new_gen, ForallEff(alpha, body_type), PURE,
             subst_constraints({alpha: PURE}, om1),
             conj2(r.formula, omega_to_formula(om1, alpha)),
             CEAbs(CSub(body_type, PURE, subst_cert(theta, r.cert))))
@@ -345,11 +336,10 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
         if not isinstance(r.type, ForallTyp):
             raise ShapeError(f"type application to a non-quantified type "
                              f"{r.type}")
-        props, gen, t2 = tr_type(expr.arg, supply)
+        gen, t2 = tr_type(expr.arg, supply)
         return InferResult(
-            r.props + props, r.gen + gen,
-            subst_type_vars({r.type.binder: t2}, r.type.body), r.effect,
-            r.constraints, r.formula, CTApp(r.cert, t2))
+            r.gen + gen, subst_type_vars({r.type.binder: t2}, r.type.body),
+            r.effect, r.constraints, r.formula, CTApp(r.cert, t2))
 
     if isinstance(expr, EfApp):
         r = infer(gamma, expr.fn, supply, config)
@@ -358,7 +348,7 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
                              f"{r.type}")
         gen, e2 = tr_effect(expr.arg, supply)
         return InferResult(
-            r.props, r.gen + gen, subst_type({r.type.binder: e2}, r.type.body),
+            r.gen + gen, subst_type({r.type.binder: e2}, r.type.body),
             r.effect, r.constraints, r.formula, CEApp(r.cert, e2))
 
     raise TypeError(f"not an expression: {expr!r}")

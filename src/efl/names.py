@@ -189,14 +189,21 @@ class Name(TupleValue):
 
 
 class NameSupply:
-    """Mints fresh names. One supply per run; ids count up from zero."""
+    """Mints fresh names. One supply per run; ids count up from zero.
+
+    `props` is every guard proposition minted, in order: the one record of
+    them, which certificate replay extends the witness over."""
 
     def __init__(self, start: int = 0) -> None:
         self._next = start
+        self.props: list[Name] = []
 
     def fresh(self, kind: str, text: str | None = None) -> Name:
         uid = self._next
         self._next += 1
         if text is None:
             text = f"{_PREFIXES[kind]}{uid}"
-        return Name(text, kind, uid)
+        name = Name(text, kind, uid)
+        if kind == KIND_PROP:
+            self.props.append(name)
+        return name

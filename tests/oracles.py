@@ -656,8 +656,8 @@ def parse_closed_type(src: str, names: Iterable[Name],
     parser = Parser(src, supply, scope_of(*names))
     st = parser.parse_type()
     parser.expect("eof", "end of input")
-    props, gen, t = tr_type(st, supply)
-    assert not props and not gen, "type was not wildcard-free"
+    gen, t = tr_type(st, supply)
+    assert not gen, "type was not wildcard-free"
     return t
 
 
@@ -1374,13 +1374,12 @@ DATACLASS_FIELDS: dict[type, tuple[str, ...]] = {
     CEApp: ("fn", "arg"), CLet: ("scheme", "bound", "body"),
     CSub: ("typ", "effect", "inner"),
     Config: ("mode",),
-    InferResult: ("props", "gen", "type", "effect", "constraints", "formula",
-                  "cert"),
-    Generalized: ("scheme", "gen", "props", "omega_p", "formula", "theta"),
+    InferResult: ("gen", "type", "effect", "constraints", "formula", "cert"),
+    Generalized: ("scheme", "gen", "omega_p", "formula", "theta"),
     DefRecord: ("name", "expr", "res", "gen"),
     CheckOutcome: ("status", "stdout_lines", "error", "exit_code", "externs",
                    "omega", "formula", "witness", "records", "main",
-                   "main_expr", "discharger"),
+                   "main_expr", "discharger", "props"),
 }
 
 # The two that were plain, mutable dataclasses; the rest were frozen.

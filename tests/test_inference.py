@@ -61,7 +61,9 @@ def test_tr_effect_named_and_pure(ns, supply):
 def test_tr_type_rewires_wildcards_under_effect_quantifier(ns, supply):
     scope = scope_of(ns.typ("Unit"))
     st = parse_type("forall eff a. Unit ->[_] Unit", supply, scope)
-    props, gen, t = tr_type(st, supply)
+    before = len(supply.props)
+    gen, t = tr_type(st, supply)
+    props = supply.props[before:]
     assert len(props) == 1 and len(gen) == 1
     assert isinstance(t, ForallEff)
     eff = t.body.effect
@@ -73,8 +75,9 @@ def test_tr_type_rewires_wildcards_under_effect_quantifier(ns, supply):
 def test_tr_type_no_quantifier_no_guards(ns, supply):
     scope = scope_of(ns.typ("Unit"))
     st = parse_type("Unit ->[_] Unit", supply, scope)
-    props, gen, t = tr_type(st, supply)
-    assert props == () and len(gen) == 1
+    before = len(supply.props)
+    gen, t = tr_type(st, supply)
+    assert supply.props[before:] == [] and len(gen) == 1
     assert t.effect == Effect.var(gen[0])
 
 
@@ -270,11 +273,13 @@ def test_infer_effect_abstraction_rewires_wildcards(ns, supply):
     u, io, scope, gamma = _ctx(ns, supply)
     expr = parse_expr("efun e => fn (k : Unit ->[_] Unit) => k", supply,
                       scope)
+    before = len(supply.props)
     res = infer(gamma, expr, supply)
+    props = supply.props[before:]
     assert isinstance(res.type, ForallEff)
     param_eff = res.type.body.param.effect
-    assert len(res.gen) == 1 and len(res.props) == 1
-    assert param_eff.guard_of(res.type.binder) == Prop(res.props[0])
+    assert len(res.gen) == 1 and len(props) == 1
+    assert param_eff.guard_of(res.type.binder) == Prop(props[0])
     assert param_eff.guard_of(res.gen[0]) == TOP
     assert res.effect == PURE
     rho = dict.fromkeys(cert_props(res.cert), False)
@@ -308,20 +313,24 @@ def test_infer_argument_shape_mismatch(ns, supply):
 def test_cf_generalize_skips_when_nothing_generated(ns, supply):
     u, io, scope, gamma = _ctx(ns, supply)
     res = infer(gamma, parse_expr("launch", supply, scope), supply, CF)
+    before = len(supply.props)
     g = generalize(res, supply, CF)
     assert g.scheme == Scheme((), frozenset(), Arrow(u, io, u))
-    assert g.theta == {} and g.props == () and g.formula == TOP
+    assert g.theta == {} and supply.props[before:] == []
+    assert g.formula == TOP
 
 
 def test_cf_generalize_mints_one_binder_per_arrow_subset(ns, supply):
     u, io, scope, gamma = _ctx(ns, supply)
     res = infer(gamma, parse_expr("(weaken [eff _]) launch", supply, scope),
                 supply, CF)
+    before = len(supply.props)
     g = generalize(res, supply, CF)
     # one arrow in the bound type: 2 grid binders, no kept constraints
     assert len(g.scheme.binders) == 2
     assert g.scheme.constraints == frozenset()
-    assert len(g.props) == 2          # one grid proposition per binder
+    # one grid proposition per binder
+    assert len(supply.props) - before == 2
     (beta,) = g.gen
     assert g.omega_p == {con(io, Effect.var(beta))}
 

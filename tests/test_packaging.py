@@ -65,6 +65,49 @@ def test_solver_imports_only_formulas_and_names():
     assert imported == {"formulas", "names"}
 
 
+def _name_builds(path: Path) -> list[tuple[str, ast.Call]]:
+    """Each call in path that builds a `Name` directly, `Name(...)` or a
+    `__new__` given the class `Name`, with the qualified name of the
+    function it is in."""
+    out = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{where}.{child.name}".lstrip(".")
+            elif isinstance(child, ast.Call):
+                fn, args = child.func, child.args
+                if (isinstance(fn, ast.Name) and fn.id == "Name"
+                        or isinstance(fn, ast.Attribute)
+                        and fn.attr == "__new__" and args
+                        and isinstance(args[0], ast.Name)
+                        and args[0].id == "Name"):
+                    out.append((where, child))
+            visit(child, inner)
+    visit(ast.parse(path.read_text()), "")
+    return out
+
+
+def test_only_the_supply_mints_propositions():
+    """`NameSupply.fresh` records every proposition it mints, and
+    certificate replay extends the witness over that record alone. So no
+    other code builds a `Name`, unless its kind is written out as one of
+    the other kinds, as `display_scheme`'s renamed binders are."""
+    builds = [(f.name, where, call) for f in sorted(PACKAGE.glob("*.py"))
+              for where, call in _name_builds(f)]
+    stray = []
+    for file, where, call in builds:
+        kind = call.args[1] if len(call.args) > 1 else None
+        if where != "NameSupply.fresh" and not (
+                isinstance(kind, ast.Name)
+                and kind.id in ("KIND_EFF", "KIND_TYPE", "KIND_EXPR")):
+            stray.append(f"{file}:{call.lineno} in {where}")
+    assert stray == []
+    assert {where for _, where, _ in builds} == {"NameSupply.fresh",
+                                                 "display_scheme"}
+
+
 def test_bench_calls_resolve_as_the_bench_makes_them(monkeypatch, capsys):
     """What `bench/worker.py` and `bench/checks.py` use of the package:
     `cli.main` reaches `check_program` through the `cli` binding, the REPL

@@ -9,29 +9,27 @@ erased on every query, rules swept until nothing changes. Both must
 decide the same queries, give the same replay judgements on real programs,
 and reject the same tampered certificates. Each definition must also
 replay under the environment it was inferred under.
-`driver.total_valuation` reads the propositions inference recorded as
-minted; it must agree with the old walk over certificates, schemes, omega
-and the session formula wherever that walk reaches, and every proposition
-checking mints must be in the record.
+`driver.total_valuation` reads the propositions the run's supply recorded
+as minted; it must agree with the old walk over certificates, schemes,
+omega and the session formula wherever that walk reaches, and every
+proposition checking mints must be in the record, in minting order.
 """
 import random
 import sys
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
 from efl import declarative, driver
 from efl.declarative import (CSub, CVar, Cert, CertificateError, ReplayScope,
                              subeffect_holds)
-from efl.effects import PURE, Constraint, Effect, join
+from efl.effects import PURE, Arrow, Constraint, Effect, join
 from efl.formulas import TOP, evaluate, props
 from efl.inference import Config
 from efl.names import KIND_PROP, NameSupply
 from efl.syntax import parse_program
 from helpers import (G_BODY, G_HEADER, SOURCES, Names, check_source,
-                     g_example_source, memberships, nest_source,
-                     spine_source)
+                     g_example_source, nest_source, spine_source)
 from oracles import (cert_props, constraints_props, gen_program,
                      random_effect, random_guard, scheme_props,
                      subeffect_fixpoint, total_valuation_over_formula)
@@ -334,6 +332,32 @@ def test_tampered_certificates_fail_alike(monkeypatch, name, src, mode):
         assert seen == TAMPER_FAILURES[name]
 
 
+# The accepted SOURCES programs that end in a final expression
+MAIN_SOURCES = [(n, s) for n, s in SOURCES
+                if n in ("cf_equal_vars", "cf_k_join", "identity",
+                         "quantifiers", "subeffect_chain")]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name,src", MAIN_SOURCES,
+                         ids=[n for n, _ in MAIN_SOURCES])
+def test_final_expression_must_derive_the_reported_judgement(ns, name, src,
+                                                             mode):
+    """The final expression's certificate replays, but to a judgement other
+    than the one reported once the reported type, or separately the
+    reported effect, is tampered; either is a "toplevel" failure."""
+    outcome = check_source(src, mode)
+    assert outcome.status == "ok" and outcome.main is not None
+    driver.verify_certificates(outcome)
+    main = outcome.main
+    tampered = [_replace(main, type=Arrow(main.type, PURE, main.type)),
+                _replace(main, effect=join(main.effect, ns.ev("tampered")))]
+    for bad in tampered:
+        with pytest.raises(CertificateError) as ex:
+            driver.verify_certificates(_replace(outcome, main=bad))
+        assert ex.value.rule == "toplevel"
+
+
 def let_nest_source(n):
     """One definition whose bound expression nests n - 1 lets, each in the
     bound expression of the next and each binding a copy of g, so that
@@ -475,11 +499,9 @@ def test_total_valuation_defaults_only_what_the_witness_misses(ns):
     the propositions nobody minted. Any other proposition stays uncovered,
     so evaluating it raises."""
     a, b, c, d, m = (ns.prop(t) for t in "abcdm")
-    rec = SimpleNamespace(res=SimpleNamespace(props=(a, b)),
-                          gen=SimpleNamespace(props=(c,)))
     outcome = driver.CheckOutcome("ok", [], None, 0, {}, frozenset(), TOP,
-                                  {a: True, b: False, m: True}, [rec],
-                                  SimpleNamespace(props=(d,)), None, None)
+                                  {a: True, b: False, m: True}, [], None,
+                                  None, None, (a, b, c, d))
     rho = driver.total_valuation(outcome)
     assert rho == {a: True, b: False, c: False, d: False, m: True}
     assert evaluate(ns.p("a"), rho) and not evaluate(ns.p("c"), rho)
@@ -514,19 +536,12 @@ def _minted_props(monkeypatch, src, mode):
 @pytest.mark.parametrize("name,src", DOMAIN_SOURCES,
                          ids=[n for n, _ in DOMAIN_SOURCES])
 def test_every_minted_proposition_is_recorded(monkeypatch, name, src, mode):
-    """Each proposition minted while checking an accepted program is in
-    its records' or final expression's `props`, or is a membership
-    proposition of the discharger, which the witness maps."""
+    """The outcome's `props` is exactly the propositions `fresh` minted
+    while checking the program, in minting order, membership propositions
+    of the discharger included."""
     for source in _programs(src, mode, 200):
         outcome, minted = _minted_props(monkeypatch, source, mode)
-        if outcome.status != "ok":
-            continue
-        recorded = set(memberships(outcome.discharger))
-        for rec in outcome.records:
-            recorded |= set(rec.res.props) | set(rec.gen.props)
-        if outcome.main is not None:
-            recorded |= set(outcome.main.props)
-        assert set(minted) <= recorded
+        assert outcome.props == tuple(minted)
 
 
 def test_spine_replay_walks_each_shared_type_once():

@@ -53,9 +53,8 @@ VALUES = [
     SE, SEPure(), SEWild(), SEJoin((SE, SEWild())),
     Program((ALPHA,), (T.name,), ((X.name, ST),), ((X.name, X),), X),
     Config("constraint-free"),
-    InferResult((P.name,), (ALPHA,), T, GUARDED, frozenset(), TOP, CERT),
-    Generalized(SCHEME, (ALPHA,), (P.name,), frozenset(), TOP,
-                {ALPHA: GUARDED}),
+    InferResult((ALPHA,), T, GUARDED, frozenset(), TOP, CERT),
+    Generalized(SCHEME, (ALPHA,), frozenset(), TOP, {ALPHA: GUARDED}),
 ]
 
 
