@@ -11,6 +11,14 @@ encoding (definitions are shared and survive across queries); the search is
 an iterative DPLL over two watched literals per clause. Models are reported
 over named propositions only; Tseitin auxiliaries never escape.
 
+Both hot loops are kept flat. A Tseitin gate whose inputs are two distinct
+variables that no unit has fixed yields three clauses that need none of
+`add_clause`'s checks, so `literal` stores them in one step, with one union
+of their components. The search keeps literal values in one list indexed
+by the literal itself, negative literals from the end, that lives as long
+as the solver, so a query costs what it assigns; it builds the model dict
+once, when it has found a model.
+
 The search runs on one connected component of the clause graph at a time.
 Independent definitions share no variable once the unit-fixed Tseitin
 constants are set aside, so a push or a REPL `:type` probe re-solves only
@@ -73,6 +81,7 @@ class _Solver:
         self._units: list[int] = []  # the unit clauses, as given
         self._occ: dict[int, int] = {}
         self._fixed: dict[int, bool] = {}
+        self._lv: list[int] = []  # literal values, for `solve`
         self._parent = [0]
         self._comps: dict[int, _Component] = {}
         # roots of the components a query must look at even when none of
@@ -202,7 +211,8 @@ class _Solver:
 
     def literal(self, phi: Formula) -> int:
         """Tseitin literal for phi, adding definition clauses as needed."""
-        memo = self._memo
+        memo, fixed, occ = self._memo, self._fixed, self._occ
+        clauses, pairs, watches = self._clauses, self._pair, self._watches
         stack = [phi]
         while stack:
             f = stack[-1]
@@ -231,17 +241,31 @@ class _Solver:
                 continue
             v = self.fresh_var()
             if isinstance(f, And):
-                self.add_clause([-v, a])
-                self.add_clause([-v, b])
-                self.add_clause([v, -a, -b])
+                gate = ((-v, a), (-v, b), (v, -a, -b))
             elif isinstance(f, Or):
-                self.add_clause([-v, a, b])
-                self.add_clause([v, -a])
-                self.add_clause([v, -b])
+                gate = ((-v, a, b), (v, -a), (v, -b))
             else:
-                self.add_clause([-v, -a, b])
-                self.add_clause([v, a])
-                self.add_clause([v, -b])
+                gate = ((-v, -a, b), (v, a), (v, -b))
+            if a == b or a in fixed or b in fixed:
+                for clause in gate:
+                    self.add_clause(clause)
+            else:
+                # what add_clause makes of each clause: none repeats or
+                # cancels a literal or holds a fixed one, and all three
+                # join the component of v, a and b
+                idx = len(pairs)
+                for clause in gate:
+                    pairs.append([clause[0], clause[1]])
+                    watches.setdefault(clause[0], []).append(idx)
+                    watches.setdefault(clause[1], []).append(idx)
+                    idx += 1
+                clauses.extend(gate)
+                occ[v] = 3
+                occ[a] = occ.get(a, 0) + 2
+                occ[b] = occ.get(b, 0) + 2
+                self._invalidate(self._union(
+                    self._union(self._touch(v), self._touch(a)),
+                    self._touch(b)))
             memo[f] = v
             stack.pop()
         return memo[phi]
@@ -315,27 +339,41 @@ class _Solver:
         restricted to it: solving them apart returns the same witness.
         The fixed variables are assigned from the start and no searched
         clause watches one, so propagation never leaves the component.
+
+        Literal values live in one flat list, `lv[lit]` being 1 (true), -1
+        (false) or 0 (unassigned): a negative literal indexes it from the
+        end, so both polarities of a variable are one lookup each. The list
+        outlives the query, zero but for the fixed variables between
+        queries, so a query costs its own assignments and not one cell per
+        variable of the solver; it is reallocated with twice the room it
+        needs when the variables outgrow it.
         """
-        assign = dict(self._fixed)
+        lv = self._lv
+        if len(lv) <= 2 * self.nvars:
+            lv = self._lv = [0] * (4 * self.nvars + 1)
+        for v, value in self._fixed.items():
+            lv[v], lv[-v] = (1, -1) if value else (-1, 1)
         trail: list[int] = []
+        try:
+            if not self._search(comp, lv, trail):
+                return None
+            model = dict(self._fixed)
+            for lit in trail:
+                model[abs(lit)] = lit > 0
+            return model
+        finally:
+            for lit in trail:
+                lv[lit] = lv[-lit] = 0
+
+    def _search(self, comp: _Component, lv: list[int],
+                trail: list[int]) -> bool:
+        """Extend trail to the least model of comp under its units and
+        probe literals, as `solve` describes; whether there is one."""
         clauses = self._clauses
         pairs = self._pair
         watches = self._watches
 
-        def value(lit: int) -> bool | None:
-            v = assign.get(abs(lit))
-            return None if v is None else (v if lit > 0 else not v)
-
-        def enqueue(lit: int) -> bool:
-            v = value(lit)
-            if v is not None:
-                return v
-            assign[abs(lit)] = lit > 0
-            trail.append(lit)
-            return True
-
-        def propagate(start: int) -> bool:
-            i = start
+        def propagate(i: int) -> bool:
             while i < len(trail):
                 falsified = -trail[i]
                 i += 1
@@ -343,43 +381,40 @@ class _Solver:
                 if not ws:
                     continue
                 keep: list[int] = []
-                conflict = False
                 for k, ci in enumerate(ws):
                     pair = pairs[ci]
                     if pair[0] == falsified:
                         pair[0], pair[1] = pair[1], pair[0]
                     other = pair[0]
-                    if value(other) is True:
+                    ov = lv[other]
+                    if ov == 1:
                         keep.append(ci)
                         continue
-                    moved = False
                     for cand in clauses[ci]:
                         if (cand != other and cand != falsified
-                                and value(cand) is not False):
+                                and lv[cand] != -1):
                             pair[1] = cand
                             watches.setdefault(cand, []).append(ci)
-                            moved = True
                             break
-                    if moved:
-                        continue
-                    keep.append(ci)
-                    ov = value(other)
-                    if ov is False:
-                        keep.extend(ws[k + 1:])
-                        conflict = True
-                        break
-                    if ov is None:
-                        enqueue(other)
+                    else:
+                        keep.append(ci)
+                        if ov == -1:
+                            keep.extend(ws[k + 1:])
+                            watches[falsified] = keep
+                            return False
+                        lv[other], lv[-other] = 1, -1
+                        trail.append(other)
                 watches[falsified] = keep
-                if conflict:
-                    return False
             return True
 
         for lit in (*comp.units, *comp.key):
-            if not enqueue(lit):
-                return None
+            if lv[lit] == -1:
+                return False
+            if not lv[lit]:
+                lv[lit], lv[-lit] = 1, -1
+                trail.append(lit)
         if not propagate(0):
-            return None
+            return False
 
         if comp.order is None:
             occ = self._occ
@@ -388,32 +423,39 @@ class _Solver:
         decisions: list[tuple[int, int, bool, int]] = []
         cursor = 0
         while True:
-            while cursor < len(order) and order[cursor] in assign:
+            while cursor < len(order) and lv[order[cursor]]:
                 cursor += 1
             if cursor == len(order):
-                return assign
+                return True
             var = order[cursor]
             decisions.append((len(trail), var, False, cursor))
-            enqueue(-var)
+            lv[var], lv[-var] = -1, 1
+            trail.append(-var)
             start = len(trail) - 1
             while not propagate(start):
                 while decisions:
                     tlen, dv, flipped, cur = decisions.pop()
                     for lit in trail[tlen:]:
-                        del assign[abs(lit)]
+                        lv[lit] = lv[-lit] = 0
                     del trail[tlen:]
                     cursor = cur
                     if not flipped:
                         decisions.append((tlen, dv, True, cur))
-                        enqueue(dv)
+                        lv[dv], lv[-dv] = 1, -1
+                        trail.append(dv)
                         start = tlen
                         break
                 else:
-                    return None
+                    return False
 
 
 def satisfiable(phi: Formula) -> bool:
-    """Whether phi has a model, decided in a solver of its own."""
+    """Whether phi has a model, decided in a solver of its own; a constant
+    or a bare proposition is answered without one."""
+    if isinstance(phi, (Top, Prop)):
+        return True
+    if isinstance(phi, Bot):
+        return False
     solver = _Solver()
     return solver.satisfiable((solver.literal(phi),))
 

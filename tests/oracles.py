@@ -35,6 +35,9 @@ it walked the certificates, schemes and omega for their guard propositions
 defaulted every proposition of the session formula.
 `whole_clause_solve` is `solver._Solver.solve` as it was before it ran one
 component at a time: one DPLL over every clause and unit a solver holds.
+`literal_by_clause` is `solver._Solver.literal` as it was before it took
+a Tseitin gate's three clauses in one step: every clause through
+`add_clause`.
 `effect_of_map`, `join_parts`, `guard_parts`, `subst_effect_parts` and
 `eliminate_effect_parts` build effects as `efl.effects` and `efl.driver`
 did before `effects.effect_of` took a list of guarded atoms: each merges
@@ -1203,6 +1206,55 @@ def whole_clause_solve(solver: _Solver,
                     break
             else:
                 return None
+
+
+def literal_by_clause(solver: _Solver, phi: Formula) -> int:
+    """`solver._Solver.literal` as it was before it took a gate's clauses
+    in one step: the Tseitin literal for phi, each definition clause added
+    through `add_clause` on its own."""
+    memo = solver._memo
+    stack = [phi]
+    while stack:
+        f = stack[-1]
+        if f in memo:
+            stack.pop()
+            continue
+        if isinstance(f, Prop):
+            memo[f] = solver.var_of(f.name)
+            stack.pop()
+            continue
+        if isinstance(f, (Top, Bot)):
+            v = solver.fresh_var()
+            solver.add_clause([v] if isinstance(f, Top) else [-v])
+            memo[f] = v
+            stack.pop()
+            continue
+        if not isinstance(f, (And, Or, Implies)):
+            raise TypeError(f"not a formula: {f!r}")
+        a = memo.get(f.lhs)
+        if a is None:
+            stack.append(f.lhs)
+            continue
+        b = memo.get(f.rhs)
+        if b is None:
+            stack.append(f.rhs)
+            continue
+        v = solver.fresh_var()
+        if isinstance(f, And):
+            solver.add_clause([-v, a])
+            solver.add_clause([-v, b])
+            solver.add_clause([v, -a, -b])
+        elif isinstance(f, Or):
+            solver.add_clause([-v, a, b])
+            solver.add_clause([v, -a])
+            solver.add_clause([v, -b])
+        else:
+            solver.add_clause([-v, -a, b])
+            solver.add_clause([v, a])
+            solver.add_clause([v, -b])
+        memo[f] = v
+        stack.pop()
+    return memo[phi]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ keeps each component's model between queries. `oracles.whole_clause_solve`
 is the search it replaced: one DPLL over every clause the solver holds. On
 the same clauses the two must give the same verdicts and the same model,
 over every variable, for every push, `admits` probe and `model()` call,
-and the same `fixed` set.
+and the same `fixed` set. Crafted instances reach the search's backtrack
+loop, which the checked programs never do. `oracles.literal_by_clause` is
+the Tseitin intake that adds one clause at a time: a gate taken in one
+step must leave the solver in the same state.
 """
 import random
 
@@ -18,7 +21,7 @@ from efl.names import Name
 from efl.solver import SolverSession, _Solver
 from helpers import (SOURCES, Names, chain_source, check_source, fixed,
                      g_example_source)
-from oracles import whole_clause_solve
+from oracles import literal_by_clause, whole_clause_solve
 from test_repl_golden import CASES, SCRIPTS, transcript
 
 
@@ -182,6 +185,101 @@ def test_raw_clauses_agree_with_whole_clause_dpll(seed):
     assert s.satisfiable() == (want is not None)
     if want is not None:
         assert_same_model(s, want)
+
+
+def solved(clauses: list[tuple[int, ...]]) -> _Solver:
+    """A solver holding the clauses, queried once and checked against the
+    whole-clause DPLL."""
+    s = _Solver()
+    for _ in range(max(abs(lit) for c in clauses for lit in c)):
+        s.fresh_var()
+    for c in clauses:
+        s.add_clause(c)
+    want = whole_clause_solve(s)
+    assert s.satisfiable() == (want is not None)
+    if want is not None:
+        assert_same_model(s, want)
+    return s
+
+
+def test_pigeonhole_three_into_two_is_unsat():
+    """Every decision path ends in a conflict, so the search backtracks
+    through all of them before it answers."""
+    var = {(i, j): 2 * i + j + 1 for i in range(3) for j in range(2)}
+    clauses = [(var[i, 0], var[i, 1]) for i in range(3)]
+    clauses += [(-var[i, j], -var[k, j])
+                for j in range(2) for i in range(3) for k in range(i + 1, 3)]
+    s = solved(clauses)
+    assert not s.satisfiable()
+
+
+def test_conflicts_below_the_first_decision_flip_it():
+    """With x1 false the clauses need all eight sign patterns of x2..x4,
+    so every branch under it ends in a conflict at level 3 and the first
+    decision (x1, all variables tie on occurrences) flips to true."""
+    clauses = [(1, 2 * s2, 3 * s3, 4 * s4)
+               for s2 in (1, -1) for s3 in (1, -1) for s4 in (1, -1)]
+    s = solved(clauses)
+    assert [s.value(v) for v in range(1, 5)] == [True, False, False, False]
+
+
+# -- gate intake in one step ---------------------------------------------------
+
+
+def assert_same_intake(fast: _Solver, slow: _Solver) -> None:
+    assert fast.nvars == slow.nvars
+    assert fast._clauses == slow._clauses
+    assert fast._units == slow._units
+    assert fast._occ == slow._occ
+    assert fast._pair == slow._pair
+    assert fast._watches == slow._watches
+    assert fast._fixed == slow._fixed
+    assert fast._recheck == slow._recheck
+    assert ([fast._find(v) for v in range(1, fast.nvars + 1)]
+            == [slow._find(v) for v in range(1, slow.nvars + 1)])
+
+
+def assert_same_intake_and_models(formulas, commits) -> None:
+    """Each formula through `_Solver.literal` and through the clause-by-
+    clause oracle into two solvers, then the same query on both: its root
+    committed, or probed."""
+    fast, slow = _Solver(), _Solver()
+    for phi, commit in zip(formulas, commits):
+        root = fast.literal(phi)
+        assert literal_by_clause(slow, phi) == root
+        assert_same_intake(fast, slow)
+        if commit:
+            fast.commit(root)
+            slow.commit(root)
+        probe = () if commit else (root,)
+        verdict = fast.satisfiable(probe)
+        assert slow.satisfiable(probe) == verdict
+        if verdict:
+            assert_same_model(fast, {v: slow.value(v)
+                                     for v in range(1, slow.nvars + 1)})
+        assert_same_intake(fast, slow)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_gate_intake_agrees_with_clause_by_clause(seed):
+    ns = Names()
+    rng = random.Random(seed)
+    groups = [[ns.p(f"{g}{i}") for i in range(3)] for g in "ab"]
+    n = rng.randrange(1, 10)
+    formulas = [random_formula(rng, rng.choice(groups), 3) for _ in range(n)]
+    assert_same_intake_and_models(formulas,
+                                  [rng.random() < 0.6 for _ in range(n)])
+
+
+def test_gates_that_take_the_clause_by_clause_path(ns):
+    """Equal inputs, and inputs fixed by a constant or by a committed bare
+    proposition, go through `add_clause` one clause at a time."""
+    p, q, r = ns.p("p"), ns.p("q"), ns.p("r")
+    assert_same_intake_and_models(
+        [And(p, p), Or(q, q), Implies(r, r), And(q, TOP),
+         Or(BOT, r), p, And(p, q), Implies(r, p), Or(q, r)],
+        [False, False, False, True, False, True, True, False, True])
 
 
 # -- the checker and the REPL --------------------------------------------------

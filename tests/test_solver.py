@@ -39,6 +39,14 @@ def test_sat_constants(ns):
     assert model is not None and set(model) == set()
 
 
+def test_satisfiable_answers_constants_without_a_solver(ns, monkeypatch):
+    def refuse():
+        raise AssertionError("built a solver")
+    monkeypatch.setattr(solver, "_Solver", refuse)
+    assert solver.satisfiable(TOP) and solver.satisfiable(ns.p("p"))
+    assert not solver.satisfiable(BOT)
+
+
 def test_sat_model_covers_exactly_the_props(ns):
     p, q = ns.p("p"), ns.p("q")
     model = sat(Or(p, q))
