@@ -1,7 +1,7 @@
 """The SAT engine: satisfiability and witness models of guard formulas.
 
 It sees formulas only, never effects: `driver` builds the discharge
-formulas. `satisfiable` decides one formula in a solver of its own;
+formulas. `satisfiable` decides one formula in a session of its own;
 `SolverSession` accumulates a session's formulas and reads the witness.
 
 A hand-rolled solver is plenty here: discharge formulas mention a few dozen
@@ -11,22 +11,23 @@ encoding (definitions are shared and survive across queries); the search is
 an iterative DPLL over two watched literals per clause. Models are reported
 over named propositions only; Tseitin auxiliaries never escape.
 
-Both hot loops are kept flat. A Tseitin gate whose inputs are two distinct
-variables that no unit has fixed yields three clauses that need none of
-`add_clause`'s checks, so `literal` stores them in one step, with one union
-of their components. The search keeps literal values in one list indexed
-by the literal itself, negative literals from the end, that lives as long
-as the solver, so a query costs what it assigns; it builds the model dict
-once, when it has found a model.
+The encoding folds constants as it goes. `T` and `F` get no variable: their
+literals are `TRUE` and `-TRUE`, which no variable has. A connective with a
+constant operand, or whose operand literals are equal or opposite, is
+settled by its truth table, so a negation `x => F` is the literal `-x`.
+Every other connective is a gate over two distinct variables, whose three
+clauses `literal` stores in one step. The search keeps literal values in
+one list indexed by the literal itself, negative literals from the end,
+that lives as long as the solver, so a query costs what it assigns; it
+builds the model dict once, when it has found a model.
 
 The search runs on one connected component of the clause graph at a time.
-Independent definitions share no variable once the unit-fixed Tseitin
-constants are set aside, so a push or a REPL `:type` probe re-solves only
-the components its clauses and root reach and reuses the cached models of
-the rest. The witness does not move: the DPLL returns the lexicographically
-least model in its static decision order, and over independent components
-that model is the product of each component's least model in the same order
-restricted to it.
+Independent definitions share no variable, so a push or a REPL `:type`
+probe re-solves only the components its clauses and root reach and reuses
+the cached models of the rest. The witness does not move: the DPLL returns
+the lexicographically least model in its static decision order, and over
+independent components that model is the product of each component's
+least model in the same order restricted to it.
 """
 from __future__ import annotations
 
@@ -35,12 +36,15 @@ from typing import Iterable
 from .formulas import TOP, And, Bot, Formula, Implies, Or, Prop, Top, conj2
 from .names import Name
 
+# The literal of T, beyond any variable; -TRUE is the literal of F.
+TRUE = 1 << 62
+
 
 class _Component:
     """One connected set of searched clauses: its variables, the literals
-    asserted in it (unit clauses and committed roots), its decision order,
-    and the model last found for it under the probe literals in `key`
-    (key None: stale, model None: no model)."""
+    asserted in it (committed roots), its decision order, and the model
+    last found for it under the probe literals in `key` (key None: stale,
+    model None: no model)."""
 
     __slots__ = ("vars", "units", "order", "key", "model")
 
@@ -56,17 +60,15 @@ class _Solver:
     """Incremental clause store with a deterministic watched-literal DPLL,
     solved one connected component at a time.
 
-    Tseitin definitions are added once per distinct subformula and are pure
-    definitions (satisfiable under any assignment of their inputs), so
-    encoding a formula without asserting its root literal never constrains
-    the named propositions. Queries pass the roots they want asserted as
-    assumption literals, or commit them for every later query.
+    Clauses enter only as Tseitin gates, added once per distinct
+    subformula. A gate is a pure definition (satisfiable under any
+    assignment of its inputs), so encoding a formula without asserting its
+    root literal never constrains the named propositions. Queries pass the
+    roots they want asserted as assumption literals, or commit them for
+    every later query.
 
-    A variable whose unit clause arrives before any searched clause mentions
-    it is fixed (the Tseitin `Top`/`Bot` literals are); clauses it satisfies
-    are not searched and the literals it falsifies are skipped. The other
-    variables are grouped by a union-find over the clauses that remain, and
-    each group keeps the model last found for it. A query re-solves only the
+    The variables are grouped by a union-find over the clauses, and each
+    group keeps the model last found for it. A query re-solves only the
     groups that changed or whose probe literals differ; `value` reads the
     merged models.
     """
@@ -76,11 +78,9 @@ class _Solver:
         self.ids: dict[Name, int] = {}
         self._memo: dict[Formula, int] = {}
         self._clauses: list[tuple[int, ...]] = []
-        self._pair: list[list[int] | None] = []
+        self._pair: list[list[int]] = []
         self._watches: dict[int, list[int]] = {}
-        self._units: list[int] = []  # the unit clauses, as given
         self._occ: dict[int, int] = {}
-        self._fixed: dict[int, bool] = {}
         self._lv: list[int] = []  # literal values, for `solve`
         self._parent = [0]
         self._comps: dict[int, _Component] = {}
@@ -88,7 +88,6 @@ class _Solver:
         # its assumptions falls in them: stale ones, and those whose model
         # was found under probe literals or does not exist
         self._recheck: set[int] = set()
-        self._unsat = False
 
     def fresh_var(self) -> int:
         self.nvars += 1
@@ -139,79 +138,12 @@ class _Solver:
         self._recheck.discard(b)
         return a
 
-    def _assert(self, lit: int) -> None:
-        """Make lit hold in every model: fixed if its variable is in no
-        component yet, else a unit of that component."""
-        v = abs(lit)
-        fixed = self._fixed.get(v)
-        if fixed is not None:
-            if fixed != (lit > 0):
-                self._unsat = True
-            return
-        root = self._find(v)
-        if root not in self._comps:
-            self._fixed[v] = lit > 0
-            return
-        self._comps[root].units.append(lit)
-        self._invalidate(root)
-
     # -- clauses --------------------------------------------------------------
 
-    def add_clause(self, lits: Iterable[int]) -> None:
-        out: list[int] = []
-        seen: set[int] = set()
-        for lit in lits:
-            if -lit in seen:
-                return
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        if not out:
-            self._unsat = True
-            return
-        if len(out) == 1:
-            self._units.append(out[0])
-            self._assert(out[0])
-            return
-        self._clauses.append(tuple(out))
-        # the decision order counts every literal as given, so a variable's
-        # place does not depend on which literals the fixed ones drop
-        occ, fixed = self._occ, self._fixed
-        live: list[int] = []
-        satisfied = False
-        for lit in out:
-            v = abs(lit)
-            occ[v] = occ.get(v, 0) + 1
-            value = fixed.get(v)
-            if value is None:
-                live.append(lit)
-            elif value == (lit > 0):
-                satisfied = True
-        if satisfied:
-            self._pair.append(None)
-            for lit in live:
-                root = self._find(abs(lit))
-                if root in self._comps:
-                    self._invalidate(root)
-        elif len(live) < 2:
-            self._pair.append(None)
-            if live:
-                self._assert(live[0])
-            else:
-                self._unsat = True
-        else:
-            root = self._touch(abs(live[0]))
-            for lit in live[1:]:
-                root = self._union(root, self._touch(abs(lit)))
-            self._invalidate(root)
-            idx = len(self._pair)
-            self._pair.append([live[0], live[1]])
-            self._watches.setdefault(live[0], []).append(idx)
-            self._watches.setdefault(live[1], []).append(idx)
-
     def literal(self, phi: Formula) -> int:
-        """Tseitin literal for phi, adding definition clauses as needed."""
-        memo, fixed, occ = self._memo, self._fixed, self._occ
+        """Tseitin literal for phi, adding gate clauses as needed; TRUE or
+        -TRUE when phi folds to a constant."""
+        memo, occ = self._memo, self._occ
         clauses, pairs, watches = self._clauses, self._pair, self._watches
         stack = [phi]
         while stack:
@@ -224,9 +156,7 @@ class _Solver:
                 stack.pop()
                 continue
             if isinstance(f, (Top, Bot)):
-                v = self.fresh_var()
-                self.add_clause([v] if isinstance(f, Top) else [-v])
-                memo[f] = v
+                memo[f] = TRUE if isinstance(f, Top) else -TRUE
                 stack.pop()
                 continue
             if not isinstance(f, (And, Or, Implies)):
@@ -239,71 +169,70 @@ class _Solver:
             if b is None:
                 stack.append(f.rhs)
                 continue
-            v = self.fresh_var()
-            if isinstance(f, And):
-                gate = ((-v, a), (-v, b), (v, -a, -b))
-            elif isinstance(f, Or):
-                gate = ((-v, a, b), (v, -a), (v, -b))
-            else:
-                gate = ((-v, -a, b), (v, a), (v, -b))
-            if a == b or a in fixed or b in fixed:
-                for clause in gate:
-                    self.add_clause(clause)
-            else:
-                # what add_clause makes of each clause: none repeats or
-                # cancels a literal or holds a fixed one, and all three
-                # join the component of v, a and b
-                idx = len(pairs)
-                for clause in gate:
-                    pairs.append([clause[0], clause[1]])
-                    watches.setdefault(clause[0], []).append(idx)
-                    watches.setdefault(clause[1], []).append(idx)
-                    idx += 1
-                clauses.extend(gate)
-                occ[v] = 3
-                occ[a] = occ.get(a, 0) + 2
-                occ[b] = occ.get(b, 0) + 2
-                self._invalidate(self._union(
-                    self._union(self._touch(v), self._touch(a)),
-                    self._touch(b)))
-            memo[f] = v
             stack.pop()
+            # a => b is -a \/ b, down to the order of the gate's clauses
+            conj = isinstance(f, And)
+            if isinstance(f, Implies):
+                a = -a
+            # the unit (T for /\, F for \/) leaves the other operand, and
+            # its negation, like a pair of opposite literals, absorbs both
+            unit = TRUE if conj else -TRUE
+            if a == unit or a == b:
+                memo[f] = b
+                continue
+            if b == unit:
+                memo[f] = a
+                continue
+            if a == -unit or b == -unit or a == -b:
+                memo[f] = -unit
+                continue
+            v = self.fresh_var()
+            if conj:
+                gate = ((-v, a), (-v, b), (v, -a, -b))
+            else:
+                gate = ((-v, a, b), (v, -a), (v, -b))
+            idx = len(pairs)
+            for clause in gate:
+                pairs.append([clause[0], clause[1]])
+                watches.setdefault(clause[0], []).append(idx)
+                watches.setdefault(clause[1], []).append(idx)
+                idx += 1
+            clauses.extend(gate)
+            a, b = abs(a), abs(b)
+            occ[v] = 3
+            occ[a] = occ.get(a, 0) + 2
+            occ[b] = occ.get(b, 0) + 2
+            self._invalidate(self._union(
+                self._union(self._touch(v), self._touch(a)), self._touch(b)))
+            memo[f] = v
         return memo[phi]
 
     # -- queries --------------------------------------------------------------
 
     def commit(self, lit: int) -> None:
-        """Assert lit in every later query. A component last solved, with a
-        model, under exactly this probe literal keeps that model."""
-        v = abs(lit)
-        if v not in self._fixed:
-            root = self._find(v)
-            comp = self._comps.get(root)
-            if (comp is not None and comp.model is not None
-                    and comp.key == frozenset((lit,))):
-                comp.units.append(lit)
-                comp.key = frozenset()
-                self._recheck.discard(root)
-                return
-        self._assert(lit)
+        """Assert lit, a variable's literal, in every later query. A
+        component last solved, with a model, under exactly this probe
+        literal keeps that model."""
+        root = self._touch(abs(lit))
+        comp = self._comps[root]
+        comp.units.append(lit)
+        if comp.model is not None and comp.key == frozenset((lit,)):
+            comp.key = frozenset()
+            self._recheck.discard(root)
+        else:
+            self._invalidate(root)
 
     def satisfiable(self, assumptions: Iterable[int] = ()) -> bool:
         """Whether the clauses, the committed literals and the assumptions
-        have a model; if so, `value` reads it.
+        (variables' literals) have a model; if so, `value` reads it.
 
         Each component is solved under the assumptions that fall in it. Its
-        cached model is reused unless a clause, unit or commit reached it
-        since, or its assumptions differ from the last query's.
+        cached model is reused unless a clause or commit reached it since,
+        or its assumptions differ from the last query's.
         """
-        if self._unsat:
-            return False
         groups: dict[int, set[int]] = {}
         for lit in assumptions:
-            fixed = self._fixed.get(abs(lit))
-            if fixed is None:
-                groups.setdefault(self._touch(abs(lit)), set()).add(lit)
-            elif fixed != (lit > 0):
-                return False
+            groups.setdefault(self._touch(abs(lit)), set()).add(lit)
         for root in groups.keys() | self._recheck:
             comp = self._comps[root]
             key = frozenset(groups.get(root, ()))
@@ -320,10 +249,7 @@ class _Solver:
 
     def value(self, var: int) -> bool:
         """var in the model of the last satisfiable query; False for a
-        variable no clause or assumption has reached."""
-        fixed = self._fixed.get(var)
-        if fixed is not None:
-            return fixed
+        variable no clause, commit or assumption has reached."""
         comp = self._comps.get(self._find(var))
         return comp is not None and comp.model[var]
 
@@ -334,33 +260,27 @@ class _Solver:
         Decisions follow a static order (most occurrences first, then
         variable id), try False first and backtrack chronologically, so the
         model is the lexicographically least one in that order. Components
-        share no searched clause, so the least model of all clauses is the
-        union of each component's least model under the same order
-        restricted to it: solving them apart returns the same witness.
-        The fixed variables are assigned from the start and no searched
-        clause watches one, so propagation never leaves the component.
+        share no clause, so the least model of all clauses is the union of
+        each component's least model under the same order restricted to
+        it: solving them apart returns the same witness, and propagation
+        never leaves the component.
 
         Literal values live in one flat list, `lv[lit]` being 1 (true), -1
         (false) or 0 (unassigned): a negative literal indexes it from the
         end, so both polarities of a variable are one lookup each. The list
-        outlives the query, zero but for the fixed variables between
-        queries, so a query costs its own assignments and not one cell per
-        variable of the solver; it is reallocated with twice the room it
-        needs when the variables outgrow it.
+        outlives the query, all zero between queries, so a query costs its
+        own assignments and not one cell per variable of the solver; it is
+        reallocated with twice the room it needs when the variables outgrow
+        it.
         """
         lv = self._lv
         if len(lv) <= 2 * self.nvars:
             lv = self._lv = [0] * (4 * self.nvars + 1)
-        for v, value in self._fixed.items():
-            lv[v], lv[-v] = (1, -1) if value else (-1, 1)
         trail: list[int] = []
         try:
             if not self._search(comp, lv, trail):
                 return None
-            model = dict(self._fixed)
-            for lit in trail:
-                model[abs(lit)] = lit > 0
-            return model
+            return {abs(lit): lit > 0 for lit in trail}
         finally:
             for lit in trail:
                 lv[lit] = lv[-lit] = 0
@@ -450,14 +370,9 @@ class _Solver:
 
 
 def satisfiable(phi: Formula) -> bool:
-    """Whether phi has a model, decided in a solver of its own; a constant
-    or a bare proposition is answered without one."""
-    if isinstance(phi, (Top, Prop)):
-        return True
-    if isinstance(phi, Bot):
-        return False
-    solver = _Solver()
-    return solver.satisfiable((solver.literal(phi),))
+    """Whether phi has a model, decided in a session of its own; a bare
+    proposition, which has one, without a search."""
+    return isinstance(phi, Prop) or SolverSession().admits(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +384,9 @@ class SolverSession:
     """Accumulates a conjunction of formulas in one incremental solver.
 
     Each formula is Tseitin-encoded once and its root literal committed;
-    every query solves under the committed roots. A contradictory push
+    every query solves under the committed roots. A formula that folds to
+    a constant is answered without a query: the session is always
+    satisfiable, so T is admitted and F is not. A contradictory push
     reports False and leaves the session unchanged.
     """
 
@@ -484,12 +401,17 @@ class SolverSession:
     def admits(self, phi: Formula) -> bool:
         """Whether phi is satisfiable together with the session; commits
         nothing."""
-        return self._solver.satisfiable((self._solver.literal(phi),))
+        root = self._solver.literal(phi)
+        if abs(root) == TRUE:
+            return root > 0
+        return self._solver.satisfiable((root,))
 
     def push(self, phi: Formula) -> bool:
         if not self.admits(phi):
             return False
-        self._solver.commit(self._solver.literal(phi))
+        root = self._solver.literal(phi)
+        if root != TRUE:
+            self._solver.commit(root)
         self._formula = conj2(self._formula, phi)
         return True
 

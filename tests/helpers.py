@@ -11,11 +11,11 @@ from efl.driver import CheckOutcome, Discharger, check_program
 from efl.effects import (Constraint, Effect, Scheme, effect_of,
                          free_eff_vars_constraints, free_eff_vars_type)
 from efl.formulas import (BOT, TOP, Formula, Prop, conj2, disj2, evaluate,
-                          props)
+                          neg, props)
 from efl.inference import Config
 from efl.names import (KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply,
                        Record)
-from efl.solver import SolverSession, _Solver
+from efl.solver import SolverSession
 from efl.syntax import (App, EfApp, ELam, Expr, Lam, Let, Parser, Scope,
                         SynType, TLam, Token, TyApp, Var, _scan,
                         parse_program)
@@ -224,30 +224,26 @@ def memberships(d: Discharger) -> list[Name]:
 
 def sat(phi: Formula) -> dict[Name, bool] | None:
     """A model of phi over its named propositions, or None if UNSAT."""
-    solver = _Solver()
+    session = SolverSession()
     for p in sorted(props(phi), key=Name.key):
-        solver.var_of(p)
-    if not solver.satisfiable((solver.literal(phi),)):
-        return None
-    return {p: solver.value(i) for p, i in solver.ids.items()}
+        session._solver.var_of(p)
+    return session.model() if session.push(phi) else None
 
 
 def sat_enumerate(phi: Formula, limit: int = 64) -> Iterator[dict[Name, bool]]:
     """Up to `limit` distinct models over phi's propositions."""
-    solver = _Solver()
+    session = SolverSession()
     names = sorted(props(phi), key=Name.key)
     for p in names:
-        solver.var_of(p)
-    root = solver.literal(phi)
+        session._solver.var_of(p)
+    if not session.push(phi):
+        return
     for _ in range(limit):
-        if not solver.satisfiable((root,)):
-            return
-        rho = {p: solver.value(solver.ids[p]) for p in names}
+        rho = session.model()
         yield rho
-        if not names:
+        block = disj(neg(Prop(p)) if rho[p] else Prop(p) for p in names)
+        if not session.push(block):
             return
-        solver.add_clause([-solver.ids[p] if rho[p] else solver.ids[p]
-                           for p in names])
 
 
 # -- programs: the corpus and four generated families ------------------------

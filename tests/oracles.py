@@ -34,10 +34,13 @@ it walked the certificates, schemes and omega for their guard propositions
 (`cert_props`, `scheme_props`, `constraints_props`, `type_props`) and also
 defaulted every proposition of the session formula.
 `whole_clause_solve` is `solver._Solver.solve` as it was before it ran one
-component at a time: one DPLL over every clause and unit a solver holds.
-`literal_by_clause` is `solver._Solver.literal` as it was before it took
-a Tseitin gate's three clauses in one step: every clause through
-`add_clause`.
+component at a time: one DPLL over every clause a solver holds.
+`ReferenceSolver` is the Tseitin encoding as it was before `literal`
+folded constants: a variable for each `T` and `F`, fixed by a unit clause,
+a gate for every connective, each clause through `add_clause`, and the
+whole clause set solved by `whole_clause_solve`. `ReferenceSession` is
+`solver.SolverSession` over it: the reference for the verdicts and the
+witness of the folding encoding.
 `effect_of_map`, `join_parts`, `guard_parts`, `subst_effect_parts` and
 `eliminate_effect_parts` build effects as `efl.effects` and `efl.driver`
 did before `effects.effect_of` took a list of guarded atoms: each merges
@@ -1098,10 +1101,10 @@ def render_cert_per_class(c: Cert) -> str:
 # ---------------------------------------------------------------------------
 
 
-def whole_clause_solve(solver: _Solver,
+def whole_clause_solve(solver: _Solver | ReferenceSolver,
                        assumptions: Iterable[int] = ()) -> dict[int, bool] | None:
-    """A model of every clause and unit clause of solver together with the
-    assumptions (var -> bool over variables 1..nvars), or None.
+    """A model of every clause of solver together with the assumptions
+    (var -> bool over variables 1..nvars), or None.
 
     The same static decision order as the solver (most occurrences first,
     then variable id), False first, chronological backtracking, so the
@@ -1109,8 +1112,6 @@ def whole_clause_solve(solver: _Solver,
     clauses as given and keeps its own watch lists, so the solver's state
     is left as it was.
     """
-    if solver._unsat:
-        return None
     clauses = solver._clauses
     pairs = [[c[0], c[1]] for c in clauses]
     watches: dict[int, list[int]] = {}
@@ -1173,7 +1174,7 @@ def whole_clause_solve(solver: _Solver,
                 return False
         return True
 
-    for lit in (*solver._units, *assumptions):
+    for lit in assumptions:
         if not enqueue(lit):
             return None
     if not propagate(0):
@@ -1208,53 +1209,132 @@ def whole_clause_solve(solver: _Solver,
                 return None
 
 
-def literal_by_clause(solver: _Solver, phi: Formula) -> int:
-    """`solver._Solver.literal` as it was before it took a gate's clauses
-    in one step: the Tseitin literal for phi, each definition clause added
-    through `add_clause` on its own."""
-    memo = solver._memo
-    stack = [phi]
-    while stack:
-        f = stack[-1]
-        if f in memo:
-            stack.pop()
-            continue
-        if isinstance(f, Prop):
-            memo[f] = solver.var_of(f.name)
-            stack.pop()
-            continue
-        if isinstance(f, (Top, Bot)):
-            v = solver.fresh_var()
-            solver.add_clause([v] if isinstance(f, Top) else [-v])
+class ReferenceSolver:
+    """The clause store and Tseitin intake `solver._Solver` had before its
+    `literal` folded constants, with the whole-clause DPLL for a search.
+
+    `literal` makes a variable for every `T` and `F` and fixes it by a unit
+    clause, and a three-clause gate for every connective, whatever its
+    operands. `add_clause` drops a repeated literal and a tautology, and
+    keeps a unit clause apart: with the committed roots, the units are
+    assigned before the search, which is what `_fixed` did for the
+    solver. A query is one `whole_clause_solve` under them.
+    """
+
+    def __init__(self) -> None:
+        self.nvars = 0
+        self.ids: dict[Name, int] = {}
+        self._memo: dict[Formula, int] = {}
+        self._clauses: list[tuple[int, ...]] = []
+        self._occ: dict[int, int] = {}
+        self._fixed: list[int] = []  # unit clauses and committed roots
+        self._unsat = False
+        self._model: dict[int, bool] | None = None
+
+    def fresh_var(self) -> int:
+        self.nvars += 1
+        return self.nvars
+
+    def var_of(self, name: Name) -> int:
+        if name not in self.ids:
+            self.ids[name] = self.fresh_var()
+        return self.ids[name]
+
+    def add_clause(self, lits: Iterable[int]) -> None:
+        out: list[int] = []
+        for lit in lits:
+            if -lit in out:
+                return
+            if lit not in out:
+                out.append(lit)
+        if not out:
+            self._unsat = True
+        elif len(out) == 1:
+            self._fixed.append(out[0])
+        else:
+            self._clauses.append(tuple(out))
+            for lit in out:
+                self._occ[abs(lit)] = self._occ.get(abs(lit), 0) + 1
+
+    def literal(self, phi: Formula) -> int:
+        """The Tseitin literal for phi, a variable; its definition clauses
+        added one at a time."""
+        memo = self._memo
+        stack = [phi]
+        while stack:
+            f = stack[-1]
+            if f in memo:
+                stack.pop()
+                continue
+            if isinstance(f, Prop):
+                memo[f] = self.var_of(f.name)
+                stack.pop()
+                continue
+            if isinstance(f, (Top, Bot)):
+                v = self.fresh_var()
+                self.add_clause([v] if isinstance(f, Top) else [-v])
+                memo[f] = v
+                stack.pop()
+                continue
+            a = memo.get(f.lhs)
+            if a is None:
+                stack.append(f.lhs)
+                continue
+            b = memo.get(f.rhs)
+            if b is None:
+                stack.append(f.rhs)
+                continue
+            v = self.fresh_var()
+            if isinstance(f, And):
+                gate = ([-v, a], [-v, b], [v, -a, -b])
+            elif isinstance(f, Or):
+                gate = ([-v, a, b], [v, -a], [v, -b])
+            else:
+                gate = ([-v, -a, b], [v, a], [v, -b])
+            for clause in gate:
+                self.add_clause(clause)
             memo[f] = v
             stack.pop()
-            continue
-        if not isinstance(f, (And, Or, Implies)):
-            raise TypeError(f"not a formula: {f!r}")
-        a = memo.get(f.lhs)
-        if a is None:
-            stack.append(f.lhs)
-            continue
-        b = memo.get(f.rhs)
-        if b is None:
-            stack.append(f.rhs)
-            continue
-        v = solver.fresh_var()
-        if isinstance(f, And):
-            solver.add_clause([-v, a])
-            solver.add_clause([-v, b])
-            solver.add_clause([v, -a, -b])
-        elif isinstance(f, Or):
-            solver.add_clause([-v, a, b])
-            solver.add_clause([v, -a])
-            solver.add_clause([v, -b])
-        else:
-            solver.add_clause([-v, -a, b])
-            solver.add_clause([v, a])
-            solver.add_clause([v, -b])
-        memo[f] = v
-        stack.pop()
-    return memo[phi]
+        return memo[phi]
+
+    def commit(self, lit: int) -> None:
+        self._fixed.append(lit)
+
+    def satisfiable(self, assumptions: Iterable[int] = ()) -> bool:
+        self._model = None if self._unsat else whole_clause_solve(
+            self, (*self._fixed, *assumptions))
+        return self._model is not None
+
+    def value(self, var: int) -> bool:
+        return self._model[var]
+
+
+class ReferenceSession:
+    """`solver.SolverSession` over `ReferenceSolver`: every formula encoded
+    and every query solved, constants included."""
+
+    def __init__(self) -> None:
+        self.formula: Formula = TOP
+        self.solver = ReferenceSolver()
+
+    def admits(self, phi: Formula) -> bool:
+        return self.solver.satisfiable((self.solver.literal(phi),))
+
+    def push(self, phi: Formula) -> bool:
+        if not self.admits(phi):
+            return False
+        self.commit(phi)
+        return True
+
+    def commit(self, phi: Formula) -> None:
+        """Add phi, already admitted, to the session."""
+        self.solver.commit(self.solver.literal(phi))
+        self.formula = conj2(self.formula, phi)
+
+    def model(self) -> dict[Name, bool] | None:
+        if not self.solver.satisfiable():
+            return None
+        return {p: self.solver.value(i) for p, i in self.solver.ids.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -51,15 +51,16 @@ def test_every_span_binding_resolves_but_the_known_dead():
 
 
 def test_the_clause_counter_reads_the_solver_lists():
-    """`Tracer.take_clauses` counts a session's `_solver._clauses` and
-    `_solver._units`."""
+    """`Tracer.take_clauses` counts a session's `_solver._clauses`. It also
+    adds `_solver._units`, with an empty default: the solver keeps no unit
+    clauses, as every clause it holds is one of a gate's three."""
     p, q = (Names().p(t) for t in "pq")
     session = solver.SolverSession()
     assert "__init__" in vars(solver.SolverSession)
     assert session.push(And(p, Or(p, q)))
     s = session._solver
-    assert type(s._clauses) is list and type(s._units) is list
+    assert type(s._clauses) is list and not hasattr(s, "_units")
     assert len(s._clauses) == 6
     tracer = load_trace().Tracer()
     tracer.sessions.append(session)
-    assert tracer.take_clauses() == len(s._clauses) + len(s._units)
+    assert tracer.take_clauses() == len(s._clauses)

@@ -1,27 +1,35 @@
-"""Component-wise solving against the whole-clause-set DPLL.
+"""Component-wise solving against the whole-clause-set DPLL, and the
+constant-folding encoding against the reference encoding.
 
 `_Solver` solves one connected component of its clause graph at a time and
 keeps each component's model between queries. `oracles.whole_clause_solve`
 is the search it replaced: one DPLL over every clause the solver holds. On
 the same clauses the two must give the same verdicts and the same model,
 over every variable, for every push, `admits` probe and `model()` call,
-and the same `fixed` set. Crafted instances reach the search's backtrack
-loop, which the checked programs never do. `oracles.literal_by_clause` is
-the Tseitin intake that adds one clause at a time: a gate taken in one
-step must leave the solver in the same state.
+and the same `fixed` set. Crafted instances, each clause pushed as a chain
+of `Or`s, reach the search's backtrack loop, which the checked programs
+never do.
+
+`oracles.ReferenceSession` encodes every constant and connective, as the
+solver did before its `literal` folded them. A session must give the same
+verdict as the reference on every push and probe and, on the programs and
+REPL scripts, the same witness; on random formulas that keep constants
+inside connectives, its model must satisfy the session formula.
 """
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from efl import driver
-from efl.formulas import BOT, TOP, And, Implies, Or, neg, props
-from efl.names import Name
-from efl.solver import SolverSession, _Solver
-from helpers import (SOURCES, Names, chain_source, check_source, fixed,
-                     g_example_source)
-from oracles import literal_by_clause, whole_clause_solve
+from efl.formulas import (BOT, TOP, And, Formula, Implies, Or, Prop,
+                          evaluate, neg, props)
+from efl.names import KIND_PROP, Name
+from efl.solver import TRUE, SolverSession, _Solver
+from helpers import (SOURCES, Names, all_valuations, chain_source,
+                     check_source, fixed, g_example_source)
+from oracles import ReferenceSession, ReferenceSolver, whole_clause_solve
 from test_repl_golden import CASES, SCRIPTS, transcript
 
 
@@ -32,35 +40,57 @@ def assert_same_model(solver: _Solver, want: dict[int, bool]) -> None:
 
 class CheckedSession(SolverSession):
     """A SolverSession that compares every answer with the whole-clause-set
-    DPLL run on its own clauses, under the roots pushed so far."""
+    DPLL run on its own clauses, under the roots pushed so far, and with a
+    session over the reference encoding.
 
-    def __init__(self) -> None:
+    `model()` must satisfy the session formula and, by `witness`, equal the
+    reference's model over every named proposition ("all"), over those of
+    the pushed formulas ("pushed"), or over none (""). A probe or a
+    rejected push leaves its gates behind: in the reference the gate for a
+    probe's `p => F` can come first in the decision order and make true a
+    proposition that no pushed formula mentions, which the folding
+    encoding, with no gate for it, leaves false.
+    """
+
+    def __init__(self, witness: str = "all") -> None:
         super().__init__()
         self.roots: list[int] = []
+        self.reference = ReferenceSession()
+        self.witness = witness
 
     def admits(self, phi):
         got = super().admits(phi)
-        want = whole_clause_solve(
-            self._solver, (*self.roots, self._solver.literal(phi)))
-        assert got == (want is not None)
-        if got:
-            assert_same_model(self._solver, want)
+        assert got == self.reference.admits(phi)
+        root = self._solver.literal(phi)
+        if abs(root) != TRUE:
+            want = whole_clause_solve(self._solver, (*self.roots, root))
+            assert got == (want is not None)
+            if got:
+                assert_same_model(self._solver, want)
         return got
 
     def push(self, phi):
-        ok = super().push(phi)
+        ok = super().push(phi)  # its `admits` checked the verdict
         if ok:
-            self.roots.append(self._solver.literal(phi))
+            self.reference.commit(phi)
+            root = self._solver.literal(phi)
+            if root != TRUE:
+                self.roots.append(root)
         return ok
 
     def model(self):
         got = super().model()
         want = whole_clause_solve(self._solver, self.roots)
-        assert (got is None) == (want is None)
+        ref = self.reference.model()
+        assert (got is None) == (want is None) == (ref is None)
         if got is not None:
             assert_same_model(self._solver, want)
             assert got == {p: want[i] for p, i
                            in self._solver.ids.items()}
+            assert evaluate(self.formula, got)
+            over = {"all": got, "pushed": props(self.formula),
+                    "": ()}[self.witness]
+            assert {p: got[p] for p in over} == {p: ref[p] for p in over}
         return got
 
 
@@ -86,8 +116,8 @@ def assert_fixed_agrees(session: CheckedSession) -> None:
 
 
 def random_formula(rng, atoms, depth):
-    """Like test_solver's generator, but with the constants left unfolded
-    inside the connectives, so fixed Tseitin literals drop out of clauses."""
+    """Like test_solver's generator, with the constants left unfolded
+    inside the connectives for the encoding to fold."""
     if depth == 0 or rng.random() < 0.25:
         roll = rng.random()
         if roll < 0.1:
@@ -108,7 +138,7 @@ def random_session(seed: int) -> None:
     ns = Names()
     rng = random.Random(seed)
     groups = [[ns.p(f"{g}{i}") for i in range(3)] for g in "abc"]
-    s = CheckedSession()
+    s = CheckedSession(witness="")
     for _ in range(rng.randrange(2, 12)):
         group = rng.choice(groups)
         atoms = (group + rng.choice(groups) if rng.random() < 0.2
@@ -147,23 +177,47 @@ def test_probe_then_push_into_a_solved_component(ns):
     assert_fixed_agrees(s)
 
 
+def clause(variables: list[Prop], lits) -> Formula:
+    """The clause over the given DIMACS-style literals, as a right-nested
+    chain of `Or`s over variables[v - 1] and their negations."""
+    parts = [variables[v - 1] if v > 0 else neg(variables[-v - 1])
+             for v in lits]
+    return reduce(lambda rest, part: Or(part, rest), reversed(parts))
+
+
+def new_variables(s: _Solver, n: int) -> list[Prop]:
+    """n propositions, given the solver's variables 1..n in order."""
+    variables = [Prop(Name(f"x{v}", KIND_PROP, v)) for v in range(1, n + 1)]
+    for p in variables:
+        s.var_of(p.name)
+    return variables
+
+
+def commit(s: _Solver, phi: Formula, committed: list[int]) -> None:
+    root = s.literal(phi)
+    if root != TRUE:
+        s.commit(root)
+        committed.append(root)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_raw_clauses_agree_with_whole_clause_dpll(seed):
-    """Clauses over a few variables in any order: units before and after
-    the clauses that mention their variable, clauses a unit satisfies or
-    shortens, commits, and queries under assumptions."""
+    """Clauses over a few variables in any order, each committed as a chain
+    of `Or`s: unit clauses before and after the clauses that mention their
+    variable, clauses that repeat a literal or hold it with its negation,
+    commits after a probe of the same literal, and queries under
+    assumptions."""
     rng = random.Random(seed)
     s = _Solver()
     n = rng.randrange(2, 9)
-    for _ in range(n):
-        s.fresh_var()
+    variables = new_variables(s, n)
     committed: list[int] = []
     for _ in range(rng.randrange(1, 14)):
         roll = rng.random()
         lit = rng.randrange(1, n + 1) * rng.choice((1, -1))
         if roll < 0.15:
-            s.add_clause([lit])
+            commit(s, clause(variables, [lit]), committed)
         elif roll < 0.25:
             if rng.random() < 0.5:
                 s.satisfiable((lit,))
@@ -171,8 +225,9 @@ def test_raw_clauses_agree_with_whole_clause_dpll(seed):
             committed.append(lit)
         elif roll < 0.65:
             width = rng.randrange(2, 4)
-            s.add_clause([rng.randrange(1, n + 1) * rng.choice((1, -1))
-                          for _ in range(width)])
+            commit(s, clause(variables,
+                             [rng.randrange(1, n + 1) * rng.choice((1, -1))
+                              for _ in range(width)]), committed)
         else:
             assumptions = tuple(
                 rng.randrange(1, n + 1) * rng.choice((1, -1))
@@ -188,14 +243,14 @@ def test_raw_clauses_agree_with_whole_clause_dpll(seed):
 
 
 def solved(clauses: list[tuple[int, ...]]) -> _Solver:
-    """A solver holding the clauses, queried once and checked against the
-    whole-clause DPLL."""
+    """A solver with each clause committed as a chain of `Or`s, queried
+    once and checked against the whole-clause DPLL."""
     s = _Solver()
-    for _ in range(max(abs(lit) for c in clauses for lit in c)):
-        s.fresh_var()
+    variables = new_variables(s, max(abs(lit) for c in clauses for lit in c))
+    committed: list[int] = []
     for c in clauses:
-        s.add_clause(c)
-    want = whole_clause_solve(s)
+        commit(s, clause(variables, c), committed)
+    want = whole_clause_solve(s, committed)
     assert s.satisfiable() == (want is not None)
     if want is not None:
         assert_same_model(s, want)
@@ -216,70 +271,71 @@ def test_pigeonhole_three_into_two_is_unsat():
 def test_conflicts_below_the_first_decision_flip_it():
     """With x1 false the clauses need all eight sign patterns of x2..x4,
     so every branch under it ends in a conflict at level 3 and the first
-    decision (x1, all variables tie on occurrences) flips to true."""
+    decision flips to true. x1 and x2 lead the decision order: the inner
+    `Or`s of the eight chains make two gates over x1, four over x2's
+    literals and eight over x3's and x4's, two occurrences each, and the
+    tie between x1 and x2 goes to the lower id."""
     clauses = [(1, 2 * s2, 3 * s3, 4 * s4)
                for s2 in (1, -1) for s3 in (1, -1) for s4 in (1, -1)]
     s = solved(clauses)
     assert [s.value(v) for v in range(1, 5)] == [True, False, False, False]
 
 
-# -- gate intake in one step ---------------------------------------------------
-
-
-def assert_same_intake(fast: _Solver, slow: _Solver) -> None:
-    assert fast.nvars == slow.nvars
-    assert fast._clauses == slow._clauses
-    assert fast._units == slow._units
-    assert fast._occ == slow._occ
-    assert fast._pair == slow._pair
-    assert fast._watches == slow._watches
-    assert fast._fixed == slow._fixed
-    assert fast._recheck == slow._recheck
-    assert ([fast._find(v) for v in range(1, fast.nvars + 1)]
-            == [slow._find(v) for v in range(1, slow.nvars + 1)])
-
-
-def assert_same_intake_and_models(formulas, commits) -> None:
-    """Each formula through `_Solver.literal` and through the clause-by-
-    clause oracle into two solvers, then the same query on both: its root
-    committed, or probed."""
-    fast, slow = _Solver(), _Solver()
-    for phi, commit in zip(formulas, commits):
-        root = fast.literal(phi)
-        assert literal_by_clause(slow, phi) == root
-        assert_same_intake(fast, slow)
-        if commit:
-            fast.commit(root)
-            slow.commit(root)
-        probe = () if commit else (root,)
-        verdict = fast.satisfiable(probe)
-        assert slow.satisfiable(probe) == verdict
-        if verdict:
-            assert_same_model(fast, {v: slow.value(v)
-                                     for v in range(1, slow.nvars + 1)})
-        assert_same_intake(fast, slow)
+# -- constant folding at intake --------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_gate_intake_agrees_with_clause_by_clause(seed):
+    """Random formulas, constants left inside the connectives, through the
+    folding intake and the clause-by-clause reference encoding: under every
+    valuation of the propositions each root takes phi's truth value, in
+    both solvers."""
     ns = Names()
     rng = random.Random(seed)
-    groups = [[ns.p(f"{g}{i}") for i in range(3)] for g in "ab"]
-    n = rng.randrange(1, 10)
-    formulas = [random_formula(rng, rng.choice(groups), 3) for _ in range(n)]
-    assert_same_intake_and_models(formulas,
-                                  [rng.random() < 0.6 for _ in range(n)])
+    atoms = [ns.p(f"a{i}") for i in range(3)]
+    s, ref = _Solver(), ReferenceSolver()
+    for _ in range(rng.randrange(1, 6)):
+        phi = random_formula(rng, atoms, 3)
+        root, ref_root = s.literal(phi), ref.literal(phi)
+        for rho in all_valuations(props(phi)):
+            lits = [s.ids[p] if rho[p] else -s.ids[p] for p in rho]
+            ref_lits = [ref.ids[p] if rho[p] else -ref.ids[p] for p in rho]
+            truth = evaluate(phi, rho)
+            if abs(root) == TRUE:
+                assert (root == TRUE) == truth
+            else:
+                assert s.satisfiable((*lits, root)) == truth
+                assert s.satisfiable((*lits, -root)) == (not truth)
+            assert ref.satisfiable((*ref_lits, ref_root)) == truth
+            assert ref.satisfiable((*ref_lits, -ref_root)) == (not truth)
 
 
-def test_gates_that_take_the_clause_by_clause_path(ns):
-    """Equal inputs, and inputs fixed by a constant or by a committed bare
-    proposition, go through `add_clause` one clause at a time."""
-    p, q, r = ns.p("p"), ns.p("q"), ns.p("r")
-    assert_same_intake_and_models(
-        [And(p, p), Or(q, q), Implies(r, r), And(q, TOP),
-         Or(BOT, r), p, And(p, q), Implies(r, p), Or(q, r)],
-        [False, False, False, True, False, True, True, False, True])
+def test_constant_and_repeated_operands_fold(ns):
+    """A connective with a constant operand, or with equal or opposite
+    operand literals, is the literal its truth table gives: no variable,
+    no clause. A negation is the negated literal."""
+    p, q = ns.p("p"), ns.p("q")
+    s = _Solver()
+    vp, vq = s.literal(p), s.literal(q)
+    cases = [
+        (And(p, p), vp), (Or(q, q), vq), (Implies(p, p), TRUE),
+        (And(q, TOP), vq), (Or(BOT, q), vq), (Implies(TOP, q), vq),
+        (Implies(p, BOT), -vp), (neg(neg(q)), vq), (Implies(BOT, q), TRUE),
+        (Implies(p, TOP), TRUE), (And(BOT, q), -TRUE), (Or(TOP, q), TRUE),
+        (And(p, neg(p)), -TRUE), (Or(neg(q), q), TRUE),
+        (Implies(neg(p), p), vp), (Implies(p, neg(p)), -vp),
+    ]
+    for phi, want in cases:
+        assert s.literal(phi) == want, phi
+    assert (s.nvars, s._clauses) == (2, [])
+    assert s.literal(Or(And(TOP, p), Implies(q, BOT))) == 3
+    assert len(s._clauses) == 3
+    session = CheckedSession(witness="pushed")
+    for phi, _ in cases:
+        session.admits(phi)
+        session.push(phi)
+    session.model()
 
 
 # -- the checker and the REPL --------------------------------------------------
@@ -287,15 +343,19 @@ def test_gates_that_take_the_clause_by_clause_path(ns):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """The sessions the driver makes while the test runs, each checked."""
+    """checked(witness) makes the driver check each session it makes from
+    then on, and returns the list of them."""
     made = []
 
-    def make():
-        made.append(CheckedSession())
-        return made[-1]
+    def watch(witness: str = "all") -> list[CheckedSession]:
+        def make():
+            made.append(CheckedSession(witness))
+            return made[-1]
 
-    monkeypatch.setattr(driver, "SolverSession", make)
-    return made
+        monkeypatch.setattr(driver, "SolverSession", make)
+        return made
+
+    return watch
 
 
 FAMILIES = [(f"g_example_x{n}", g_example_source(n)) for n in (1, 3, 8, 20)] \
@@ -306,8 +366,9 @@ FAMILIES = [(f"g_example_x{n}", g_example_source(n)) for n in (1, 3, 8, 20)] \
 @pytest.mark.parametrize("name,src", SOURCES + FAMILIES,
                          ids=[n for n, _ in SOURCES + FAMILIES])
 def test_checker_agrees_with_whole_clause_dpll(checked, name, src, mode):
+    made = checked()
     outcome = check_source(src, mode)
-    (session,) = checked
+    (session,) = made
     if outcome.witness is not None:
         assert_fixed_agrees(session)
 
@@ -315,12 +376,16 @@ def test_checker_agrees_with_whole_clause_dpll(checked, name, src, mode):
 @pytest.mark.parametrize("name,mode", CASES,
                          ids=[f"{n}.{m}" for n, m in CASES])
 def test_repl_sessions_agree_with_whole_clause_dpll(checked, name, mode):
-    """Every answer is checked as it is given. The fixed sets are compared
-    where the session has at most 200 propositions: each costs two solves
-    per proposition, and the checker test above compares them on every
-    program, cf_k_join included."""
+    """Every answer is checked as it is given, and the witness at the end
+    over the propositions of the pushed formulas: the `:type` probes of
+    wildcard_tail leave a proposition that only a probe mentions. The fixed
+    sets are compared where the session has at most 200 propositions: each
+    costs two solves per proposition, and the checker test above compares
+    them on every program, cf_k_join included."""
+    made = checked("pushed")
     transcript(SCRIPTS[name], mode)
-    (session,) = checked
+    (session,) = made
+    session.model()
     if len(props(session.formula)) <= 200:
         assert_fixed_agrees(session)
 

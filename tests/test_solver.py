@@ -13,9 +13,9 @@ from efl.names import KIND_PROP, Name
 from efl.solver import SolverSession, _Solver
 from efl.declarative import ReplayScope, subeffect_holds
 from helpers import (SOURCES, Names, all_valuations, check_source, con, fixed,
-                     formulas_equivalent, memberships, sat, sat_enumerate,
-                     tautology)
-from oracles import random_guard
+                     formulas_equivalent, g_example_source, memberships, sat,
+                     sat_enumerate, tautology)
+from oracles import ReferenceSolver, random_guard
 
 
 # -- sat ----------------------------------------------------------------------
@@ -39,12 +39,15 @@ def test_sat_constants(ns):
     assert model is not None and set(model) == set()
 
 
-def test_satisfiable_answers_constants_without_a_solver(ns, monkeypatch):
-    def refuse():
-        raise AssertionError("built a solver")
-    monkeypatch.setattr(solver, "_Solver", refuse)
-    assert solver.satisfiable(TOP) and solver.satisfiable(ns.p("p"))
+def test_satisfiable_folds_constants_without_a_variable(ns, monkeypatch):
+    def refuse(self):
+        raise AssertionError("made a variable")
+    p = ns.p("p")
+    assert solver.satisfiable(p) and not solver.satisfiable(And(p, neg(p)))
+    monkeypatch.setattr(_Solver, "fresh_var", refuse)
+    assert solver.satisfiable(TOP) and solver.satisfiable(Implies(BOT, TOP))
     assert not solver.satisfiable(BOT)
+    assert not solver.satisfiable(Or(And(TOP, BOT), Implies(TOP, BOT)))
 
 
 def test_sat_model_covers_exactly_the_props(ns):
@@ -101,7 +104,7 @@ def test_tseitin_encodes_a_deep_chain_with_three_clauses_per_and():
     s = _Solver()
     root = s.literal(chain)
     assert s.nvars == 2 * n - 1
-    assert len(s._clauses) == 3 * (n - 1) and not s._units
+    assert len(s._clauses) == 3 * (n - 1)
     assert s.literal(chain) == root
     assert len(s._clauses) == 3 * (n - 1)
 
@@ -109,10 +112,34 @@ def test_tseitin_encodes_a_deep_chain_with_three_clauses_per_and():
 def test_tseitin_shares_one_variable_between_equal_subformulas(ns):
     p, q, r = ns.p("p"), ns.p("q"), ns.p("r")
     s = _Solver()
-    root = s.literal(Or(And(p, Implies(q, r)), And(p, Implies(q, r))))
+    root = s.literal(Or(And(p, Implies(q, r)), Implies(q, r)))
     assert s.nvars == 6 and len(s._clauses) == 9
     assert s.literal(And(Prop(p.name), Implies(q, Prop(r.name)))) == root - 1
     assert s.nvars == 6 and len(s._clauses) == 9
+
+
+def test_a_negation_is_a_literal_and_only_gates_make_clauses(ns,
+                                                            monkeypatch):
+    """`p => F` is p's negated literal: no variable of its own, no clause.
+    Every other variable of a checked program's session is a gate, with
+    its three clauses, and none stands for T or F."""
+    s = SolverSession()
+    assert s.push(neg(ns.p("p")))
+    assert (s._solver.nvars, s._solver._clauses) == (1, [])
+    assert s.model() == {ns.prop("p"): False}
+    made = []
+
+    def make():
+        made.append(SolverSession())
+        return made[-1]
+
+    monkeypatch.setattr(driver, "SolverSession", make)
+    for n in (1, 5, 20):
+        check_source(g_example_source(n))
+        inner = made.pop()._solver
+        gates = inner.nvars - len(inner.ids)
+        assert gates > 0 and len(inner._clauses) == 3 * gates
+
 
 # -- top-level discharge -------------------------------------------------------
 
@@ -345,11 +372,12 @@ class BackboneSession:
     backbone (the single-polarity ones) as forced literals, and solves
     every later query under the roots plus those literals. A pool of
     models spares most probes: two that disagree on a proposition prove
-    it is not fixed."""
+    it is not fixed. It runs on the reference encoding, which gives every
+    constant and connective a variable."""
 
     def __init__(self):
         self.formula = TOP
-        self.solver = _Solver()
+        self.solver = ReferenceSolver()
         self.roots = []
         self.fixed = {}
 
@@ -391,9 +419,11 @@ class BackboneSession:
 @settings(max_examples=100)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_session_agrees_with_backbone_oracle(seed):
-    """Verdicts, witness and fixed set equal those of the design that kept
-    the backbone as assumptions: the backbone is entailed by the roots, so
-    it removes no model and the DPLL finds the same least one."""
+    """Verdicts and fixed set equal those of the design that kept the
+    backbone as assumptions, and the model satisfies the session. The
+    formulas keep constants inside connectives, which the reference
+    encoding gives variables of their own, so the decision orders differ
+    and with them, at times, the witness."""
     ns = Names()
     rng = random.Random(seed)
     atoms = [ns.p(t) for t in ("p", "q", "r", "s")]
@@ -402,7 +432,7 @@ def test_session_agrees_with_backbone_oracle(seed):
         phi = _random_formula(rng, atoms, 3)
         assert s.push(phi) == old.push(phi)
         assert s.formula == old.formula
-        assert s.model() == old.model()
+        assert evaluate(s.formula, s.model())
         assert fixed(s) == old.fixed
 
 
