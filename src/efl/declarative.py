@@ -5,9 +5,12 @@ propositions to booleans: an answer is relative to one choice of guards.
 Under rho a constraint set is a set of propositional Horn rules over effect
 atoms, and subeffecting is closure under them. A `ReplayScope` is a
 constraint set compiled under one valuation: each constraint's guards are
-erased once, and one index lists each rule under the atoms of its
-right-hand side. Every replay query takes a scope and reads its rho from
-it. Each query propagates from its start set by counting down the rules'
+erased once, and two indexes list each rule, under the atoms of its
+right-hand side and under those of its left-hand side. Every replay query
+takes a scope and reads its rho from it. A query first looks, for each
+goal atom its start set lacks, for one rule that covers it and fires from
+the start set alone; that settles every query of the generated families.
+Otherwise it propagates from its start set by counting down the rules'
 missing atoms (Dowling & Gallier, JLP 1984), in time linear in the rules
 it touches, and stops once its goal is covered.
 `derivation_search_subeffect` in `tests/oracles.py` is the independent
@@ -87,17 +90,21 @@ class ReplayScope:
     """A constraint set compiled under one valuation.
 
     Each constraint l <= r becomes a rule: once every atom of r's erasure is
-    covered, so is every atom of l's. `index` lists a rule under each atom
-    of its erased RHS, where it counts down as those atoms get covered; a
-    rule whose RHS erases to nothing fires unconditionally, from `free`.
-    `extend` erases only the constraints it adds, into a copy of the index.
+    covered, so is every atom of l's. Two indexes list each rule, from one
+    erasure: `index` under each atom of its erased RHS, where it counts down
+    as those atoms get covered, and `settle` under each atom of its erased
+    LHS, the atoms one firing of it covers. A rule whose RHS erases to
+    nothing fires unconditionally, from `free`. `extend` erases only the
+    constraints it adds, into copies of both indexes.
     """
 
     def __init__(self, omega: Iterable[Constraint],
                  rho: Mapping[Name, bool],
                  parent: "ReplayScope | None" = None) -> None:
         base = parent.index if parent else {}
+        base_settle = parent.settle if parent else {}
         index: dict[Name, list[tuple]] = {}
+        settle: dict[Name, list[tuple]] = {}
         free = set(parent.free) if parent else set()
         for c in omega:
             lhs, rhs = erase_rule(c, rho)
@@ -109,8 +116,12 @@ class ReplayScope:
             rule = (rhs, lhs)
             for atom in rhs:
                 index.setdefault(atom, [*base.get(atom, ())]).append(rule)
+            for atom in lhs:
+                settle.setdefault(atom,
+                                  [*base_settle.get(atom, ())]).append(rule)
         self.rho = rho
         self.index = base | index
+        self.settle = base_settle | settle
         self.free = frozenset(free)
 
     def extend(self, omega: Collection[Constraint]) -> "ReplayScope":
@@ -119,9 +130,17 @@ class ReplayScope:
 
     def covers(self, start: frozenset[Name], goal: frozenset[Name]) -> bool:
         """Is every atom of goal covered once the atoms of start are?
-        Propagation stops as soon as it is."""
+
+        First one rule per missing atom: a rule listed under it in `settle`
+        whose RHS lies inside start and `free` fires in the full closure
+        too, so if each missing atom has one, the answer is yes. Otherwise
+        propagate, stopping as soon as goal is covered."""
         missing = set(goal).difference(start, self.free)
         if not missing:
+            return True
+        known = start | self.free
+        if all(any(rule[0] <= known for rule in self.settle.get(atom, ()))
+               for atom in missing):
             return True
         queue = [*self.free, *start]
         covered: set[Name] = set()
@@ -152,6 +171,9 @@ def subeffect_holds(scope: ReplayScope, e1: Effect, e2: Effect) -> bool:
     LHS, until e1 is covered or nothing more fires. Each step is justified
     by assumption + join + transitivity, and every declarative rule
     preserves coveredness, so this is exactly the subeffect relation.
+    `ReplayScope.covers` first tries one such step per missing atom of e1,
+    each a rule that fires from e2's atoms alone, and propagates only if
+    that leaves an atom uncovered.
     """
     rho = scope.rho
     goal, start = erased_atoms(e1, rho), erased_atoms(e2, rho)

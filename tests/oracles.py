@@ -178,6 +178,30 @@ def subeffect_fixpoint(omega: Iterable[Constraint], rho: Mapping[Name, bool],
     return goal <= covered
 
 
+def covers_by_propagation(scope: ReplayScope, start: frozenset[Name],
+                          goal: frozenset[Name]) -> bool:
+    """`ReplayScope.covers` without its one-rule step: forward propagation
+    from start and the scope's free atoms, counting down each rule's
+    missing RHS atoms over `scope.index` (Dowling & Gallier, JLP 1984),
+    until goal is covered or nothing more fires."""
+    missing = set(goal).difference(start, scope.free)
+    queue = [*scope.free, *start]
+    covered: set[Name] = set()
+    waiting: dict[int, int] = {}
+    while missing and queue:
+        atom = queue.pop()
+        if atom in covered:
+            continue
+        covered.add(atom)
+        for rule in scope.index.get(atom, ()):
+            need = waiting.get(id(rule), len(rule[0])) - 1
+            waiting[id(rule)] = need
+            if need == 0:
+                queue.extend(rule[1])
+                missing.difference_update(rule[1])
+    return not missing
+
+
 # ---------------------------------------------------------------------------
 # Random formulas / effects / types (for property and bridge tests)
 # ---------------------------------------------------------------------------

@@ -268,6 +268,24 @@ def test_pigeonhole_three_into_two_is_unsat():
     assert not s.satisfiable()
 
 
+def test_pigeonhole_with_a_shared_hole_is_reached_through_a_flip():
+    """The pigeonhole above, but hole 1 may hold pigeon 2 beside another
+    pigeon when y holds. Without y every path conflicts as before, so the
+    search backtracks through a conflict and flips a decision before it
+    reaches the least model; trying True first finds another model, and
+    giving up at the first conflict finds none."""
+    var = {(i, j): 2 * i + j + 1 for i in range(3) for j in range(2)}
+    y = 7
+    clauses = [(var[i, 0], var[i, 1]) for i in range(3)]
+    clauses += [(-var[i, j], -var[k, j]) + ((y,) if (j, k) == (1, 2) else ())
+                for j in range(2) for i in range(3) for k in range(i + 1, 3)]
+    s = solved(clauses)
+    assert s.satisfiable()
+    # pigeon 0 in hole 1, pigeon 1 in hole 0, pigeon 2 in hole 1, y
+    assert ([s.value(v) for v in range(1, 8)]
+            == [False, True, True, False, False, True, True])
+
+
 def test_conflicts_below_the_first_decision_flip_it():
     """With x1 false the clauses need all eight sign patterns of x2..x4,
     so every branch under it ends in a conflict at level 3 and the first

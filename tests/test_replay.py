@@ -1,14 +1,19 @@
 """Certificate replay on compiled scopes, against the plain closure fixpoint.
 
 `declarative.ReplayScope` erases a constraint set once per valuation and
-answers subeffect queries by counter-based Horn propagation; a `let`
-extends it by its scheme's constraints. A scope keeps only its compiled
-index, so the tests record which constraints each scope was built from.
+answers subeffect queries by one rule per missing atom where it can, else
+by counter-based Horn propagation; a `let` extends it by its scheme's
+constraints. A scope keeps only its compiled indexes, so the tests record
+which constraints each scope was built from.
 `oracles.subeffect_fixpoint` is the closure it replaced: every constraint
 erased on every query, rules swept until nothing changes. Both must
 decide the same queries, give the same replay judgements on real programs,
-and reject the same tampered certificates. Each definition must also
-replay under the environment it was inferred under.
+and reject the same tampered certificates. `oracles.covers_by_propagation`
+is `covers` without its one-rule step; every `covers` answer on random
+cases, programs and families must match it. One rule must settle every
+family query, and the rules a query touches must not grow with the number
+of independent definitions. Each definition must also replay under the
+environment it was inferred under.
 `driver.total_valuation` reads the propositions the run's supply recorded
 as minted; it must agree with the old walk over certificates, schemes,
 omega and the session formula wherever that walk reaches, and every
@@ -28,10 +33,11 @@ from efl.formulas import TOP, evaluate, props
 from efl.inference import Config
 from efl.names import KIND_PROP, NameSupply
 from efl.syntax import parse_program
-from helpers import (G_BODY, G_HEADER, SOURCES, Names, check_source,
-                     g_example_source, nest_source, spine_source)
-from oracles import (cert_props, constraints_props, gen_program,
-                     random_effect, random_guard, scheme_props,
+from helpers import (G_BODY, G_HEADER, SOURCES, Names, chain_source,
+                     check_source, g_example_source, nest_source,
+                     spine_source)
+from oracles import (cert_props, constraints_props, covers_by_propagation,
+                     gen_program, random_effect, random_guard, scheme_props,
                      subeffect_fixpoint, total_valuation_over_formula)
 
 MODES = ["constrained", "constraint-free"]
@@ -92,19 +98,73 @@ def _constraints(scope):
     return _COMPILED[scope]
 
 
+class _Reading:
+    """A scope index that counts the lookups and the rules a query reads
+    from it."""
+
+    def __init__(self, index, reads, name):
+        self.index, self.reads, self.name = index, reads, name
+
+    def get(self, atom, default=()):
+        self.reads[self.name + " lookups"] += 1
+        for rule in self.index.get(atom, default):
+            self.reads["touches"] += 1
+            yield rule
+
+
+class _CoversProbe:
+    """Checks every `ReplayScope.covers` answer while the monkeypatch
+    context m lasts against `oracles.covers_by_propagation`, and records
+    how each query was answered in `seen`: "nothing missing" before any
+    index is read, "one rule" when `settle` alone answered yes, or else
+    "fallback" to propagation over `index`, the only way to answer no.
+    `touches` lists the rules each query read, from both indexes."""
+
+    def __init__(self, m):
+        self.seen, self.touches = Counter(), []
+        covers = ReplayScope.covers
+
+        def probing(scope, start, goal):
+            want = covers_by_propagation(scope, start, goal)
+            reads = Counter()
+            index, settle = scope.index, scope.settle
+            scope.index = _Reading(index, reads, "index")
+            scope.settle = _Reading(settle, reads, "settle")
+            try:
+                got = covers(scope, start, goal)
+            finally:
+                scope.index, scope.settle = index, settle
+            assert got == want, (sorted(map(str, start)),
+                                 sorted(map(str, goal)))
+            if not set(goal).difference(start, scope.free):
+                kind = "nothing missing"
+            elif reads["index lookups"] or not got:
+                kind = "fallback"
+            else:
+                kind = "one rule"
+            self.seen[kind] += 1
+            self.touches.append(reads["touches"])
+            return got
+
+        m.setattr(ReplayScope, "covers", probing)
+
+
 def _assert_compiled(scope, omega, rho):
     """scope's index lists each rule of omega under rho once per
-    constraint and RHS atom, and nothing else; its free atoms are the LHS
-    atoms of the rules whose RHS erases to nothing."""
-    listed, free = Counter(), set()
+    constraint and RHS atom, and its `settle` once per constraint and LHS
+    atom, and nothing else; its free atoms are the LHS atoms of the rules
+    whose RHS erases to nothing."""
+    by_rhs, by_lhs, free = Counter(), Counter(), set()
     for c in omega:
         lhs, rhs = declarative.erase_rule(c, rho)
         if lhs and not rhs:
             free |= lhs
         elif lhs:
-            listed.update((atom, (rhs, lhs)) for atom in rhs)
-    assert Counter((atom, rule) for atom, rules in scope.index.items()
-                   for rule in rules) == listed
+            by_rhs.update((atom, (rhs, lhs)) for atom in rhs)
+            by_lhs.update((atom, (rhs, lhs)) for atom in lhs)
+    for index, listed in ((scope.index, by_rhs), (scope.settle, by_lhs)):
+        assert Counter((atom, rule) for atom, rules in index.items()
+                       for rule in rules) == listed
     assert scope.free == free
 
 
@@ -123,7 +183,11 @@ def _agree(scope, omega, rho, atoms, props, rng):
                 ([str(c) for c in omega], rho, str(e1), str(e2))
 
 
-def test_closure_agrees_with_fixpoint_on_random_cases():
+def test_closure_agrees_with_fixpoint_on_random_cases(monkeypatch):
+    """Every answer also agrees with propagation alone, and both ways of
+    answering are reached: the one-rule step, and the fallback to
+    propagation (the chain's ends need every link)."""
+    probe = _CoversProbe(monkeypatch)
     atoms, props = _material()
     rng = random.Random(4)
     seen = Counter()
@@ -143,6 +207,8 @@ def test_closure_agrees_with_fixpoint_on_random_cases():
                                              Effect.var(chain[-1]))
     assert min(seen[k] for k in ("empty omega", "RHS erases to nothing",
                                  "chain")) >= 30, seen
+    assert min(probe.seen[k] for k in ("one rule", "fallback")) >= 30, \
+        probe.seen
 
 
 def test_scope_extended_twice_agrees_with_fixpoint_on_the_union(
@@ -245,7 +311,11 @@ def _fixpoint_query(scope, e1, e2):
 
 
 def _both(outcome, monkeypatch):
-    new = _replay(outcome, monkeypatch, subeffect_holds)
+    """The replay of outcome, which must match the fixpoint's, with every
+    `covers` answer checked against propagation alone."""
+    with monkeypatch.context() as m:
+        _CoversProbe(m)
+        new = _replay(outcome, monkeypatch, subeffect_holds)
     old = _replay(outcome, monkeypatch, _fixpoint_query)
     assert new == old
     return new
@@ -411,6 +481,58 @@ def _erasures(monkeypatch, n):
 def test_each_constraint_is_erased_once_per_replay(monkeypatch):
     ten, twenty = _erasures(monkeypatch, 10), _erasures(monkeypatch, 20)
     assert twenty / ten < 2.5, (ten, twenty)
+
+
+# -- one rule settles each family query ----------------------------------------
+
+
+def _probed_replay(monkeypatch, src):
+    """The probe of replaying src, checked in constrained mode."""
+    outcome = check_source(src)
+    assert outcome.status == "ok"
+    with monkeypatch.context() as m:
+        probe = _CoversProbe(m)
+        driver.verify_certificates(outcome)
+    return probe
+
+
+FAMILIES = [("g_example", g_example_source, 20),
+            ("g_example", g_example_source, 40),
+            ("chain", chain_source, 10), ("chain", chain_source, 20)]
+
+
+@pytest.mark.parametrize("name,source,n", FAMILIES,
+                         ids=[f"{name}_x{n}" for name, _, n in FAMILIES])
+def test_one_rule_settles_every_family_query(monkeypatch, name, source, n):
+    """Every `covers` answer on the families agrees with propagation
+    alone, and none needs it: a regression that makes the one-rule step
+    fall back fails here."""
+    probe = _probed_replay(monkeypatch, source(n))
+    assert probe.seen["one rule"] >= n and not probe.seen["fallback"], \
+        probe.seen
+
+
+def _max_touches(monkeypatch, source, n):
+    return max(_probed_replay(monkeypatch, source(n)).touches)
+
+
+def test_rule_touches_per_query_stay_constant_on_g_example(monkeypatch):
+    """Independent definitions cost each replay query the same. Propagation
+    alone touches every one of the N + 1 rules listed under a query's
+    atom: 21 at x20, 41 at x40."""
+    small = _max_touches(monkeypatch, g_example_source, 20)
+    large = _max_touches(monkeypatch, g_example_source, 40)
+    assert large == small, (small, large)
+
+
+def test_rule_touches_per_query_grow_at_most_half_again_on_chain(
+        monkeypatch):
+    """Doubling the chain raises the most rules one query touches by at
+    most 1.5x. Propagation alone touches 141-249 at x10 and 1 007-1 694 at
+    x20, by the hash seed that orders its queue."""
+    small = _max_touches(monkeypatch, chain_source, 10)
+    large = _max_touches(monkeypatch, chain_source, 20)
+    assert large <= 1.5 * small, (small, large)
 
 
 # -- what a replay starts from -----------------------------------------------
