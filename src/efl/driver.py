@@ -291,11 +291,10 @@ class TopLevel:
         return res if self.session.admits(phi) else None
 
 
-def check_program(program: Program, supply: NameSupply,
-                  config: Config | None = None,
+def check_program(program: Program, supply: NameSupply, config: Config,
                   display_simplify: bool = True) -> CheckOutcome:
     """Infer, generalize, discharge and report every definition in order."""
-    top = TopLevel(program.effects, supply, config or Config())
+    top = TopLevel(program.effects, supply, config)
     for name, st in program.externs:
         top.add_extern(name, st)
     externs = dict(top.gamma)

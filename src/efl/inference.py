@@ -254,7 +254,7 @@ def generalize(res: InferResult, supply: NameSupply,
 
 
 def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
-          config: Config | None = None) -> InferResult:
+          config: Config) -> InferResult:
     """Reconstruct effects for expr under gamma.
 
     Returns the inferred type and effect together with the generated
@@ -262,8 +262,6 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
     InferError (ShapeError / GenLimitError) when no typing exists for
     structural reasons; unsatisfiable constraints are the caller's business.
     """
-    config = config or Config()
-
     if isinstance(expr, Var):
         if expr.name not in gamma:
             raise InferError(f"unbound variable {expr.name}")

@@ -104,10 +104,6 @@ class Value(Record):
 
     __delattr__ = __setattr__
 
-    def __reduce__(self) -> tuple:
-        """Copy and pickle through the constructor, given the fields."""
-        return type(self), self._values()
-
 
 _tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
 
@@ -145,8 +141,9 @@ class TupleValue(tuple):
         return True if isinstance(other, tuple) else NotImplemented
 
     def __reduce__(self) -> tuple:
-        """Copy and pickle through the constructor, given the fields (ahead
-        of `Value.__reduce__` in a class that is both, as `Prop` is)."""
+        """Copy and pickle through the constructor, given the fields. The
+        default protocol would call `__new__` with the whole tuple as its
+        one argument, so a copy of `PURE` would hold the atoms `((),)`."""
         return type(self), tuple(self)
 
     def __repr__(self) -> str:
@@ -194,8 +191,8 @@ class NameSupply:
     `props` is every guard proposition minted, in order: the one record of
     them, which certificate replay extends the witness over."""
 
-    def __init__(self, start: int = 0) -> None:
-        self._next = start
+    def __init__(self) -> None:
+        self._next = 0
         self.props: list[Name] = []
 
     def fresh(self, kind: str, text: str | None = None) -> Name:

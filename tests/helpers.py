@@ -82,7 +82,7 @@ def tautology(phi: Formula) -> bool:
 
 def all_valuations(names: Iterable[Name]) -> Iterator[dict[Name, bool]]:
     """Every valuation over `names`, in a deterministic order."""
-    order = sorted(set(names), key=Name.key)
+    order = sorted(set(names), key=Name.KEY)
     for bits in itertools.product((False, True), repeat=len(order)):
         yield dict(zip(order, bits))
 
@@ -173,7 +173,7 @@ def fixed(session: SolverSession) -> dict[Name, bool]:
     """
     model = session.model()
     out = {}
-    for p in sorted(props(session.formula), key=Name.key):
+    for p in sorted(props(session.formula), key=Name.KEY):
         i = session._solver.ids[p]
         flip = -i if model[p] else i
         if not session._solver.satisfiable((flip,)):
@@ -218,14 +218,14 @@ def certificate_valid(omega: frozenset, rho: Mapping[Name, bool],
 def memberships(d: Discharger) -> list[Name]:
     """The discharger's membership propositions, by (variable, constant)."""
     return [d._member[k] for k in sorted(d._member,
-                                         key=lambda k: (k[0].key(),
-                                                        k[1].key()))]
+                                         key=lambda k: (Name.KEY(k[0]),
+                                                        Name.KEY(k[1])))]
 
 
 def sat(phi: Formula) -> dict[Name, bool] | None:
     """A model of phi over its named propositions, or None if UNSAT."""
     session = SolverSession()
-    for p in sorted(props(phi), key=Name.key):
+    for p in sorted(props(phi), key=Name.KEY):
         session._solver.var_of(p)
     return session.model() if session.push(phi) else None
 
@@ -233,7 +233,7 @@ def sat(phi: Formula) -> dict[Name, bool] | None:
 def sat_enumerate(phi: Formula, limit: int = 64) -> Iterator[dict[Name, bool]]:
     """Up to `limit` distinct models over phi's propositions."""
     session = SolverSession()
-    names = sorted(props(phi), key=Name.key)
+    names = sorted(props(phi), key=Name.KEY)
     for p in names:
         session._solver.var_of(p)
     if not session.push(phi):

@@ -621,7 +621,7 @@ def scheme_more_general(s1: Scheme, s2: Scheme, base: list[Name],
     """
     scope = ReplayScope(frozenset(ambient) | s2.constraints, {})
     universe = effect_universe(sorted(set(base) | set(s2.binders),
-                                      key=Name.key))
+                                      key=Name.KEY))
     for combo in itertools.product(universe, repeat=len(s1.binders)):
         theta = dict(zip(s1.binders, combo))
         if not entails(scope, subst_constraints(theta, s1.constraints)):
@@ -929,7 +929,7 @@ def effect_of_map(entries: Mapping[Name, Formula]) -> Effect:
     """Build an effect from a var->guard map, dropping F-guarded atoms."""
     atoms = tuple(sorted(((n, g) for n, g in entries.items()
                           if not isinstance(g, Bot)),
-                         key=lambda a: a[0].key()))
+                         key=lambda a: Name.KEY(a[0])))
     return Effect(atoms)
 
 

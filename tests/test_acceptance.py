@@ -234,7 +234,7 @@ def _call_now_or_later_scheme(failures: list[str]) -> None:
 
     discharger = outcome.discharger
     survivors = sorted(free_eff_vars_scheme(scheme) - set(discharger.rigid),
-                       key=Name.key)
+                       key=Name.KEY)
     formula_props = props(outcome.formula)
     equivalent_under_some_witness = False
     for model in sat_enumerate(outcome.formula, limit=64):
@@ -346,7 +346,7 @@ def test_criterion_5_subtype_and_translation_soundness():
             failures.append(f"shape-compatible pair rejected: {t1} vs {t2}")
             continue
         relevant = sorted(props(phi) | constraints_props(omega)
-                          | type_props(t1) | type_props(t2), key=Name.key)
+                          | type_props(t1) | type_props(t2), key=Name.KEY)
         for rho in all_valuations(relevant):
             if not evaluate(phi, rho):
                 continue
@@ -369,7 +369,7 @@ def test_criterion_5_subtype_and_translation_soundness():
         before = len(supply.props)
         _, t = tr_type(st, supply)
         minted = supply.props[before:]
-        unique = sorted(set(minted), key=Name.key)
+        unique = sorted(set(minted), key=Name.KEY)
         if len(unique) > 8:
             skipped += 1
             continue
@@ -478,7 +478,7 @@ def test_criterion_6_sat_engine_agreement():
     for _ in range(2000):
         width = rng.randint(1, 12)
         phi = _random_formula(rng, pool[:width], depth=rng.randint(1, 4))
-        order = sorted(props(phi), key=Name.key)
+        order = sorted(props(phi), key=Name.KEY)
         tab = _truth_table(phi, order)
         model = sat(phi)
         if (model is not None) != (tab != 0):
@@ -508,7 +508,7 @@ def test_criterion_6_sat_engine_agreement():
                                   run_rng.sample(session_pool, width),
                                   depth=3)
             candidate = conj2(accumulated, phi)
-            order = sorted(props(candidate), key=Name.key)
+            order = sorted(props(candidate), key=Name.KEY)
             tab = _truth_table(candidate, order)
             accepted = session.push(phi)
             if accepted != (tab != 0):

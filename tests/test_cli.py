@@ -262,7 +262,7 @@ def test_constraint_free_grid_output_and_work(capsys, tmp_path, monkeypatch,
                                               k, constrained):
     """A 2^11-variable grid prints what it always printed, and the work of
     building it stays about linear: counted `Name` calls, not wall time.
-    A grid rebuilt per grid variable makes millions of `Name.key` calls; a
+    A grid rebuilt per grid variable makes millions of `Name.KEY` calls; a
     projection that scans each constraint once per guard it reads, millions
     of `Name.__eq__` calls."""
     path = tmp_path / "grid.efl"

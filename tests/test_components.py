@@ -99,7 +99,7 @@ def oracle_fixed(session: CheckedSession) -> dict[Name, bool]:
     solver, roots = session._solver, session.roots
     model = whole_clause_solve(solver, roots)
     out = {}
-    for p in sorted(props(session.formula), key=Name.key):
+    for p in sorted(props(session.formula), key=Name.KEY):
         i = solver.ids[p]
         value = model[i]
         if whole_clause_solve(solver, (*roots, -i if value else i)) is None:

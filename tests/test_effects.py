@@ -87,7 +87,7 @@ def test_subst_of_one_unguarded_mapped_atom_is_its_image(ns):
 
 def test_grid_substitution_does_not_sort_an_image_again(monkeypatch):
     """Checking and replaying a 2^11-variable constraint-free grid makes
-    about 31 k `Name.key` calls. Rebuilding the image of each mapped
+    about 31 k `Name.KEY` calls. Rebuilding the image of each mapped
     one-atom effect, 2^11 atoms sorted again every time, made 61 k."""
     calls = [0]
     key = Name.KEY

@@ -13,6 +13,7 @@ from efl.names import KIND_EFF, KIND_EXPR
 from helpers import con, parse_expr, parse_type, scope_of
 from oracles import cert_props
 
+CONSTRAINED = Config()
 CF = Config(mode="constraint-free")
 
 
@@ -183,7 +184,7 @@ def test_infer_var_instantiates_scheme(ns, supply):
     gamma = {v: Scheme((a,), frozenset({con(Effect.var(a), io)}),
                        Arrow(u, Effect.var(a), u))}
     from efl.syntax import Var
-    res = infer(gamma, Var(v), supply)
+    res = infer(gamma, Var(v), supply, CONSTRAINED)
     assert len(res.gen) == 1
     delta = Effect.var(res.gen[0])
     assert res.type == Arrow(u, delta, u)
@@ -195,7 +196,7 @@ def test_infer_var_instantiates_scheme(ns, supply):
 def test_infer_lambda_and_application(ns, supply):
     u, io, scope, gamma = _ctx(ns, supply)
     res = infer(gamma, parse_expr("fn (x : Unit) => launch x", supply, scope),
-                supply)
+                supply, CONSTRAINED)
     assert res.type == Arrow(u, io, u)
     assert res.effect == PURE
     assert res.constraints == frozenset() and res.formula == TOP
@@ -209,7 +210,7 @@ def test_infer_lambda_and_application(ns, supply):
 def test_infer_application_joins_effects(ns, supply):
     u, io, scope, gamma = _ctx(ns, supply)
     expr = parse_expr("launch (launch u)", supply, scope)
-    res = infer(gamma, expr, supply)
+    res = infer(gamma, expr, supply, CONSTRAINED)
     assert res.type == u and res.effect == io
     assert isinstance(res.cert, CApp)
     assert res.cert.fn == CSub(Arrow(u, io, u), io, res.cert.fn.inner)
@@ -221,7 +222,7 @@ def test_infer_application_joins_effects(ns, supply):
 def test_infer_effect_application_with_wildcard(ns, supply):
     u, io, scope, gamma = _ctx(ns, supply)
     expr = parse_expr("(weaken [eff _]) launch", supply, scope)
-    res = infer(gamma, expr, supply)
+    res = infer(gamma, expr, supply, CONSTRAINED)
     assert len(res.gen) == 1
     beta = Effect.var(res.gen[0])
     assert res.type == Arrow(u, beta, u)
@@ -234,8 +235,8 @@ def test_infer_effect_application_with_wildcard(ns, supply):
 def test_generalize_constrained_splits_survivor_and_binder(ns, supply):
     u, io, scope, gamma = _ctx(ns, supply)
     res = infer(gamma, parse_expr("(weaken [eff _]) launch", supply, scope),
-                supply)
-    g = generalize(res, supply, Config())
+                supply, CONSTRAINED)
+    g = generalize(res, supply, CONSTRAINED)
     (gam,) = g.scheme.binders
     (beta,) = g.gen
     assert g.scheme.constraints == frozenset()
@@ -249,7 +250,7 @@ def test_generalize_constrained_splits_survivor_and_binder(ns, supply):
 def test_infer_let_generalizes_wildcard(ns, supply):
     u, io, scope, gamma = _ctx(ns, supply)
     expr = parse_expr("let w = (weaken [eff _]) launch in w", supply, scope)
-    res = infer(gamma, expr, supply)
+    res = infer(gamma, expr, supply, CONSTRAINED)
     assert isinstance(res.cert, CLet)
     scheme = res.cert.scheme
     assert len(scheme.binders) == 1
@@ -262,10 +263,10 @@ def test_infer_let_generalizes_wildcard(ns, supply):
 def test_infer_effect_abstraction_requires_pure_body(ns, supply):
     u, io, scope, gamma = _ctx(ns, supply)
     res = infer(gamma, parse_expr("efun e => launch u", supply, scope),
-                supply)
+                supply, CONSTRAINED)
     assert con(io, PURE) in res.constraints
     res2 = infer(gamma, parse_expr("tfun t => launch u", supply, scope),
-                 supply)
+                 supply, CONSTRAINED)
     assert con(io, PURE) in res2.constraints
 
 
@@ -274,7 +275,7 @@ def test_infer_effect_abstraction_rewires_wildcards(ns, supply):
     expr = parse_expr("efun e => fn (k : Unit ->[_] Unit) => k", supply,
                       scope)
     before = len(supply.props)
-    res = infer(gamma, expr, supply)
+    res = infer(gamma, expr, supply, CONSTRAINED)
     props = supply.props[before:]
     assert isinstance(res.type, ForallEff)
     param_eff = res.type.body.param.effect
@@ -291,20 +292,23 @@ def test_infer_effect_abstraction_rewires_wildcards(ns, supply):
 def test_infer_shape_errors(ns, supply):
     u, io, scope, gamma = _ctx(ns, supply)
     with pytest.raises(ShapeError, match="non-function"):
-        infer(gamma, parse_expr("u u", supply, scope), supply)
+        infer(gamma, parse_expr("u u", supply, scope), supply, CONSTRAINED)
     with pytest.raises(ShapeError, match="type application"):
-        infer(gamma, parse_expr("u [type Unit]", supply, scope), supply)
+        infer(gamma, parse_expr("u [type Unit]", supply, scope),
+              supply, CONSTRAINED)
     with pytest.raises(ShapeError, match="effect application"):
-        infer(gamma, parse_expr("u [eff IO]", supply, scope), supply)
+        infer(gamma, parse_expr("u [eff IO]", supply, scope),
+              supply, CONSTRAINED)
     with pytest.raises(InferError, match="unbound"):
         from efl.syntax import Var
-        infer({}, Var(supply.fresh(KIND_EXPR, "ghost")), supply)
+        infer({}, Var(supply.fresh(KIND_EXPR, "ghost")), supply, CONSTRAINED)
 
 
 def test_infer_argument_shape_mismatch(ns, supply):
     u, io, scope, gamma = _ctx(ns, supply)
     with pytest.raises(ShapeError, match="shape mismatch"):
-        infer(gamma, parse_expr("launch launch", supply, scope), supply)
+        infer(gamma, parse_expr("launch launch", supply, scope),
+              supply, CONSTRAINED)
 
 
 # -- constraint-free mode ----------------------------------------------------

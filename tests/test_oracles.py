@@ -91,7 +91,7 @@ def test_random_generators_stay_in_bounds(ns):
 
 def test_random_type_pairs_are_shape_compatible(ns):
     rng = random.Random(11)
-    supply = NameSupply(5000)
+    supply = NameSupply()
     atoms = [ns.eff(t) for t in ("a", "b")]
     guards = [ns.prop(t) for t in ("p",)]
     for _ in range(50):

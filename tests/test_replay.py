@@ -11,9 +11,10 @@ decide the same queries, give the same replay judgements on real programs,
 and reject the same tampered certificates. `oracles.covers_by_propagation`
 is `covers` without its one-rule step; every `covers` answer on random
 cases, programs and families must match it. One rule must settle every
-family query, and the rules a query touches must not grow with the number
-of independent definitions. Each definition must also replay under the
-environment it was inferred under.
+query on the families, the corpus and a slice of random programs, and the
+rules a query touches must not grow with the number of independent
+definitions. Each definition must also replay under the environment it
+was inferred under.
 `driver.total_valuation` reads the propositions the run's supply recorded
 as minted; it must agree with the old walk over certificates, schemes,
 omega and the session formula wherever that walk reaches, and every
@@ -483,37 +484,49 @@ def test_each_constraint_is_erased_once_per_replay(monkeypatch):
     assert twenty / ten < 2.5, (ten, twenty)
 
 
-# -- one rule settles each family query ----------------------------------------
+# -- one rule settles each query ----------------------------------------------
 
 
-def _probed_replay(monkeypatch, src):
-    """The probe of replaying src, checked in constrained mode."""
-    outcome = check_source(src)
-    assert outcome.status == "ok"
+def _probed_replay(monkeypatch, sources, mode="constrained"):
+    """The probe of replaying each of sources that checks in mode."""
+    outcomes = [check_source(src, mode) for src in sources]
     with monkeypatch.context() as m:
         probe = _CoversProbe(m)
-        driver.verify_certificates(outcome)
+        for outcome in outcomes:
+            if outcome.status == "ok":
+                driver.verify_certificates(outcome)
     return probe
 
 
-FAMILIES = [("g_example", g_example_source, 20),
-            ("g_example", g_example_source, 40),
-            ("chain", chain_source, 10), ("chain", chain_source, 20)]
+# Each case: its id, its programs, their mode and the fewest queries the
+# one-rule step must settle, so that no case passes vacuously. SOURCES
+# make 54 such queries constrained and 28 constraint-free; the random
+# programs, seeds 0-39 at sizes 20 and 40, make 19 in either mode.
+FAMILIES = [(f"{name}_x{n}", [source(n)], "constrained", n)
+            for name, source, n in (("g_example", g_example_source, 20),
+                                    ("g_example", g_example_source, 40),
+                                    ("chain", chain_source, 10),
+                                    ("chain", chain_source, 20))]
+FAMILIES += [case for mode in MODES for case in (
+    (f"sources_{mode}", [src for _, src in SOURCES], mode, 20),
+    (f"random_{mode}", [gen_program(seed, size, mode) for size in (20, 40)
+                        for seed in range(40)], mode, 10))]
 
 
-@pytest.mark.parametrize("name,source,n", FAMILIES,
-                         ids=[f"{name}_x{n}" for name, _, n in FAMILIES])
-def test_one_rule_settles_every_family_query(monkeypatch, name, source, n):
-    """Every `covers` answer on the families agrees with propagation
-    alone, and none needs it: a regression that makes the one-rule step
-    fall back fails here."""
-    probe = _probed_replay(monkeypatch, source(n))
-    assert probe.seen["one rule"] >= n and not probe.seen["fallback"], \
+@pytest.mark.parametrize("name,sources,mode,settled", FAMILIES,
+                         ids=[name for name, *_ in FAMILIES])
+def test_one_rule_settles_every_family_query(monkeypatch, name, sources,
+                                             mode, settled):
+    """Every `covers` answer on the families, the corpus and random
+    programs agrees with propagation alone, and none needs it: a
+    regression that makes the one-rule step fall back fails here."""
+    probe = _probed_replay(monkeypatch, sources, mode)
+    assert probe.seen["one rule"] >= settled and not probe.seen["fallback"], \
         probe.seen
 
 
 def _max_touches(monkeypatch, source, n):
-    return max(_probed_replay(monkeypatch, source(n)).touches)
+    return max(_probed_replay(monkeypatch, [source(n)]).touches)
 
 
 def test_rule_touches_per_query_stay_constant_on_g_example(monkeypatch):

@@ -206,7 +206,7 @@ def test_discharger_add_rigid(ns, supply):
     io, db = ns.eff("IO"), ns.eff("DB")
     d = Discharger((io,), supply)
     d.add_rigid(db)
-    assert d.rigid == tuple(sorted({io, db}, key=lambda n: n.key()))
+    assert d.rigid == tuple(sorted({io, db}, key=Name.KEY))
 
 
 # -- simplification ------------------------------------------------------------
@@ -256,7 +256,7 @@ def test_simplify_preserves_entailment_when_protected(seed):
         lhs = Effect(((rng.choice(vars_), random_guard(rng, guards)),))
         rhs_vars = rng.sample(vars_, rng.randrange(0, 3))
         rhs = Effect(tuple(sorted(((v, TOP) for v in rhs_vars),
-                                  key=lambda a: a[0].key())))
+                                  key=lambda a: Name.KEY(a[0]))))
         omega.add(con(lhs, rhs))
     omega = constraint_set(omega)
     simplified = simplify_constraints(omega, frozenset(vars_))
@@ -383,7 +383,7 @@ class BackboneSession:
 
     def assumptions(self):
         lits = list(self.roots)
-        for name in sorted(self.fixed, key=Name.key):
+        for name in sorted(self.fixed, key=Name.KEY):
             v = self.solver.ids[name]
             lits.append(v if self.fixed[name] else -v)
         return lits
@@ -395,7 +395,7 @@ class BackboneSession:
         self.roots.append(root)
         self.formula = conj2(self.formula, phi)
         pool = [self.model()]
-        for p in sorted(props(self.formula), key=Name.key):
+        for p in sorted(props(self.formula), key=Name.KEY):
             values = {m[p] for m in pool}
             if p in self.fixed or len(values) == 2:
                 continue

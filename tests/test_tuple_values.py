@@ -4,8 +4,12 @@ Each is stored as the tuple of its fields and hashed as that tuple, yet
 equals only an equal instance of its exact class: never a plain tuple of
 its fields nor another tuple-backed class with the same contents, in either
 operand order and as a dictionary key. Copy and pickle rebuild an equal
-instance of the same class through its constructor, as they do for every
-other value class (`names.Value`).
+instance of the same class through its constructor (`TupleValue.__reduce__`:
+the default protocol would hand `__new__` the whole tuple, so a copy of
+`PURE` would hold the atoms `((),)`). `efl` copies and pickles nothing, so
+the other value classes keep no such support: a round trip of one with
+fields raises at the refusing `__setattr__`, and one without comes back
+equal. None may return an unequal value.
 """
 import copy
 import pickle
@@ -16,7 +20,7 @@ from efl.declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs,
                              CTApp, CVar)
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff,
                          ForallTyp, Scheme, TVar, effect_of)
-from efl.formulas import BOT, TOP, And, Implies, Or, Prop
+from efl.formulas import BOT, TOP, And, Bot, Implies, Or, Prop, Top
 from efl.inference import Config, Generalized, InferResult
 from efl.names import (KIND_EFF, KIND_EXPR, KIND_PROP, KIND_TYPE, Name,
                        NameSupply, TupleValue, Value)
@@ -112,6 +116,12 @@ def _hash(x):
         return TypeError
 
 
+# The classes whose round trips must rebuild an equal instance: the
+# tuple-backed ones, and those without fields, which the default protocol
+# rebuilds.
+REBUILT = (TupleValue, Top, Bot, SEPure, SEWild)
+
+
 @pytest.mark.parametrize("roundtrip", [
     copy.copy, copy.deepcopy,
     lambda x: pickle.loads(pickle.dumps(x)),
@@ -122,7 +132,16 @@ def _hash(x):
                          ids=[*IDS, "pure", "pure-lhs",
                               *(type(x).__name__ for x in VALUES)])
 def test_copy_and_pickle_rebuild_an_equal_instance(roundtrip, x):
-    y = roundtrip(x)
+    """No round trip returns an unequal value: it rebuilds an equal
+    instance of the same class, or raises `AttributeError` at the refusing
+    `__setattr__` of a `Value` with fields. The `REBUILT` classes must
+    rebuild."""
+    try:
+        y = roundtrip(x)
+    except AttributeError:
+        if isinstance(x, REBUILT):
+            raise
+        return
     assert type(y) is type(x)
     assert y == x and _hash(y) == _hash(x) and repr(y) == repr(x)
 
