@@ -371,8 +371,10 @@ class _Solver:
 
 def satisfiable(phi: Formula) -> bool:
     """Whether phi has a model, decided in a session of its own; a bare
-    proposition, which has one, without a search."""
-    return isinstance(phi, Prop) or SolverSession().admits(phi)
+    proposition or a constant is answered without a session."""
+    if isinstance(phi, (Prop, Top)):
+        return True
+    return not isinstance(phi, Bot) and SolverSession().admits(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ Each construct has one production: `Parser.parse_expr` alone parses `let`,
 and programs and REPL inputs read their items through it, learning from it
 when a `let` had no `in` and so is a definition.
 
+The lexer makes no object per token: it returns parallel lists of token
+kinds, texts, line numbers and bracket depths, and the parser reads them by
+position, a token being its index. Columns are worked out from the source
+only when an error needs one.
+
 The parser resolves every identifier occurrence to the globally unique Name
 minted for its binder, so later passes never deal with strings. Parse and
 scope errors carry source positions and map to exit code 2 in the CLI.
@@ -14,7 +19,8 @@ scope errors carry source positions and map to exit code 2 in the CLI.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import accumulate, compress, repeat
+from operator import itemgetter
 
 from .names import KIND_EFF, KIND_EXPR, KIND_TYPE, Name, NameSupply, Value
 
@@ -162,68 +168,72 @@ def effect_parts(se: SynEffect) -> tuple[set[Name], bool]:
 KEYWORDS = frozenset(("fn", "let", "in", "tfun", "efun", "forall", "typ",
                       "eff", "type", "effect", "extern", "pure"))
 
-# Each match is a run of blanks and the piece after it: a comment, a word,
-# punctuation, a line break, or any other character, which is an error.
+# A comment runs from `--` to the end of its line. At each place the lexer
+# tries a comment first, and no token holds a `-` that a `-` follows, so
+# the first `--` of a line always starts a comment.
+_COMMENT = re.compile(r"--[^\n]*")
+
+# Each match on a line without comments is a run of blanks and the token
+# after it: a word, punctuation, or any other character, which is an error.
 # Blanks at the very end match nothing. A word starts where str.isalpha()
 # holds: [^\W\d_] also admits numeric characters such as '½', so the lexer
 # rejects a word whose first character is not alphabetic.
-_TOKEN = re.compile(r"([ \t\r]*)(--[^\n]*|[^\W\d_][\w']*|=>|->|\\/"
-                    r"|[()\[\]:.=_\n]|[^ \t\r])")
+_TOKEN = re.compile(r"[ \t\r]*([^\W\d_][\w']*|=>|->|\\/|[()\[\]:.=_]"
+                    r"|[^ \t\r])")
 
-# The kind of each piece whose text fixes it: "kw" for a keyword, the text
-# itself for punctuation and for a line break.
+# The kind of each token whose text fixes it: "kw" for a keyword, the text
+# itself for punctuation. Any other token is an "ident".
 _KINDS = {**dict.fromkeys(KEYWORDS, "kw"),
           **{p: p for p in ("=>", "->", "\\/", "(", ")", "[", "]", ":", ".",
-                            "=", "_", "\n")}}
+                            "=", "_")}}
+_DEPTH = {"(": 1, "[": 1, ")": -1, "]": -1}
+_first = itemgetter(0)
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "kw", punctuation text, or "eof"
-    text: str
-    line: int
-    col: int
+def _lines(src: str) -> list[str]:
+    """The lines of src with their comments cut off: every token keeps its
+    column, and the last line ends where eof sits."""
+    if "--" in src:
+        src = _COMMENT.sub("", src)
+    return src.split("\n")
 
 
-def _scan(src: str) -> tuple[list[Token], list[int]]:
-    """The tokens of src, and the bracket depth before each of them."""
-    toks: list[Token] = []
-    depth: list[int] = []
-    d = 0
-    line, line_start, pos = 1, 0, 0
-    kinds, new = _KINDS, tuple.__new__
-    pieces = _TOKEN.findall(src)
-    for blank, text in pieces:
-        pos += len(blank)
-        kind = kinds.get(text)
-        if kind is None:
-            if text[0].isalpha():
-                kind = "ident"
-            elif text[:2] == "--":
-                pos += len(text)
-                continue
-            else:
-                raise SourceError(f"unexpected character {text[0]!r}", line,
-                                  pos - line_start + 1)
-        elif kind == "\n":
-            pos += 1
-            line += 1
-            line_start = pos
-            continue
-        toks.append(new(Token, (kind, text, line, pos - line_start + 1)))
-        depth.append(d)
-        if kind == "(" or kind == "[":
-            d += 1
-        elif kind == ")" or kind == "]":
-            d -= 1
-        pos += len(text)
-    # The eof token sits one past the end of the last line, or where a
-    # comment that ends the input began.
-    end = len(src)
-    if pieces and pieces[-1][1][:2] == "--":
-        end -= len(pieces[-1][1])
-    toks.append(new(Token, ("eof", "", line, end - line_start + 1)))
-    depth.append(d)
-    return toks, depth
+def _scan(src: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """The tokens of src as parallel lists: kinds ("ident", "kw",
+    punctuation text, and "eof" last), texts, line numbers, and the bracket
+    depth before each token. Each item is a str or an int; `_columns`
+    works out columns, which only an error needs."""
+    texts: list[str] = []
+    lines: list[int] = []
+    findall = _TOKEN.findall
+    for n, text in enumerate(_lines(src), 1):
+        pieces = findall(text)
+        texts += pieces
+        lines += repeat(n, len(pieces))
+    kinds = list(map(_KINDS.get, texts, repeat("ident")))
+    # An ident must start with a letter: test every first character at
+    # once, and look for the one at fault only when that fails.
+    if not "".join(map(_first, compress(texts, map("ident".__eq__, kinds)))
+                   ).isalpha():
+        for i, text in enumerate(texts):
+            if kinds[i] == "ident" and not text[0].isalpha():
+                raise SourceError(f"unexpected character {text[0]!r}",
+                                  lines[i], _columns(src)[i])
+    depth = list(accumulate(map(_DEPTH.get, kinds, repeat(0)), initial=0))
+    kinds.append("eof")
+    texts.append("")
+    lines.append(n)
+    return kinds, texts, lines, depth
+
+
+def _columns(src: str) -> list[int]:
+    """The column of each token `_scan` lists for src, eof last; where
+    `_scan` stops at an unexpected character, that character's column."""
+    cols: list[int] = []
+    for text in _lines(src):
+        cols += [m.start(1) + 1 for m in _TOKEN.finditer(text)]
+    cols.append(len(text) + 1)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +253,11 @@ _PURE = SEPure()
 class Parser:
     def __init__(self, src: str, supply: NameSupply,
                  scope: Scope | None = None) -> None:
-        # Bracket depth before each token: application may not continue
-        # across a line break at depth 0, so consecutive top-level items
-        # do not glue together.
-        self.toks, self.depth = _scan(src)
+        # The tokens, read by position. Application may not continue across
+        # a line break at bracket depth 0, so consecutive top-level items do
+        # not glue together.
+        self.src = src
+        self.kinds, self.texts, self.lines, self.depth = _scan(src)
         self.pos = 0
         self.supply = supply
         self.scope: Scope = dict(scope or {})
@@ -254,56 +265,59 @@ class Parser:
         self.wildcards = 0
 
     # -- token plumbing ----------------------------------------------------
-    # The hot productions read self.toks[self.pos] and step self.pos past a
-    # token they know is not eof themselves.
+    # A production passes a token by its position. The hot productions
+    # step self.pos past a token they know is not eof themselves.
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def next(self) -> int:
+        i = self.pos
+        if self.kinds[i] != "eof":
+            self.pos = i + 1
+        return i
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def error(self, msg: str, i: int) -> SourceError:
+        """The error msg, placed at token i."""
+        return SourceError(msg, self.lines[i], _columns(self.src)[i])
 
     def expected(self, what: str) -> SourceError:
         """The error for finding the next token where `what` belongs."""
-        t = self.peek()
-        found = t.text or "end of input"
-        return SourceError(f"expected {what}, found {found!r}", t.line,
-                           t.col)
+        found = self.texts[self.pos] or "end of input"
+        return self.error(f"expected {what}, found {found!r}", self.pos)
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        if self.toks[self.pos].kind != kind:
+    def expect(self, kind: str, what: str | None = None) -> int:
+        i = self.pos
+        if self.kinds[i] != kind:
             raise self.expected(what or repr(kind))
-        return self.next()
+        if kind != "eof":
+            self.pos = i + 1
+        return i
 
-    def expect_kw(self, word: str) -> Token:
+    def expect_kw(self, word: str) -> int:
         if not self.at_kw(word):
             raise self.expected(repr(word))
         return self.next()
 
     def at_kw(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "kw" and t.text == word
+        # a keyword never lexes as an ident
+        return self.texts[self.pos] == word
 
-    def ident(self) -> Token:
+    def ident(self) -> int:
         return self.expect("ident", "identifier")
 
     # -- scope helpers -----------------------------------------------------
 
-    def bind(self, kind: str, tok: Token) -> Name:
-        name = self.supply.fresh(kind, tok.text)
-        self.scope[kind, tok.text] = name
+    def bind(self, kind: str, tok: int) -> Name:
+        text = self.texts[tok]
+        name = self.supply.fresh(kind, text)
+        self.scope[kind, text] = name
         return name
 
-    def lookup(self, kind: str, tok: Token) -> Name:
-        name = self.scope.get((kind, tok.text))
+    def lookup(self, kind: str, tok: int) -> Name:
+        text = self.texts[tok]
+        name = self.scope.get((kind, text))
         if name is None:
             noun = {KIND_TYPE: "type", KIND_EFF: "effect",
                     KIND_EXPR: "variable"}[kind]
-            raise SourceError(f"unbound {noun} {tok.text!r}", tok.line,
-                              tok.col)
+            raise self.error(f"unbound {noun} {text!r}", tok)
         return name
 
     # -- effects -----------------------------------------------------------
@@ -312,25 +326,26 @@ class Parser:
         """An effect; a parenthesised join among the operands of a join
         is spliced in, so no operand of a join is itself a join."""
         parts = list(effect_leaves(self.parse_effect_atom()))
-        while self.toks[self.pos].kind == "\\/":
+        while self.kinds[self.pos] == "\\/":
             self.pos += 1
             parts += effect_leaves(self.parse_effect_atom())
         return SEJoin(tuple(parts)) if len(parts) > 1 else parts[0]
 
     def parse_effect_atom(self) -> SynEffect:
-        t = self.toks[self.pos]
-        if t.kind == "ident":
-            self.pos += 1
-            return SEVar(self.lookup(KIND_EFF, t))
-        if t.kind == "_":
-            self.pos += 1
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "ident":
+            self.pos = i + 1
+            return SEVar(self.lookup(KIND_EFF, i))
+        if kind == "_":
+            self.pos = i + 1
             self.wildcards += 1
             return SEWild()
-        if t.text == "pure":
-            self.pos += 1
+        if self.texts[i] == "pure":
+            self.pos = i + 1
             return _PURE
-        if t.kind == "(":
-            self.pos += 1
+        if kind == "(":
+            self.pos = i + 1
             e = self.parse_effect()
             self.expect(")")
             return e
@@ -341,15 +356,15 @@ class Parser:
     def parse_type(self) -> SynType:
         """A type. An arrow chain `A ->[e] B ->[e] ...` is read in a loop
         and folded from the right."""
-        toks = self.toks
+        kinds = self.kinds
         params: list[tuple[SynType, SynEffect]] = []
         ty = self.parse_type_atom()
-        while toks[self.pos].kind == "->":
+        while kinds[self.pos] == "->":
             self.pos += 1
             eff: SynEffect = _PURE
-            if toks[self.pos].kind == "[":
+            if kinds[self.pos] == "[":
                 self.pos += 1
-                if toks[self.pos].kind != "]":
+                if kinds[self.pos] != "]":
                     eff = self.parse_effect()
                 self.expect("]")
             params.append((ty, eff))
@@ -359,22 +374,23 @@ class Parser:
         return ty
 
     def parse_type_atom(self) -> SynType:
-        t = self.toks[self.pos]
-        if t.kind == "ident":
-            self.pos += 1
-            return STVar(self.lookup(KIND_TYPE, t))
-        if t.kind == "(":
-            self.pos += 1
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "ident":
+            self.pos = i + 1
+            return STVar(self.lookup(KIND_TYPE, i))
+        if kind == "(":
+            self.pos = i + 1
             ty = self.parse_type()
             self.expect(")")
             return ty
-        if t.text == "forall":
-            self.pos += 1
-            kind_tok = self.next()
-            kind = {"typ": KIND_TYPE, "eff": KIND_EFF}.get(kind_tok.text)
+        if self.texts[i] == "forall":
+            self.pos = i + 1
+            tok = self.next()
+            kind = {"typ": KIND_TYPE, "eff": KIND_EFF}.get(self.texts[tok])
             if kind is None:
-                raise SourceError("expected 'typ' or 'eff' after 'forall'",
-                                  kind_tok.line, kind_tok.col)
+                raise self.error("expected 'typ' or 'eff' after 'forall'",
+                                 tok)
             saved = dict(self.scope)
             binder = self.bind(kind, self.ident())
             self.expect(".")
@@ -395,7 +411,7 @@ class Parser:
         bound, so the caller decides when it is minted. Each binder form
         restores the scope inline, adding no frame per nesting level.
         """
-        word = self.toks[self.pos].text  # a keyword never lexes as an ident
+        word = self.texts[self.pos]  # a keyword never lexes as an ident
         if word == "fn":
             self.pos += 1
             self.expect("(")
@@ -441,33 +457,35 @@ class Parser:
         so `f (f (... x))` adds no frame per level. Juxtaposition stops at a
         line break outside any brackets.
         """
-        toks, depth = self.toks, self.depth
+        kinds, lines, depth = self.kinds, self.lines, self.depth
         waiting: list[Expr | None] = []
         out: Expr | None = None
         while True:
-            t = toks[self.pos]
-            if t.kind == "ident":
-                self.pos += 1
-                atom = Var(self.lookup(KIND_EXPR, t))
-            elif t.kind != "(":
+            i = self.pos
+            kind = kinds[i]
+            if kind == "ident":
+                self.pos = i + 1
+                atom = Var(self.lookup(KIND_EXPR, i))
+            elif kind != "(":
                 raise self.expected("an expression")
-            elif toks[self.pos + 1].text in _BINDER_WORDS:
-                self.pos += 1
+            elif self.texts[i + 1] in _BINDER_WORDS:
+                self.pos = i + 1
                 atom = self.parse_expr()
                 self.expect(")")
             else:
-                self.pos += 1
+                self.pos = i + 1
                 waiting.append(out)
                 out = None
                 continue
             out = atom if out is None else App(out, atom)
             while True:
-                t = toks[self.pos]
-                if t.line == toks[self.pos - 1].line or depth[self.pos] > 0:
-                    if t.kind == "ident" or t.kind == "(":
+                i = self.pos
+                if lines[i] == lines[i - 1] or depth[i] > 0:
+                    kind = kinds[i]
+                    if kind == "ident" or kind == "(":
                         break
-                    if t.kind == "[":
-                        self.pos += 1
+                    if kind == "[":
+                        self.pos = i + 1
                         out = self.parse_instantiation(out)
                         continue
                 if not waiting:
@@ -478,14 +496,14 @@ class Parser:
 
     def parse_instantiation(self, fn: Expr) -> Expr:
         """`type T]` or `eff E]` after the `[` applied to fn."""
-        t = self.next()
-        if t.text == "type":
+        tok = self.next()
+        word = self.texts[tok]
+        if word == "type":
             out: Expr = TyApp(fn, self.parse_type())
-        elif t.text == "eff":
+        elif word == "eff":
             out = EfApp(fn, self.parse_effect())
         else:
-            raise SourceError("expected 'type' or 'eff' after '['",
-                              t.line, t.col)
+            raise self.error("expected 'type' or 'eff' after '['", tok)
         self.expect("]")
         return out
 
@@ -499,27 +517,26 @@ class Parser:
         mint their name before that check and `extern` after it; REPL
         transcripts print uids, so they depend on this order.
         """
-        t = self.toks[self.pos]
-        kind = _DECL_KINDS.get(t.text)
+        word = self.texts[self.pos]
+        kind = _DECL_KINDS.get(word)
         if kind is None:
             return None
         self.pos += 1
         tok = self.ident()
-        if (kind, tok.text) in self.scope:
-            raise SourceError(f"duplicate declaration of {tok.text!r}",
-                              tok.line, tok.col)
+        text = self.texts[tok]
+        if (kind, text) in self.scope:
+            raise self.error(f"duplicate declaration of {text!r}", tok)
         if kind != KIND_EXPR:
             name = self.bind(kind, tok)
             if alone:
                 self.expect("eof", "end of input")
-            return (t.text, name, None)
+            return (word, name, None)
         self.expect(":")
         wildcards = self.wildcards
         ty = self.parse_type()
         if self.wildcards != wildcards:
-            raise SourceError(
-                f"extern {tok.text!r} has a wildcard in its type",
-                tok.line, tok.col)
+            raise self.error(f"extern {text!r} has a wildcard in its type",
+                             tok)
         if alone:
             self.expect("eof", "end of input")
         return ("extern", self.bind(KIND_EXPR, tok), ty)
@@ -531,17 +548,17 @@ class Parser:
             decls[word].append(name if ty is None else (name, ty))
         defs: list[tuple[Name, Expr]] = []
         main: Expr | None = None
-        while self.peek().kind != "eof":
+        while self.kinds[self.pos] != "eof":
             item = self.parse_expr(toplevel=True)
             if isinstance(item, Expr):
                 main = item
                 break
             tok, bound = item
             defs.append((self.bind(KIND_EXPR, tok), bound))
-        t = self.peek()
-        if t.kind != "eof":
-            raise SourceError(f"unexpected {t.text!r} after program end",
-                              t.line, t.col)
+        if self.kinds[self.pos] != "eof":
+            raise self.error(
+                f"unexpected {self.texts[self.pos]!r} after program end",
+                self.pos)
         return Program(tuple(decls["effect"]), tuple(decls["type"]),
                        tuple(decls["extern"]), tuple(defs), main)
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from efl.declarative import (CertificateError, ReplayScope, check_certificate,
                              subtype_holds)
@@ -17,7 +17,7 @@ from efl.names import (KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply,
                        Record)
 from efl.solver import SolverSession
 from efl.syntax import (App, EfApp, ELam, Expr, Lam, Let, Parser, Scope,
-                        SynType, TLam, Token, TyApp, Var, _scan,
+                        SynType, TLam, TyApp, Var, _columns, _scan,
                         parse_program)
 
 _uids = itertools.count(10_000)
@@ -106,8 +106,20 @@ def to_formula(e: Effect, alpha: Name) -> Formula:
     return e.guard_of(alpha)
 
 
+class Token(NamedTuple):
+    kind: str  # "ident", "kw", punctuation text, or "eof"
+    text: str
+    line: int
+    col: int
+
+
 def tokenize(src: str) -> list[Token]:
-    return _scan(src)[0]
+    """The tokens of src as one record each: the lexer's parallel lists,
+    zipped with the columns that `_columns` works out for an error."""
+    kinds, texts, lines, depth = _scan(src)
+    cols = _columns(src)
+    assert len(cols) == len(kinds) == len(texts) == len(lines) == len(depth)
+    return list(map(Token, kinds, texts, lines, cols))
 
 
 def guard(e: Effect, phi: Formula) -> Effect:

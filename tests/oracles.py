@@ -1433,12 +1433,12 @@ class RecursiveParser(Parser):
 
     def parse_type(self) -> SynType:
         lhs = self.parse_type_atom()
-        if self.peek().kind == "->":
+        if self.kinds[self.pos] == "->":
             self.next()
             eff: SynEffect = SEPure()
-            if self.peek().kind == "[":
+            if self.kinds[self.pos] == "[":
                 self.next()
-                if self.peek().kind != "]":
+                if self.kinds[self.pos] != "]":
                     eff = self.parse_effect()
                 self.expect("]")
             rhs = self.parse_type()
@@ -1446,30 +1446,28 @@ class RecursiveParser(Parser):
         return lhs
 
     def _continues_application(self) -> bool:
-        t = self.peek()
-        prev = self.toks[self.pos - 1]
-        return t.line == prev.line or self.depth[self.pos] > 0
+        i = self.pos
+        return self.lines[i] == self.lines[i - 1] or self.depth[i] > 0
 
     def parse_app(self) -> Expr:
         out = self.parse_atom_expr()
         while self._continues_application():
-            t = self.peek()
-            if t.kind == "[":
+            kind = self.kinds[self.pos]
+            if kind == "[":
                 self.next()
                 out = self.parse_instantiation(out)
                 continue
-            if t.kind == "ident" or t.kind == "(":
+            if kind == "ident" or kind == "(":
                 out = App(out, self.parse_atom_expr())
                 continue
             break
         return out
 
     def parse_atom_expr(self) -> Expr:
-        t = self.peek()
-        if t.kind == "ident":
-            self.next()
-            return Var(self.lookup(KIND_EXPR, t))
-        if t.kind == "(":
+        kind = self.kinds[self.pos]
+        if kind == "ident":
+            return Var(self.lookup(KIND_EXPR, self.next()))
+        if kind == "(":
             self.next()
             e = self.parse_expr()
             self.expect(")")
@@ -1478,26 +1476,25 @@ class RecursiveParser(Parser):
 
     def parse_decl(self, alone: bool = False):
         kinds = {"effect": KIND_EFF, "type": KIND_TYPE, "extern": KIND_EXPR}
-        t = self.peek()
-        if t.kind != "kw" or t.text not in kinds:
+        word = self.texts[self.pos]
+        if self.kinds[self.pos] != "kw" or word not in kinds:
             return None
         self.next()
-        kind = kinds[t.text]
+        kind = kinds[word]
         tok = self.ident()
-        if (kind, tok.text) in self.scope:
-            raise SourceError(f"duplicate declaration of {tok.text!r}",
-                              tok.line, tok.col)
+        text = self.texts[tok]
+        if (kind, text) in self.scope:
+            raise self.error(f"duplicate declaration of {text!r}", tok)
         if kind != KIND_EXPR:
             name = self.bind(kind, tok)
             if alone:
                 self.expect("eof", "end of input")
-            return (t.text, name, None)
+            return (word, name, None)
         self.expect(":")
         ty = self.parse_type()
         if not type_is_wildcard_free(ty):
-            raise SourceError(
-                f"extern {tok.text!r} has a wildcard in its type",
-                tok.line, tok.col)
+            raise self.error(f"extern {text!r} has a wildcard in its type",
+                             tok)
         if alone:
             self.expect("eof", "end of input")
         return ("extern", self.bind(KIND_EXPR, tok), ty)

@@ -466,7 +466,7 @@ def test_repl_let_in_mints_each_binder_once(monkeypatch):
     bind = Parser.bind
 
     def recording_bind(parser, kind, tok):
-        bound.append(tok.text)
+        bound.append(parser.texts[tok])
         return bind(parser, kind, tok)
     monkeypatch.setattr(Parser, "bind", recording_bind)
     Parser(src, NameSupply(), repl.scope).parse_expr()

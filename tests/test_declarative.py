@@ -3,14 +3,16 @@ import random
 
 import pytest
 
-from efl.declarative import (CAbs, CApp, CertificateError, CLet, CSub, CVar,
-                             ReplayScope, check_certificate, entails,
+from efl.declarative import (CAbs, CApp, CEAbs, CEApp, CertificateError,
+                             CLet, CSub, CTAbs, CTApp, CVar, ReplayScope,
+                             check_certificate, entails,
                              match_effect, match_type, subeffect_holds,
                              subst_cert, subtype_holds)
 from efl.effects import (PURE, Arrow, Effect, ForallEff, ForallTyp, Scheme,
                          TVar, join, map_type, mono)
 from efl.names import KIND_EFF, KIND_EXPR, KIND_PROP, KIND_TYPE, NameSupply
-from efl.syntax import App, SForallEff, SForallTyp, STVar, Var
+from efl.syntax import (App, EfApp, ELam, Let, SEVar, SForallEff, SForallTyp,
+                        STVar, TLam, TyApp, Var)
 from helpers import (certificate_valid, con, parse_expr, parse_type, scope_of,
                      types_equivalent)
 from oracles import cert_props, random_effect, random_type
@@ -324,6 +326,68 @@ def test_certificate_let_scopes_scheme_constraints(ns, supply):
         check_certificate(EMPTY, gamma, expr, bare)
     assert exc.value.rule == "sub"
 
+
+
+def _defective_certificates(ns, supply):
+    """gamma, and by name certificates that each break one check of
+    `check_certificate`: (expression, certificate, the rule that rejects
+    it, words of its message). Inference emits none of them."""
+    u, i = TVar(ns.typ("Unit")), TVar(ns.typ("Int"))
+    io, db = ns.ev("IO"), ns.ev("DB")
+    k, x, y, f, w, g, h = (supply.fresh(KIND_EXPR, n) for n in "kxyfwgh")
+    t, a = supply.fresh(KIND_TYPE, "t"), supply.fresh(KIND_EFF, "a")
+    pure_fn, io_fn = Arrow(u, PURE, u), Arrow(u, io, u)
+    gamma = {k: mono(io_fn), x: mono(u), y: mono(pure_fn),
+             f: mono(Arrow(pure_fn, PURE, u)),
+             g: mono(ForallTyp(t, Arrow(TVar(t), PURE, TVar(t)))),
+             h: mono(ForallEff(a, Arrow(u, Effect.var(a), u)))}
+    # `k x`, whose effect is IO
+    kx = App(Var(k), Var(x))
+    kx_cert = CApp(CSub(io_fn, io, CVar(())), CSub(u, io, CVar(())))
+    return gamma, {
+        "let-impure-bound": (Let(w, kx, Var(w)),
+                             CLet(mono(u), kx_cert, CVar(())),
+                             "let", "bound expression is not pure"),
+        "let-bound-not-scheme-body": (Let(w, Var(x), Var(w)),
+                                      CLet(mono(pure_fn), CVar(()), CVar(())),
+                                      "let", "is not the scheme body"),
+        "tabs-impure-body": (TLam(t, kx), CTAbs(kx_cert),
+                             "tabs", "body is not pure"),
+        "eabs-impure-body": (ELam(a, kx), CEAbs(kx_cert),
+                             "eabs", "body is not pure"),
+        "tapp-annotation": (TyApp(Var(g), STVar(u.name)),
+                            CTApp(CVar(()), i), "tapp", "does not match"),
+        "eapp-annotation": (EfApp(Var(h), SEVar(ns.eff("IO"))),
+                            CEApp(CVar(()), db), "eapp", "does not match"),
+        # both retypes are valid (Unit ->[] Unit <: Unit ->[IO] Unit), so
+        # the exact-parameter check of `app` is the first to fail
+        "app-argument-type": (App(Var(f), Var(y)),
+                              CApp(CSub(Arrow(pure_fn, PURE, u), PURE,
+                                        CVar(())),
+                                   CSub(io_fn, PURE, CVar(()))),
+                              "app", "is not exactly"),
+        "app-non-function": (App(Var(x), Var(x)), CApp(CVar(()), CVar(())),
+                             "app", "applied a non-function"),
+        "tapp-non-forall": (TyApp(Var(x), STVar(u.name)),
+                            CTApp(CVar(()), u), "tapp", "non-forall"),
+        "eapp-non-forall": (EfApp(Var(x), SEVar(ns.eff("IO"))),
+                            CEApp(CVar(()), io), "eapp", "non-forall"),
+        "var-unbound": (Var(w), CVar(()), "var", "unbound variable"),
+    }
+
+
+@pytest.mark.parametrize("defect", [
+    "let-impure-bound", "let-bound-not-scheme-body", "tabs-impure-body",
+    "eabs-impure-body", "tapp-annotation", "eapp-annotation",
+    "app-argument-type", "app-non-function", "tapp-non-forall",
+    "eapp-non-forall", "var-unbound"])
+def test_each_check_rejects_its_defective_certificate(ns, supply, defect):
+    gamma, defects = _defective_certificates(ns, supply)
+    expr, cert, rule, words = defects[defect]
+    with pytest.raises(CertificateError) as exc:
+        check_certificate(EMPTY, gamma, expr, cert)
+    assert exc.value.rule == rule
+    assert words in str(exc.value)
 
 def test_subst_cert_rewrites_annotations(ns):
     u = TVar(ns.typ("Unit"))

@@ -50,6 +50,18 @@ def test_satisfiable_folds_constants_without_a_variable(ns, monkeypatch):
     assert not solver.satisfiable(Or(And(TOP, BOT), Implies(TOP, BOT)))
 
 
+def test_satisfiable_answers_constants_and_propositions_without_a_session(
+        ns, monkeypatch):
+    """`simplify_constraints` probes T for about half of its constraints
+    and a bare proposition for most of the rest; neither builds a
+    session."""
+    monkeypatch.setattr(solver, "SolverSession", None)
+    assert solver.satisfiable(TOP) and solver.satisfiable(ns.p("p"))
+    assert not solver.satisfiable(BOT)
+    with pytest.raises(TypeError):
+        solver.satisfiable(Implies(BOT, TOP))
+
+
 def test_sat_model_covers_exactly_the_props(ns):
     p, q = ns.p("p"), ns.p("q")
     model = sat(Or(p, q))

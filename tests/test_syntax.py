@@ -1,4 +1,5 @@
 """Lexing, parsing, scope resolution and pretty-printing."""
+import gc
 import re
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from efl.names import KIND_EFF, NameSupply
 from efl.syntax import (App, Lam, Parser, SArrow, SForallEff, SourceError,
-                        parse_program)
+                        _scan, parse_program)
 from helpers import expr_str, front_end_sources, nest_source, tokenize
 from oracles import RecursiveParser, tokenize_chars, type_is_wildcard_free
 
@@ -42,6 +43,18 @@ def test_tokenize_error_position():
     assert str(exc.value) == "line 1, col 9: unexpected character '$'"
     assert exc.value.line == 1 and exc.value.col == 9
 
+
+
+def test_the_lexer_allocates_no_object_per_token():
+    """The lexer's output is parallel lists of strings and integers, which
+    the cyclic garbage collector does not track: a per-token record would
+    bring back a collection every few hundred tokens."""
+    lists = _scan(nest_source(2000))
+    assert len({len(items) for items in lists}) == 1
+    assert len(lists[0]) > 6000
+    for items in lists:
+        assert all(type(item) in (str, int) and not gc.is_tracked(item)
+                   for item in items)
 
 def _lexed(lex, src: str):
     """The (kind, text, line, col) stream of src, or its error and place."""
@@ -388,6 +401,19 @@ def test_nested_fn_900_deep_parses():
     prog = _parse("fn (x : Unit) => " * 900 + "x")
     assert isinstance(prog.main, Lam)
 
+
+
+def test_parenthesised_nested_fn_300_deep_parses():
+    """`(fn … => (fn … => …))` costs three frames per level: parse_app
+    hands the parenthesised binder form to parse_expr, whose body comes
+    back through parse_expr to parse_app. This is the parser's lowest
+    cliff: at the default recursion limit `efl check` reads 329 levels and
+    answers 330 with exit 3."""
+    prog = _parse("(fn (x : Unit) => " * 300 + "x" + ")" * 300)
+    body, depth = prog.main, 0
+    while isinstance(body, Lam):
+        body, depth = body.body, depth + 1
+    assert depth == 300
 
 def test_nested_forall_eff_450_deep_parses():
     prog = _parse("extern h : " + "forall eff e. " * 450 + "Unit\nh")
