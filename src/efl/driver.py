@@ -14,14 +14,14 @@ items and the REPL one input at a time.
 from __future__ import annotations
 
 import itertools
+import re
 
 from .declarative import (CVar, Cert, CertificateError, ReplayScope,
                           check_certificate)
-from .effects import (Arrow, Constraint, Effect, Scheme, TVar, Type,
-                      constraint_set, free_eff_vars_constraints,
-                      effect_of, free_eff_vars_type, mono, omega_to_formula,
-                      sorted_constraints, subst_scheme, walk_type)
-from .formulas import Formula, Prop, conj2, disj2, neg, props
+from .effects import (Constraint, Effect, Scheme, Type, constraint_set,
+                      free_eff_vars_constraints, effect_of, free_eff_vars_type,
+                      mono, omega_to_formula, sorted_constraints, subst_scheme)
+from .formulas import Formula, Prop, conj2, disj2, neg
 from .inference import (Config, InferError, InferResult, generalize,
                         generalized_cert, infer, normalize, tr_type)
 from .names import KIND_EFF, KIND_PROP, Name, NameSupply, Record
@@ -81,24 +81,10 @@ class Discharger:
 # ---------------------------------------------------------------------------
 
 
-def _names_in_effect(e: Effect) -> set[Name]:
-    out = set()
-    for v, g in e.atoms:
-        out.add(v)
-        out |= props(g)
-    return out
-
-
-def _names_in_type(t: Type) -> set[Name]:
-    out = set()
-    for node, _ in walk_type(t):
-        if isinstance(node, Arrow):
-            out |= _names_in_effect(node.effect)
-        elif isinstance(node, TVar):
-            out.add(node.name)
-        else:
-            out.add(node.binder)
-    return out
+# The words of a printed scheme. Every name text, whether the lexer read it or
+# the supply minted it, is one such word; the printers' only other words are
+# forall, typ, eff, pure, T and F, which no display letter can equal.
+_WORD = re.compile(r"[\w']+")
 
 
 def _display_letters() -> itertools.chain:
@@ -153,10 +139,8 @@ def display_scheme(s: Scheme, simplify: bool = True) -> str:
     else:
         omega = s.constraints
         binders = list(s.binders)
-    used = _names_in_type(s.body) | frozenset().union(
-        *[_names_in_effect(c.lhs) | _names_in_effect(c.rhs) for c in omega],
-        frozenset())
-    used_texts = {n.text for n in used}
+    # Binders stay out: under --no-simplify a dead one would add a word.
+    used_texts = set(_WORD.findall(str(Scheme((), omega, s.body))))
     rename: dict[Name, Effect] = {}
     letters = _display_letters()
     fresh_uid = itertools.count(10 ** 9)

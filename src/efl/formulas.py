@@ -182,30 +182,6 @@ def conj(parts: Iterable[Formula]) -> Formula:
     return out
 
 
-def props(phi: Formula) -> frozenset[Name]:
-    """All proposition variables occurring in phi.
-
-    One explicit-stack walk that visits each distinct subformula once.
-    """
-    if isinstance(phi, Prop):
-        return frozenset((phi.name,))
-    if not isinstance(phi, _Binary):
-        return frozenset()
-    out: set[Name] = set()
-    seen = {phi}
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Prop):
-            out.add(f.name)
-        elif isinstance(f, _Binary):
-            for g in (f.lhs, f.rhs):
-                if g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-    return frozenset(out)
-
-
 def evaluate(phi: Formula, rho: Mapping[Name, bool]) -> bool:
     """Classical truth of phi under rho. Lookup is strict: a prop that rho
     does not cover is a bug in the caller, so it raises KeyError."""

@@ -10,8 +10,8 @@ from efl.declarative import (CertificateError, ReplayScope, check_certificate,
 from efl.driver import CheckOutcome, Discharger, check_program
 from efl.effects import (Constraint, Effect, Scheme, effect_of,
                          free_eff_vars_constraints, free_eff_vars_type)
-from efl.formulas import (BOT, TOP, Formula, Prop, conj2, disj2, evaluate,
-                          neg, props)
+from efl.formulas import (BOT, TOP, Formula, Prop, _Binary, conj2, disj2,
+                          evaluate, neg)
 from efl.inference import Config
 from efl.names import (KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply,
                        Record)
@@ -21,6 +21,10 @@ from efl.syntax import (App, EfApp, ELam, Expr, Lam, Let, Parser, Scope,
                         parse_program)
 
 _uids = itertools.count(10_000)
+
+# The words the printers write besides name texts: a printed type or scheme
+# has no other word than these and the texts of the names it mentions
+PRINTER_WORDS = frozenset({"forall", "typ", "eff", "pure", "T", "F"})
 
 
 class Names:
@@ -73,6 +77,30 @@ def scope_of(*names: Name) -> dict[tuple[str, str], Name]:
 
 def con(lhs: Effect, rhs: Effect) -> Constraint:
     return Constraint(lhs, rhs)
+
+
+def props(phi: Formula) -> frozenset[Name]:
+    """All proposition variables occurring in phi.
+
+    One explicit-stack walk that visits each distinct subformula once.
+    """
+    if isinstance(phi, Prop):
+        return frozenset((phi.name,))
+    if not isinstance(phi, _Binary):
+        return frozenset()
+    out: set[Name] = set()
+    seen = {phi}
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Prop):
+            out.add(f.name)
+        elif isinstance(f, _Binary):
+            for g in (f.lhs, f.rhs):
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+    return frozenset(out)
 
 
 def tautology(phi: Formula) -> bool:

@@ -65,11 +65,12 @@ from efl.declarative import (CAbs, CApp, CEAbs, CEApp, CLet, CSub, CTAbs,
 from efl.driver import (CheckOutcome, DefRecord, Discharger, check_program,
                         verify_certificates)
 from efl.effects import (PURE, Arrow, Constraint, Effect, ForallEff, ForallTyp,
-                         Scheme, TVar, Type, constraint_set, map_type,
-                         subst_constraints, subst_effect, subst_scheme,
-                         subst_type, walk_type)
+                         Scheme, TVar, Type, constraint_set,
+                         free_eff_vars_constraints, free_eff_vars_type,
+                         map_type, subst_constraints, subst_effect,
+                         subst_scheme, subst_type, walk_type)
 from efl.formulas import (BOT, TOP, And, Bot, Formula, Implies, Or, Prop,
-                          Top, conj, conj2, disj2, evaluate, impl, props)
+                          Top, conj, conj2, disj2, evaluate, impl)
 from efl.inference import (Config, Generalized, InferResult, ShapeError,
                             subtype, tr_type)
 from efl.names import KIND_EFF, KIND_EXPR, KIND_TYPE, Name, NameSupply
@@ -79,7 +80,7 @@ from efl.syntax import (KEYWORDS, EfApp, ELam, Expr, Lam, Let, Program,
                         SForallTyp, STVar, SynEffect, SynType, TLam, TyApp,
                         App, Parser, SourceError, Var, effect_parts,
                         parse_program)
-from helpers import effect_props, erase_guards, sat, scope_of
+from helpers import effect_props, erase_guards, props, sat, scope_of
 
 # ---------------------------------------------------------------------------
 # Bounded derivation search for subeffecting
@@ -617,13 +618,25 @@ def scheme_more_general(s1: Scheme, s2: Scheme, base: list[Name],
     Brute force over instantiations of s1's binders into joins of `base` and
     s2's (skolemized) binders; `ambient` holds constraints both sides may
     assume (e.g. top-level bounds on surviving variables). Intended for small
-    guard-free schemes.
+    guard-free schemes. A binder of s1 that occurs nowhere in it is left
+    alone: no instantiation of it changes the instance. One that s2 binds
+    too is tried at itself first.
     """
     scope = ReplayScope(frozenset(ambient) | s2.constraints, {})
     universe = effect_universe(sorted(set(base) | set(s2.binders),
                                       key=Name.KEY))
-    for combo in itertools.product(universe, repeat=len(s1.binders)):
-        theta = dict(zip(s1.binders, combo))
+    occurring = (free_eff_vars_type(s1.body)
+                 | free_eff_vars_constraints(s1.constraints))
+    live = [b for b in s1.binders if b in occurring]
+
+    def candidates(b: Name) -> list[Effect]:
+        if b not in s2.binders:
+            return universe
+        own = Effect.var(b)
+        return [own] + [e for e in universe if e != own]
+
+    for combo in itertools.product(*map(candidates, live)):
+        theta = dict(zip(live, combo))
         if not entails(scope, subst_constraints(theta, s1.constraints)):
             continue
         if subtype_holds(scope, subst_type(theta, s1.body), s2.body):

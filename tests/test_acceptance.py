@@ -33,14 +33,15 @@ from efl.effects import (PURE, Arrow, Constraint, Effect, Scheme, TVar,
                          constraint_set, join, omega_to_formula,
                          subst_constraints)
 from efl.formulas import (BOT, TOP, And, Bot, Implies, Or, Prop, Top,
-                          conj2, disj2, evaluate, props)
+                          conj2, disj2, evaluate)
 from efl.inference import Config, ShapeError, separate, subtype, tr_type
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, Name, NameSupply
 from efl.solver import SolverSession
 from efl.syntax import (SArrow, SEJoin, SEPure, SEVar, SEWild, SForallEff,
                         SForallTyp, STVar, parse_program)
 from helpers import (all_valuations, erase_guards, fixed,
-                     free_eff_vars_scheme, sat, sat_enumerate, to_formula)
+                     free_eff_vars_scheme, props, sat, sat_enumerate,
+                     to_formula)
 from oracles import (concretize_scheme, constraints_props,
                      derivation_search_subeffect, end_to_end_soundness,
                      gen_program, has_wildcard_under_quantifier,

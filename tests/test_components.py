@@ -24,11 +24,11 @@ from hypothesis import given, settings, strategies as st
 
 from efl import driver
 from efl.formulas import (BOT, TOP, And, Formula, Implies, Or, Prop,
-                          evaluate, neg, props)
+                          evaluate, neg)
 from efl.names import KIND_PROP, Name
 from efl.solver import TRUE, SolverSession, _Solver
 from helpers import (SOURCES, Names, all_valuations, chain_source,
-                     check_source, fixed, g_example_source)
+                     check_source, fixed, g_example_source, props)
 from oracles import ReferenceSession, ReferenceSolver, whole_clause_solve
 from test_repl_golden import CASES, SCRIPTS, transcript
 

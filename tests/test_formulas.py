@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, conj, conj2,
-                          disj2, evaluate, impl, neg, props)
+                          disj2, evaluate, impl, neg)
 from efl.names import KIND_PROP, Name
-from helpers import (Names, all_valuations, disj, formulas_equivalent,
+from helpers import (Names, all_valuations, disj, formulas_equivalent, props,
                      tautology)
 from oracles import formula_eq_rec, formula_str_rec, props_rec, random_guard
 

@@ -9,7 +9,7 @@ from efl.effects import (PURE, Arrow, Effect, ForallEff, Scheme, TVar, join,
 from efl.names import KIND_EFF, NameSupply
 from efl.inference import subtype
 from efl.syntax import parse_program
-from helpers import con
+from helpers import con, props
 from oracles import (GEN_PRELUDE, concretize_scheme,
                      derivation_search_subeffect, effect_universe,
                      end_to_end_soundness, gen_program,
@@ -85,7 +85,6 @@ def test_random_generators_stay_in_bounds(ns):
         e = random_effect(rng, atoms, guards)
         assert e.atom_names() <= set(atoms)
         phi = random_guard(rng, guards)
-        from efl.formulas import props
         assert props(phi) <= set(guards)
 
 

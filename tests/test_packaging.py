@@ -314,3 +314,16 @@ def test_only_binary_and_config_write_a_constructor():
                if "__init__" in vars(cls)
                and cls.__init__.__module__ != Record.__module__]
     assert written == ["Config", "_Binary"]
+
+
+def test_every_listed_mutant_applies_once():
+    """`tests/mutants.py` names one-line mutants by the text they replace.
+    Each text occurs exactly once in its file, each replacement differs
+    from it, and each named test file exists; running the mutants is left
+    to `python tests/mutants.py`."""
+    from mutants import MUTANTS, ROOT
+    assert MUTANTS
+    for name, (file, old, new, test) in MUTANTS.items():
+        assert (ROOT / file).read_text().count(old) == 1, name
+        assert old != new, name
+        assert (ROOT / test.split("::")[0]).is_file(), name

@@ -8,13 +8,15 @@ which constraints each scope was built from.
 `oracles.subeffect_fixpoint` is the closure it replaced: every constraint
 erased on every query, rules swept until nothing changes. Both must
 decide the same queries, give the same replay judgements on real programs,
-and reject the same tampered certificates. `oracles.covers_by_propagation`
-is `covers` without its one-rule step; every `covers` answer on random
-cases, programs and families must match it. One rule must settle every
-query on the families, the corpus and a slice of random programs, and the
-rules a query touches must not grow with the number of independent
-definitions. Each definition must also replay under the environment it
-was inferred under.
+and reject the same tampered certificates; each defect kind of
+`test_declarative.py`'s hand-built certificates, tampered into the
+certificates of SOURCES, is rejected by the rule it names.
+`oracles.covers_by_propagation` is `covers` without its one-rule step;
+every `covers` answer on random cases, programs and families must match
+it. One rule must settle every query on the families, the corpus and a
+slice of random programs, and the rules a query touches must not grow
+with the number of independent definitions. Each definition must also
+replay under the environment it was inferred under.
 `driver.total_valuation` reads the propositions the run's supply recorded
 as minted; it must agree with the old walk over certificates, schemes,
 omega and the session formula wherever that walk reaches, and every
@@ -27,15 +29,16 @@ from collections import Counter
 import pytest
 
 from efl import declarative, driver
-from efl.declarative import (CSub, CVar, Cert, CertificateError, ReplayScope,
+from efl.declarative import (CApp, CEAbs, CEApp, CLet, CSub, CTAbs, CTApp,
+                             CVar, Cert, CertificateError, ReplayScope,
                              subeffect_holds)
 from efl.effects import PURE, Arrow, Constraint, Effect, join
-from efl.formulas import TOP, evaluate, props
+from efl.formulas import TOP, evaluate
 from efl.inference import Config
 from efl.names import KIND_PROP, NameSupply
-from efl.syntax import parse_program
+from efl.syntax import effect_parts, parse_program
 from helpers import (G_BODY, G_HEADER, SOURCES, Names, chain_source,
-                     check_source, g_example_source, nest_source,
+                     check_source, g_example_source, nest_source, props,
                      spine_source)
 from oracles import (cert_props, constraints_props, covers_by_propagation,
                      gen_program, random_effect, random_guard, scheme_props,
@@ -333,11 +336,15 @@ def _replace(node, **changes):
     return type(node)(*{**_fields(node), **changes}.values())
 
 
-def _nodes(cert):
-    yield cert
-    for child in _fields(cert).values():
+def _sites(expr, cert):
+    """Every node of cert in preorder, paired with the expression node it
+    derives: a CSub derives its inner node's expression, and every other
+    child the expression's field of the same name."""
+    yield expr, cert
+    for f, child in _fields(cert).items():
         if isinstance(child, Cert):
-            yield from _nodes(child)
+            yield from _sites(expr if f == "inner" else getattr(expr, f),
+                              child)
 
 
 def _swap(cert, old, new):
@@ -348,28 +355,72 @@ def _swap(cert, old, new):
                              if isinstance(child, Cert)})
 
 
+# An effect name no program declares, joined into effects to tamper them
+_TAMPER = Names().ev("tampered")
+
+
+def _defects(expr, node):
+    """(kind, tampered node) for each kind of tampering node can carry. A
+    CSub loses an atom of its effect and a CVar its last instantiation.
+    The rest are the defects of `test_declarative.py`'s hand-built
+    certificates, each made so that the check it names is the first to
+    fail: a CSub that raises an effect or a parameter's latent effect is
+    valid on its own."""
+    kind = type(node)
+    if kind is CSub and node.effect.atoms:
+        yield "sub", _replace(node, effect=Effect(node.effect.atoms[1:]))
+    elif kind is CVar and node.theta:
+        yield "var", CVar(node.theta[:-1])
+    elif kind is CLet:
+        body = node.scheme.body
+        yield "let-impure-bound", _replace(
+            node, bound=CSub(body, _TAMPER, node.bound))
+        yield "let-bound-not-scheme-body", _replace(
+            node, scheme=_replace(node.scheme, body=Arrow(body, PURE, body)))
+    elif kind in (CTAbs, CEAbs) and type(node.body) is CSub:
+        yield f"{kind.RULE}-impure-body", _replace(
+            node, body=_replace(node.body,
+                                effect=join(node.body.effect, _TAMPER)))
+    elif kind is CTApp:
+        yield "tapp-annotation", _replace(
+            node, arg=Arrow(node.arg, PURE, node.arg))
+    elif kind is CEApp and not effect_parts(expr.arg)[1]:
+        yield "eapp-annotation", _replace(node,
+                                          arg=join(node.arg, _TAMPER))
+    elif (kind is CApp and type(node.arg) is CSub
+          and type(node.arg.typ) is Arrow):
+        t = node.arg.typ
+        weaker = Arrow(t.param, join(t.effect, _TAMPER), t.result)
+        yield "app-argument-type", _replace(
+            node, arg=_replace(node.arg, typ=weaker))
+
+
 def _tampered(outcome, per_kind=4):
-    """Copies of outcome, each with one certificate node tampered: a CSub
-    weakened by dropping an atom of its effect, or a CVar with its last
-    instantiation dropped. Yields (kind, copy), at most per_kind of each
-    kind, taken from the records last to first."""
-    made = Counter()
-    for i, rec in reversed(list(enumerate(outcome.records))):
-        for node in _nodes(rec.res.cert):
-            if isinstance(node, CSub) and node.effect.atoms:
-                kind = "sub"
-                bad = _replace(node, effect=Effect(node.effect.atoms[1:]))
-            elif isinstance(node, CVar) and node.theta:
-                kind, bad = "var", CVar(node.theta[:-1])
-            else:
-                continue
-            if made[kind] == per_kind:
-                continue
-            made[kind] += 1
-            res = _replace(rec.res, cert=_swap(rec.res.cert, node, bad))
+    """Copies of outcome, each with one certificate node tampered by
+    `_defects`. Yields (kind, copy), at most per_kind of each kind, taken
+    from the records last to first, then from the final expression."""
+
+    def in_record(i):
+        def rebuild(cert):
             records = list(outcome.records)
-            records[i] = _replace(rec, res=res)
-            yield kind, _replace(outcome, records=records)
+            records[i] = _replace(records[i],
+                                  res=_replace(records[i].res, cert=cert))
+            return _replace(outcome, records=records)
+        return rebuild
+
+    roots = [(rec.expr, rec.res.cert, in_record(i))
+             for i, rec in reversed(list(enumerate(outcome.records)))]
+    if outcome.main is not None:
+        roots.append((outcome.main_expr, outcome.main.cert,
+                      lambda cert: _replace(
+                          outcome, main=_replace(outcome.main, cert=cert))))
+    made = Counter()
+    for expr, root, rebuild in roots:
+        for node_expr, node in _sites(expr, root):
+            for kind, bad in _defects(node_expr, node):
+                if made[kind] < per_kind:
+                    made[kind] += 1
+                    yield kind, rebuild(_swap(root, node, bad))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -385,8 +436,19 @@ def test_replay_agrees_with_fixpoint_on_programs(monkeypatch, name, src,
 
 
 # (tamper kind, rule that rejects it) seen on the generated families
-TAMPER_FAILURES = {"g_example_x8": {("sub", "sub"), ("sub", "app")},
-                   "chain_x5": {("sub", "app"), ("var", "var")}}
+TAMPER_FAILURES = {"g_example_x8": {("sub", "sub"), ("sub", "app"),
+                                    ("app-argument-type", "app")},
+                   "chain_x5": {("sub", "app"), ("var", "var"),
+                                ("eabs-impure-body", "eabs"),
+                                ("app-argument-type", "app")}}
+# The rule, and words of its message, that reject each defect kind
+DEFECTS = {"let-impure-bound": ("let", "bound expression is not pure"),
+           "let-bound-not-scheme-body": ("let", "is not the scheme body"),
+           "tabs-impure-body": ("tabs", "body is not pure"),
+           "eabs-impure-body": ("eabs", "body is not pure"),
+           "tapp-annotation": ("tapp", "does not match"),
+           "eapp-annotation": ("eapp", "does not match"),
+           "app-argument-type": ("app", "is not exactly")}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -398,9 +460,29 @@ def test_tampered_certificates_fail_alike(monkeypatch, name, src, mode):
     seen = set()
     for kind, copy in _tampered(outcome):
         _, _, error = _both(copy, monkeypatch)
+        if kind in DEFECTS:
+            rule, words = DEFECTS[kind]
+            assert error[0] == rule and words in error[1], (kind, error)
         seen.add((kind, error and error[0]))
     if name in TAMPER_FAILURES:
         assert seen == TAMPER_FAILURES[name]
+
+
+def test_every_defect_kind_is_carried_by_a_program():
+    """Each kind of tampering reaches some certificate of SOURCES. The
+    generated families carry only `app-argument-type` and, on chain,
+    `eabs-impure-body`: only the corpus has a `let ... in`
+    (cf_equal_vars), a type abstraction, a type application and an effect
+    application with no wildcard (the last three in quantifiers)."""
+    carried = {}
+    for name, src in SOURCES:
+        outcome = check_source(src)
+        if outcome.status == "ok":
+            for kind, _ in _tampered(outcome):
+                carried.setdefault(kind, set()).add(name)
+    assert set(carried) == {"sub", "var", *DEFECTS}
+    assert carried["tapp-annotation"] == {"quantifiers"}
+    assert carried["let-impure-bound"] == {"cf_equal_vars"}
 
 
 # The accepted SOURCES programs that end in a final expression

@@ -8,13 +8,13 @@ from efl import driver, solver
 from efl.driver import Discharger, simplify_constraints
 from efl.effects import Effect, constraint_set, omega_to_formula
 from efl.formulas import (BOT, TOP, And, Implies, Or, Prop, conj2, evaluate,
-                          impl, neg, props)
+                          impl, neg)
 from efl.names import KIND_PROP, Name
 from efl.solver import SolverSession, _Solver
 from efl.declarative import ReplayScope, subeffect_holds
 from helpers import (SOURCES, Names, all_valuations, check_source, con, fixed,
-                     formulas_equivalent, g_example_source, memberships, sat,
-                     sat_enumerate, tautology)
+                     formulas_equivalent, g_example_source, memberships, props,
+                     sat, sat_enumerate, tautology)
 from oracles import ReferenceSolver, random_guard
 
 
@@ -428,7 +428,7 @@ class BackboneSession:
         return {p: self.solver.value(i) for p, i in self.solver.ids.items()}
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_session_agrees_with_backbone_oracle(seed):
     """Verdicts and fixed set equal those of the design that kept the

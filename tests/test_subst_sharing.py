@@ -19,16 +19,16 @@ import efl.driver
 import efl.effects
 import efl.inference
 from efl.declarative import Cert
-from efl.driver import _names_in_type, render_cert, verify_certificates
+from efl.driver import render_cert, verify_certificates
 from efl.effects import (Arrow, Constraint, Effect, Scheme, TVar, Type,
                          sorted_constraints, subst_type, subst_type_vars,
                          walk_type)
 from efl.names import KIND_EFF, KIND_PROP, KIND_TYPE, NameSupply
 from helpers import SOURCES, check_source, nest_source, spine_source
-from oracles import (random_effect, random_type, subst_cert_rebuild,
-                     subst_constraints_rebuild, subst_effect_rebuild,
-                     subst_scheme_rebuild, subst_type_rec,
-                     subst_type_vars_rec)
+from oracles import (names_in_type_rec, random_effect, random_type,
+                     subst_cert_rebuild, subst_constraints_rebuild,
+                     subst_effect_rebuild, subst_scheme_rebuild,
+                     subst_type_rec, subst_type_vars_rec)
 
 MODES = ("constrained", "constraint-free")
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -67,7 +67,7 @@ def _mentioned(x) -> set:
         if isinstance(x, Effect):
             out.update(n for n, _ in x.atoms)
         elif isinstance(x, Type):
-            out |= _names_in_type(x)
+            out |= names_in_type_rec(x)
         elif isinstance(x, Scheme):
             out.update(x.binders)
             todo += (x.body, *x.constraints)
