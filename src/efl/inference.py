@@ -124,6 +124,13 @@ def tr_type(st: SynType,
 # ---------------------------------------------------------------------------
 
 
+def project(omega, *binders: Name) -> tuple[frozenset, Formula]:
+    """omega with the binders made pure, and the formula demanding that no
+    constraint of omega bounds a binder, binder by binder in order."""
+    return (subst_constraints({b: PURE for b in binders}, omega),
+            omega_to_formula(omega, *binders))
+
+
 def subtype(t1: Type, t2: Type) -> tuple[frozenset, Formula]:
     """Constraints + side formula forcing t1 <= t2; ShapeError if the shapes
     can never match."""
@@ -143,8 +150,8 @@ def subtype(t1: Type, t2: Type) -> tuple[frozenset, Formula]:
             return omega, phi
         # The quantified variable must not be constrained: project it out of
         # the constraints and demand the projection was already implied.
-        projected = subst_constraints({alpha: PURE}, omega)
-        return projected, conj2(phi, omega_to_formula(omega, alpha))
+        projected, implied = project(omega, alpha)
+        return projected, conj2(phi, implied)
     raise ShapeError(f"shape mismatch: {t1} vs {t2}")
 
 
@@ -246,9 +253,7 @@ def generalize(res: InferResult, supply: NameSupply,
         betas.append(beta)
         theta[a] = effect_of([(beta, TOP)] + [(g, Prop(p))
                                               for g, p in zip(gammas, grid)])
-    om1 = subst_constraints(theta, om)
-    propagated = subst_constraints({g: PURE for g in gammas}, om1)
-    extra = omega_to_formula(om1, *gammas)
+    propagated, extra = project(subst_constraints(theta, om), *gammas)
     scheme = Scheme(tuple(gammas), frozenset(), subst_type(theta, res.type))
     return Generalized(scheme, tuple(betas), propagated, extra, theta)
 
@@ -321,12 +326,11 @@ def infer(gamma: Mapping[Name, Scheme], expr: Expr, supply: NameSupply,
         alpha = expr.binder
         om = constraint_set(set(r.constraints) | {purity(r.effect)})
         new_gen, theta = _rebind_under(alpha, r.gen, supply)
-        om1 = subst_constraints(theta, om)
+        projected, implied = project(subst_constraints(theta, om), alpha)
         body_type = subst_type(theta, r.type)
         return InferResult(
-            new_gen, ForallEff(alpha, body_type), PURE,
-            subst_constraints({alpha: PURE}, om1),
-            conj2(r.formula, omega_to_formula(om1, alpha)),
+            new_gen, ForallEff(alpha, body_type), PURE, projected,
+            conj2(r.formula, implied),
             CEAbs(CSub(body_type, PURE, subst_cert(theta, r.cert))))
 
     if isinstance(expr, TyApp):

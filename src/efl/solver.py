@@ -8,18 +8,22 @@ A hand-rolled solver is plenty here: discharge formulas mention a few dozen
 to a few hundred propositions and are heavy on implications, so unit
 propagation does most of the work. Clauses come from an incremental Tseitin
 encoding (definitions are shared and survive across queries); the search is
-an iterative DPLL over two watched literals per clause. Models are reported
-over named propositions only; Tseitin auxiliaries never escape.
+an iterative DPLL. Models are reported over named propositions only; Tseitin
+auxiliaries never escape.
 
 The encoding folds constants as it goes. `T` and `F` get no variable: their
 literals are `TRUE` and `-TRUE`, which no variable has. A connective with a
 constant operand, or whose operand literals are equal or opposite, is
 settled by its truth table, so a negation `x => F` is the literal `-x`.
-Every other connective is a gate over two distinct variables, whose three
-clauses `literal` stores in one step. The search keeps literal values in
-one list indexed by the literal itself, negative literals from the end,
-that lives as long as the solver, so a query costs what it assigns; it
-builds the model dict once, when it has found a model.
+Every other connective is a gate over two distinct variables: `literal`
+stores its three clauses, of two or three literals over distinct
+variables, and files each under each of its literals. Propagation scans
+the clauses of each literal made false; on clauses this short, two watched
+literals would watch most literals anyway. The clauses and these
+occurrence lists only grow, and a query writes neither. The search keeps
+literal values in one list indexed by the literal itself, negative
+literals from the end, that lives as long as the solver, so a query costs
+what it assigns; it builds the model dict once, when it has found a model.
 
 The search runs on one connected component of the clause graph at a time.
 Independent definitions share no variable, so a push or a REPL `:type`
@@ -57,15 +61,15 @@ class _Component:
 
 
 class _Solver:
-    """Incremental clause store with a deterministic watched-literal DPLL,
-    solved one connected component at a time.
+    """Incremental clause store, indexed by occurrence lists, with a
+    deterministic DPLL solved one connected component at a time.
 
     Clauses enter only as Tseitin gates, added once per distinct
     subformula. A gate is a pure definition (satisfiable under any
     assignment of its inputs), so encoding a formula without asserting its
     root literal never constrains the named propositions. Queries pass the
     roots they want asserted as assumption literals, or commit them for
-    every later query.
+    every later query. A query writes no clause and no occurrence list.
 
     The variables are grouped by a union-find over the clauses, and each
     group keeps the model last found for it. A query re-solves only the
@@ -78,9 +82,7 @@ class _Solver:
         self.ids: dict[Name, int] = {}
         self._memo: dict[Formula, int] = {}
         self._clauses: list[tuple[int, ...]] = []
-        self._pair: list[list[int]] = []
-        self._watches: dict[int, list[int]] = {}
-        self._occ: dict[int, int] = {}
+        self._uses: dict[int, list[int]] = {}  # literal -> its clauses
         self._lv: list[int] = []  # literal values, for `solve`
         self._parent = [0]
         self._comps: dict[int, _Component] = {}
@@ -143,8 +145,7 @@ class _Solver:
     def literal(self, phi: Formula) -> int:
         """Tseitin literal for phi, adding gate clauses as needed; TRUE or
         -TRUE when phi folds to a constant."""
-        memo, occ = self._memo, self._occ
-        clauses, pairs, watches = self._clauses, self._pair, self._watches
+        memo, clauses, uses = self._memo, self._clauses, self._uses
         stack = [phi]
         while stack:
             f = stack[-1]
@@ -191,19 +192,12 @@ class _Solver:
                 gate = ((-v, a), (-v, b), (v, -a, -b))
             else:
                 gate = ((-v, a, b), (v, -a), (v, -b))
-            idx = len(pairs)
             for clause in gate:
-                pairs.append([clause[0], clause[1]])
-                watches.setdefault(clause[0], []).append(idx)
-                watches.setdefault(clause[1], []).append(idx)
-                idx += 1
-            clauses.extend(gate)
-            a, b = abs(a), abs(b)
-            occ[v] = 3
-            occ[a] = occ.get(a, 0) + 2
-            occ[b] = occ.get(b, 0) + 2
-            self._invalidate(self._union(
-                self._union(self._touch(v), self._touch(a)), self._touch(b)))
+                for lit in clause:
+                    uses.setdefault(lit, []).append(len(clauses))
+                clauses.append(clause)
+            self._invalidate(self._union(self._union(
+                self._touch(v), self._touch(abs(a))), self._touch(abs(b))))
             memo[f] = v
         return memo[phi]
 
@@ -257,9 +251,13 @@ class _Solver:
         """The least model of one component under its units and the probe
         literals in comp.key, or None.
 
-        Decisions follow a static order (most occurrences first, then
-        variable id), try False first and backtrack chronologically, so the
-        model is the lexicographically least one in that order. Components
+        Propagation scans the clauses of each literal made false: it skips
+        a satisfied clause and one with two literals unassigned, assigns a
+        clause's one unassigned literal, and fails on a clause with none.
+        Decisions follow a static order (most clauses holding the variable
+        first, then variable id), try False first and backtrack
+        chronologically, so the model is the lexicographically least one in
+        that order; the order of propagation does not move it. Components
         share no clause, so the least model of all clauses is the union of
         each component's least model under the same order restricted to
         it: solving them apart returns the same witness, and propagation
@@ -289,42 +287,25 @@ class _Solver:
                 trail: list[int]) -> bool:
         """Extend trail to the least model of comp under its units and
         probe literals, as `solve` describes; whether there is one."""
-        clauses = self._clauses
-        pairs = self._pair
-        watches = self._watches
+        clauses, uses = self._clauses, self._uses
 
         def propagate(i: int) -> bool:
             while i < len(trail):
-                falsified = -trail[i]
-                i += 1
-                ws = watches.get(falsified)
-                if not ws:
-                    continue
-                keep: list[int] = []
-                for k, ci in enumerate(ws):
-                    pair = pairs[ci]
-                    if pair[0] == falsified:
-                        pair[0], pair[1] = pair[1], pair[0]
-                    other = pair[0]
-                    ov = lv[other]
-                    if ov == 1:
-                        keep.append(ci)
-                        continue
-                    for cand in clauses[ci]:
-                        if (cand != other and cand != falsified
-                                and lv[cand] != -1):
-                            pair[1] = cand
-                            watches.setdefault(cand, []).append(ci)
+                for ci in uses.get(-trail[i], ()):
+                    unit = 0
+                    for lit in clauses[ci]:
+                        if lv[lit] == 1:
                             break
+                        if not lv[lit]:
+                            if unit:
+                                break
+                            unit = lit
                     else:
-                        keep.append(ci)
-                        if ov == -1:
-                            keep.extend(ws[k + 1:])
-                            watches[falsified] = keep
+                        if not unit:
                             return False
-                        lv[other], lv[-other] = 1, -1
-                        trail.append(other)
-                watches[falsified] = keep
+                        lv[unit], lv[-unit] = 1, -1
+                        trail.append(unit)
+                i += 1
             return True
 
         for lit in (*comp.units, *comp.key):
@@ -337,8 +318,8 @@ class _Solver:
             return False
 
         if comp.order is None:
-            occ = self._occ
-            comp.order = sorted(comp.vars, key=lambda v: (-occ.get(v, 0), v))
+            comp.order = sorted(comp.vars, key=lambda v: (
+                -len(uses.get(v, ())) - len(uses.get(-v, ())), v))
         order = comp.order
         decisions: list[tuple[int, int, bool, int]] = []
         cursor = 0

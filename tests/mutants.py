@@ -33,6 +33,14 @@ MEANS = "tests/test_display.py::test_printed_scheme_means_the_stored_one"
 WORDS = ("tests/test_display.py::"
          "test_display_letters_avoid_exactly_the_printed_words")
 TAMPERED = "tests/test_replay.py::test_tampered_certificates_fail_alike"
+SOLVER = "src/efl/solver.py"
+RAW = "tests/test_components.py::test_raw_clauses_agree_with_whole_clause_dpll"
+FLIP = ("tests/test_components.py::"
+        "test_conflicts_below_the_first_decision_flip_it")
+SHARED_HOLE = ("tests/test_components.py::"
+               "test_pigeonhole_with_a_shared_hole_is_reached_through_a_flip")
+SESSIONS = ("tests/test_components.py::"
+            "test_random_sessions_agree_with_whole_clause_dpll")
 
 MUTANTS: dict[str, tuple[str, str, str, str]] = {
     # The displayed scheme must mean the stored one (ROADMAP item 10)
@@ -78,6 +86,28 @@ MUTANTS: dict[str, tuple[str, str, str, str]] = {
     "R13-eapp-annotation": (
         DECLARATIVE, "    if not match_effect(expr.arg, cert.arg, rho):",
         "    if False:", TAMPERED),
+    # The SAT search: propagation over occurrence lists, the decisions,
+    # the backtrack and the reset of the literal values after a query
+    "propagate-reads-past-a-true-literal": (
+        SOLVER, "                        if lv[lit] == 1:\n",
+        "                        if False:\n", RAW),
+    "propagate-assigns-with-two-unassigned": (
+        SOLVER, "                            if unit:\n",
+        "                            if False:\n", RAW),
+    "propagate-reports-no-conflict": (
+        SOLVER, "if not unit:\n                            return False",
+        "if not unit:\n                            continue", RAW),
+    "decide-true-first": (
+        SOLVER, "lv[var], lv[-var] = -1, 1\n            trail.append(-var)",
+        "lv[var], lv[-var] = 1, -1\n            trail.append(var)", FLIP),
+    "backtrack-drops-the-flip": (
+        SOLVER, "                    if not flipped:\n",
+        "                    if False:\n", SHARED_HOLE),
+    "backtrack-keeps-undone-values": (
+        SOLVER, "for lit in trail[tlen:]:", "for lit in ():", SHARED_HOLE),
+    "query-keeps-its-values": (
+        SOLVER, "            for lit in trail:\n",
+        "            for lit in ():\n", SESSIONS),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",

@@ -1146,8 +1146,9 @@ def whole_clause_solve(solver: _Solver | ReferenceSolver,
     The same static decision order as the solver (most occurrences first,
     then variable id), False first, chronological backtracking, so the
     model is the lexicographically least one in that order. Reads the
-    clauses as given and keeps its own watch lists, so the solver's state
-    is left as it was.
+    clauses as given, counts their occurrences itself and propagates over
+    two watched literals per clause with watch lists of its own, so the
+    solver's state is left as it was.
     """
     clauses = solver._clauses
     pairs = [[c[0], c[1]] for c in clauses]
@@ -1217,8 +1218,12 @@ def whole_clause_solve(solver: _Solver | ReferenceSolver,
     if not propagate(0):
         return None
 
+    occ: dict[int, int] = {}
+    for c in clauses:
+        for lit in c:
+            occ[abs(lit)] = occ.get(abs(lit), 0) + 1
     order = sorted(range(1, solver.nvars + 1),
-                   key=lambda v: (-solver._occ.get(v, 0), v))
+                   key=lambda v: (-occ.get(v, 0), v))
     decisions: list[tuple[int, int, bool, int]] = []
     cursor = 0
     while True:
@@ -1263,7 +1268,6 @@ class ReferenceSolver:
         self.ids: dict[Name, int] = {}
         self._memo: dict[Formula, int] = {}
         self._clauses: list[tuple[int, ...]] = []
-        self._occ: dict[int, int] = {}
         self._fixed: list[int] = []  # unit clauses and committed roots
         self._unsat = False
         self._model: dict[int, bool] | None = None
@@ -1290,8 +1294,6 @@ class ReferenceSolver:
             self._fixed.append(out[0])
         else:
             self._clauses.append(tuple(out))
-            for lit in out:
-                self._occ[abs(lit)] = self._occ.get(abs(lit), 0) + 1
 
     def literal(self, phi: Formula) -> int:
         """The Tseitin literal for phi, a variable; its definition clauses

@@ -3,12 +3,15 @@ constant-folding encoding against the reference encoding.
 
 `_Solver` solves one connected component of its clause graph at a time and
 keeps each component's model between queries. `oracles.whole_clause_solve`
-is the search it replaced: one DPLL over every clause the solver holds. On
-the same clauses the two must give the same verdicts and the same model,
-over every variable, for every push, `admits` probe and `model()` call,
-and the same `fixed` set. Crafted instances, each clause pushed as a chain
-of `Or`s, reach the search's backtrack loop, which the checked programs
-never do.
+is the search it replaced: one DPLL over every clause the solver holds,
+propagating over two watched literals per clause where the solver scans
+occurrence lists. On the same clauses the two must give the same verdicts
+and the same model, over every variable, for every push, `admits` probe
+and `model()` call, and the same `fixed` set. Crafted instances, each
+clause pushed as a chain of `Or`s, reach the search's backtrack loop,
+which the checked programs never do. The solver's design rests on two
+facts checked here too: every clause it holds has two or three literals
+over distinct variables, and no query writes a clause.
 
 `oracles.ReferenceSession` encodes every constant and connective, as the
 solver did before its `literal` folded them. A session must give the same
@@ -30,7 +33,7 @@ from efl.solver import TRUE, SolverSession, _Solver
 from helpers import (SOURCES, Names, all_valuations, chain_source,
                      check_source, fixed, g_example_source, props)
 from oracles import ReferenceSession, ReferenceSolver, whole_clause_solve
-from test_repl_golden import CASES, SCRIPTS, transcript
+from test_repl_golden import CASES, MODES, SCRIPTS, transcript
 
 
 def assert_same_model(solver: _Solver, want: dict[int, bool]) -> None:
@@ -38,10 +41,32 @@ def assert_same_model(solver: _Solver, want: dict[int, bool]) -> None:
     assert got == {v: want[v] for v in range(1, solver.nvars + 1)}
 
 
+def clause_store(solver: _Solver):
+    """A copy of the clauses and their occurrence lists."""
+    return (list(solver._clauses),
+            {lit: tuple(cs) for lit, cs in solver._uses.items()})
+
+
+def assert_query_wrote_no_clause(solver: _Solver, before) -> None:
+    """The clause store is as it was before the query, and each component's
+    decision order is the one a count of the raw clauses gives."""
+    assert clause_store(solver) == before
+    count: dict[int, int] = {}
+    for c in solver._clauses:
+        for lit in c:
+            count[abs(lit)] = count.get(abs(lit), 0) + 1
+    for comp in solver._comps.values():
+        if comp.order is not None:
+            assert comp.order == sorted(
+                comp.vars, key=lambda v: (-count.get(v, 0), v))
+
+
 class CheckedSession(SolverSession):
     """A SolverSession that compares every answer with the whole-clause-set
     DPLL run on its own clauses, under the roots pushed so far, and with a
-    session over the reference encoding.
+    session over the reference encoding. No query writes the clause store:
+    the clauses and occurrence lists after it are those `literal` left
+    before it, and the components' decision orders follow the clauses.
 
     `model()` must satisfy the session formula and, by `witness`, equal the
     reference's model over every named proposition ("all"), over those of
@@ -59,9 +84,11 @@ class CheckedSession(SolverSession):
         self.witness = witness
 
     def admits(self, phi):
+        root = self._solver.literal(phi)  # the gates the query adds
+        before = clause_store(self._solver)
         got = super().admits(phi)
+        assert_query_wrote_no_clause(self._solver, before)
         assert got == self.reference.admits(phi)
-        root = self._solver.literal(phi)
         if abs(root) != TRUE:
             want = whole_clause_solve(self._solver, (*self.roots, root))
             assert got == (want is not None)
@@ -70,7 +97,10 @@ class CheckedSession(SolverSession):
         return got
 
     def push(self, phi):
+        self._solver.literal(phi)
+        before = clause_store(self._solver)
         ok = super().push(phi)  # its `admits` checked the verdict
+        assert_query_wrote_no_clause(self._solver, before)
         if ok:
             self.reference.commit(phi)
             root = self._solver.literal(phi)
@@ -79,7 +109,9 @@ class CheckedSession(SolverSession):
         return ok
 
     def model(self):
+        before = clause_store(self._solver)
         got = super().model()
+        assert_query_wrote_no_clause(self._solver, before)
         want = whole_clause_solve(self._solver, self.roots)
         ref = self.reference.model()
         assert (got is None) == (want is None) == (ref is None)
@@ -155,7 +187,7 @@ def random_session(seed: int) -> None:
     assert_fixed_agrees(s)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_random_sessions_agree_with_whole_clause_dpll(seed):
     random_session(seed)
@@ -200,7 +232,7 @@ def commit(s: _Solver, phi: Formula, committed: list[int]) -> None:
         committed.append(root)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_raw_clauses_agree_with_whole_clause_dpll(seed):
     """Clauses over a few variables in any order, each committed as a chain
@@ -302,7 +334,7 @@ def test_conflicts_below_the_first_decision_flip_it():
 # -- constant folding at intake --------------------------------------------------
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_gate_intake_agrees_with_clause_by_clause(seed):
     """Random formulas, constants left inside the connectives, through the
@@ -406,6 +438,35 @@ def test_repl_sessions_agree_with_whole_clause_dpll(checked, name, mode):
     session.model()
     if len(props(session.formula)) <= 200:
         assert_fixed_agrees(session)
+
+
+def test_every_clause_has_two_or_three_literals_over_distinct_variables(
+        monkeypatch):
+    """The workload the propagation over occurrence lists is built for, in
+    every solver the checker and the REPL make, the simplification probes'
+    included; and each literal's occurrence list holds exactly the clauses
+    that hold it, in order."""
+    made = []
+    init = _Solver.__init__
+
+    def recording(self):
+        init(self)
+        made.append(self)
+
+    monkeypatch.setattr(_Solver, "__init__", recording)
+    for mode in MODES:
+        for _, src in SOURCES + FAMILIES:
+            check_source(src, mode)
+    for name, mode in CASES:
+        transcript(SCRIPTS[name], mode)
+    assert sum(len(s._clauses) for s in made) > 10_000
+    for s in made:
+        uses: dict[int, list[int]] = {}
+        for ci, c in enumerate(s._clauses):
+            assert len(c) in (2, 3) and len({abs(lit) for lit in c}) == len(c)
+            for lit in c:
+                uses.setdefault(lit, []).append(ci)
+        assert s._uses == uses
 
 
 # -- linear work on independent definitions ------------------------------------

@@ -1,14 +1,21 @@
-"""The project's pytest settings let a failing property test report.
+"""The project's pytest settings let a failing property test report, and
+no property test runs under a deadline.
 
 `filterwarnings = ["error"]` turns every warning into an error. Hypothesis
 warns with a `DeprecationWarning` from `mypy_extensions` while it reports
 a failure, so without the matching ignore a failing `@given` test ended
 the session with an internal error (exit code 3) and no falsifying
 example, and the tests collected after it never ran.
+
+`conftest.py` loads the Hypothesis profile `efl`, whose `deadline=None`
+every `@settings` inherits: no property test checks timing, and on a
+loaded machine any example can overrun the default 200 ms deadline.
 """
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import settings
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -37,3 +44,9 @@ def test_failing_property_test_reports_its_example(tmp_path):
     assert out.returncode == 1, out.stdout + out.stderr
     assert "Falsifying example" in out.stdout
     assert "1 failed, 1 passed" in out.stdout
+
+
+def test_property_tests_run_without_a_deadline():
+    assert settings.get_profile("efl").deadline is None
+    assert settings.default.deadline is None
+    assert settings(max_examples=5).deadline is None

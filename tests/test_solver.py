@@ -428,7 +428,7 @@ class BackboneSession:
         return {p: self.solver.value(i) for p, i in self.solver.ids.items()}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_session_agrees_with_backbone_oracle(seed):
     """Verdicts and fixed set equal those of the design that kept the
