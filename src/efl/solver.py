@@ -26,12 +26,13 @@ literals from the end, that lives as long as the solver, so a query costs
 what it assigns; it builds the model dict once, when it has found a model.
 
 The search runs on one connected component of the clause graph at a time.
-Independent definitions share no variable, so a push or a REPL `:type`
-probe re-solves only the components its clauses and root reach and reuses
-the cached models of the rest. The witness does not move: the DPLL returns
-the lexicographically least model in its static decision order, and over
-independent components that model is the product of each component's
-least model in the same order restricted to it.
+A component is stale or holds its least model under its committed units,
+and a query's assumptions are commits that it takes back, so a push or a
+REPL `:type` probe re-solves only the components its clauses and root
+reach. The witness does not move: the DPLL returns the lexicographically
+least model in its static decision order, and over independent components
+that model is the product of each component's least model in the same
+order restricted to it.
 """
 from __future__ import annotations
 
@@ -46,17 +47,16 @@ TRUE = 1 << 62
 
 class _Component:
     """One connected set of searched clauses: its variables, the literals
-    asserted in it (committed roots), its decision order, and the model
-    last found for it under the probe literals in `key` (key None: stale,
-    model None: no model)."""
+    committed in it, its decision order, and the model last found for it
+    (None: no model). The model is its least model under `units` unless
+    the component is stale."""
 
-    __slots__ = ("vars", "units", "order", "key", "model")
+    __slots__ = ("vars", "units", "order", "model")
 
     def __init__(self, var: int) -> None:
         self.vars = [var]
         self.units: list[int] = []
         self.order: list[int] | None = None
-        self.key: frozenset[int] | None = None
         self.model: dict[int, bool] | None = None
 
 
@@ -67,14 +67,14 @@ class _Solver:
     Clauses enter only as Tseitin gates, added once per distinct
     subformula. A gate is a pure definition (satisfiable under any
     assignment of its inputs), so encoding a formula without asserting its
-    root literal never constrains the named propositions. Queries pass the
-    roots they want asserted as assumption literals, or commit them for
-    every later query. A query writes no clause and no occurrence list.
+    root literal never constrains the named propositions. A root is
+    committed for every later query, or as one query's assumption, which
+    the query retracts. A query writes no clause and no occurrence list.
 
     The variables are grouped by a union-find over the clauses, and each
     group keeps the model last found for it. A query re-solves only the
-    groups that changed or whose probe literals differ; `value` reads the
-    merged models.
+    groups whose clauses or units changed since; `value` reads the merged
+    models.
     """
 
     def __init__(self) -> None:
@@ -86,10 +86,9 @@ class _Solver:
         self._lv: list[int] = []  # literal values, for `solve`
         self._parent = [0]
         self._comps: dict[int, _Component] = {}
-        # roots of the components a query must look at even when none of
-        # its assumptions falls in them: stale ones, and those whose model
-        # was found under probe literals or does not exist
-        self._recheck: set[int] = set()
+        # roots of the components whose clauses or units changed since
+        # their model was found, or that have none
+        self._stale: set[int] = set()
 
     def fresh_var(self) -> int:
         self.nvars += 1
@@ -112,22 +111,17 @@ class _Solver:
             v = parent[v]
         return v
 
-    def _invalidate(self, root: int) -> None:
-        comp = self._comps[root]
-        comp.key = comp.order = None
-        self._recheck.add(root)
-
     def _touch(self, v: int) -> int:
         """The root of v's component, made if v has none yet."""
         root = self._find(v)
         if root not in self._comps:
             self._comps[root] = _Component(root)
-            self._recheck.add(root)
+            self._stale.add(root)
         return root
 
     def _union(self, a: int, b: int) -> int:
         """Merge two components, the smaller into the larger; the new
-        root. The caller invalidates it."""
+        root. The caller marks it stale."""
         if a == b:
             return a
         comps = self._comps
@@ -137,7 +131,7 @@ class _Solver:
         big, small = comps[a], comps.pop(b)
         big.vars.extend(small.vars)
         big.units.extend(small.units)
-        self._recheck.discard(b)
+        self._stale.discard(b)
         return a
 
     # -- clauses --------------------------------------------------------------
@@ -196,50 +190,50 @@ class _Solver:
                 for lit in clause:
                     uses.setdefault(lit, []).append(len(clauses))
                 clauses.append(clause)
-            self._invalidate(self._union(self._union(
-                self._touch(v), self._touch(abs(a))), self._touch(abs(b))))
+            root = self._union(self._union(
+                self._touch(v), self._touch(abs(a))), self._touch(abs(b)))
+            self._comps[root].order = None
+            self._stale.add(root)
             memo[f] = v
         return memo[phi]
 
     # -- queries --------------------------------------------------------------
 
     def commit(self, lit: int) -> None:
-        """Assert lit, a variable's literal, in every later query. A
-        component last solved, with a model, under exactly this probe
-        literal keeps that model."""
+        """Assert lit, a variable's literal, in every later query until it
+        is retracted."""
         root = self._touch(abs(lit))
-        comp = self._comps[root]
-        comp.units.append(lit)
-        if comp.model is not None and comp.key == frozenset((lit,)):
-            comp.key = frozenset()
-            self._recheck.discard(root)
-        else:
-            self._invalidate(root)
+        self._comps[root].units.append(lit)
+        self._stale.add(root)
+
+    def retract(self, lit: int) -> None:
+        """Take back lit, the last literal committed in its component."""
+        root = self._find(abs(lit))
+        self._comps[root].units.pop()
+        self._stale.add(root)
 
     def satisfiable(self, assumptions: Iterable[int] = ()) -> bool:
         """Whether the clauses, the committed literals and the assumptions
         (variables' literals) have a model; if so, `value` reads it.
 
-        Each component is solved under the assumptions that fall in it. Its
-        cached model is reused unless a clause or commit reached it since,
-        or its assumptions differ from the last query's.
+        The assumptions are committed for the query and retracted after
+        it, which leaves their components stale. Each stale component is
+        solved; the others keep their models.
         """
-        groups: dict[int, set[int]] = {}
+        assumptions = tuple(assumptions)
         for lit in assumptions:
-            groups.setdefault(self._touch(abs(lit)), set()).add(lit)
-        for root in groups.keys() | self._recheck:
-            comp = self._comps[root]
-            key = frozenset(groups.get(root, ()))
-            if comp.key != key:
-                comp.key = key
+            self.commit(lit)
+        try:
+            for root in list(self._stale):
+                comp = self._comps[root]
                 comp.model = self.solve(comp)
-                if key or comp.model is None:
-                    self._recheck.add(root)
-                else:
-                    self._recheck.discard(root)
-            if comp.model is None:
-                return False
-        return True
+                if comp.model is None:
+                    return False
+                self._stale.discard(root)
+            return True
+        finally:
+            for lit in reversed(assumptions):
+                self.retract(lit)
 
     def value(self, var: int) -> bool:
         """var in the model of the last satisfiable query; False for a
@@ -248,8 +242,7 @@ class _Solver:
         return comp is not None and comp.model[var]
 
     def solve(self, comp: _Component) -> dict[int, bool] | None:
-        """The least model of one component under its units and the probe
-        literals in comp.key, or None.
+        """The least model of one component under its units, or None.
 
         Propagation scans the clauses of each literal made false: it skips
         a satisfied clause and one with two literals unassigned, assigns a
@@ -285,8 +278,8 @@ class _Solver:
 
     def _search(self, comp: _Component, lv: list[int],
                 trail: list[int]) -> bool:
-        """Extend trail to the least model of comp under its units and
-        probe literals, as `solve` describes; whether there is one."""
+        """Extend trail to the least model of comp under its units, as
+        `solve` describes; whether there is one."""
         clauses, uses = self._clauses, self._uses
 
         def propagate(i: int) -> bool:
@@ -308,7 +301,7 @@ class _Solver:
                 i += 1
             return True
 
-        for lit in (*comp.units, *comp.key):
+        for lit in comp.units:
             if lv[lit] == -1:
                 return False
             if not lv[lit]:
@@ -366,20 +359,17 @@ def satisfiable(phi: Formula) -> bool:
 class SolverSession:
     """Accumulates a conjunction of formulas in one incremental solver.
 
-    Each formula is Tseitin-encoded once and its root literal committed;
-    every query solves under the committed roots. A formula that folds to
-    a constant is answered without a query: the session is always
+    Each formula is Tseitin-encoded once. A push commits its root and
+    solves, and retracts the root if that finds no model; a probe
+    (`admits`) is a query under the root as its assumption. A formula that
+    folds to a constant is answered without a query: the session is always
     satisfiable, so T is admitted and F is not. A contradictory push
     reports False and leaves the session unchanged.
     """
 
     def __init__(self) -> None:
-        self._formula: Formula = TOP
+        self.formula: Formula = TOP
         self._solver = _Solver()
-
-    @property
-    def formula(self) -> Formula:
-        return self._formula
 
     def admits(self, phi: Formula) -> bool:
         """Whether phi is satisfiable together with the session; commits
@@ -390,12 +380,15 @@ class SolverSession:
         return self._solver.satisfiable((root,))
 
     def push(self, phi: Formula) -> bool:
-        if not self.admits(phi):
-            return False
         root = self._solver.literal(phi)
+        if root == -TRUE:
+            return False
         if root != TRUE:
             self._solver.commit(root)
-        self._formula = conj2(self._formula, phi)
+            if not self._solver.satisfiable():
+                self._solver.retract(root)
+                return False
+        self.formula = conj2(self.formula, phi)
         return True
 
     def model(self) -> dict[Name, bool] | None:

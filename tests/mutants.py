@@ -41,6 +41,8 @@ SHARED_HOLE = ("tests/test_components.py::"
                "test_pigeonhole_with_a_shared_hole_is_reached_through_a_flip")
 SESSIONS = ("tests/test_components.py::"
             "test_random_sessions_agree_with_whole_clause_dpll")
+QUERIES = ("tests/test_components.py::"
+           "test_queries_leave_the_session_as_the_accepted_pushes_made_it")
 
 MUTANTS: dict[str, tuple[str, str, str, str]] = {
     # The displayed scheme must mean the stored one (ROADMAP item 10)
@@ -108,6 +110,22 @@ MUTANTS: dict[str, tuple[str, str, str, str]] = {
     "query-keeps-its-values": (
         SOLVER, "            for lit in trail:\n",
         "            for lit in ():\n", SESSIONS),
+    # A query's assumptions are commits it takes back; a commit or a
+    # retract leaves its component stale
+    "retract-keeps-the-unit": (
+        SOLVER, "units.pop()\n", "units[-1]\n", QUERIES),
+    "retract-leaves-the-model-current": (
+        SOLVER, "units.pop()\n        self._stale.add(root)",
+        "units.pop()", QUERIES),
+    "commit-leaves-the-model-current": (
+        SOLVER, "units.append(lit)\n        self._stale.add(root)",
+        "units.append(lit)", QUERIES),
+    "query-keeps-its-assumptions": (
+        SOLVER, "            for lit in reversed(assumptions):\n",
+        "            for lit in ():\n", QUERIES),
+    "push-keeps-a-rejected-root": (
+        SOLVER, "                self._solver.retract(root)\n",
+        "                pass\n", QUERIES),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",

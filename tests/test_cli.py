@@ -534,11 +534,18 @@ class SatCheckedSession(SolverSession):
         super().__init__()
         self.verdicts = []
 
-    def admits(self, phi):
-        got = super().admits(phi)
-        assert got == (sat(conj2(self.formula, phi)) is not None)
+    def _checked(self, query, phi):
+        want = sat(conj2(self.formula, phi)) is not None
+        got = query(phi)
+        assert got == want
         self.verdicts.append(got)
         return got
+
+    def admits(self, phi):
+        return self._checked(super().admits, phi)
+
+    def push(self, phi):
+        return self._checked(super().push, phi)
 
 
 def _checked_repl(mode="constrained"):

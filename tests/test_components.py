@@ -74,7 +74,9 @@ class CheckedSession(SolverSession):
     rejected push leaves its gates behind: in the reference the gate for a
     probe's `p => F` can come first in the decision order and make true a
     proposition that no pushed formula mentions, which the folding
-    encoding, with no gate for it, leaves false.
+    encoding, with no gate for it, leaves false. It leaves no unit behind:
+    after every query each component's units are the roots of the accepted
+    pushes that fall in it.
     """
 
     def __init__(self, witness: str = "all") -> None:
@@ -83,10 +85,21 @@ class CheckedSession(SolverSession):
         self.reference = ReferenceSession()
         self.witness = witness
 
-    def admits(self, phi):
+    def assert_units_are_pushed_roots(self) -> None:
+        solver = self._solver
+        want: dict[int, list[int]] = {root: [] for root in solver._comps}
+        for lit in self.roots:
+            want[solver._find(abs(lit))].append(lit)
+        assert {root: sorted(comp.units) for root, comp
+                in solver._comps.items()} == {
+            root: sorted(units) for root, units in want.items()}
+
+    def query(self, ask, phi):
+        """ask(phi), a probe or a push, answered as the reference and the
+        whole-clause DPLL under the roots pushed so far answer it."""
         root = self._solver.literal(phi)  # the gates the query adds
         before = clause_store(self._solver)
-        got = super().admits(phi)
+        got = ask(phi)
         assert_query_wrote_no_clause(self._solver, before)
         assert got == self.reference.admits(phi)
         if abs(root) != TRUE:
@@ -94,24 +107,27 @@ class CheckedSession(SolverSession):
             assert got == (want is not None)
             if got:
                 assert_same_model(self._solver, want)
+        return got, root
+
+    def admits(self, phi):
+        got, _ = self.query(super().admits, phi)
+        self.assert_units_are_pushed_roots()
         return got
 
     def push(self, phi):
-        self._solver.literal(phi)
-        before = clause_store(self._solver)
-        ok = super().push(phi)  # its `admits` checked the verdict
-        assert_query_wrote_no_clause(self._solver, before)
+        ok, root = self.query(super().push, phi)
         if ok:
             self.reference.commit(phi)
-            root = self._solver.literal(phi)
             if root != TRUE:
                 self.roots.append(root)
+        self.assert_units_are_pushed_roots()
         return ok
 
     def model(self):
         before = clause_store(self._solver)
         got = super().model()
         assert_query_wrote_no_clause(self._solver, before)
+        self.assert_units_are_pushed_roots()
         want = whole_clause_solve(self._solver, self.roots)
         ref = self.reference.model()
         assert (got is None) == (want is None) == (ref is None)
@@ -207,6 +223,28 @@ def test_probe_then_push_into_a_solved_component(ns):
     assert s.model()[ns.prop("p")] is True
     assert s.admits(Or(v, r)) and s.push(Implies(r, p))
     assert_fixed_agrees(s)
+
+
+def test_queries_leave_the_session_as_the_accepted_pushes_made_it(ns):
+    """A probe takes back its assumption and a rejected push its root, so
+    the pushes after them get the verdicts, and `model()` the witness, of
+    a reference session that saw only the accepted pushes. The probe of u
+    moves the least model of u \\/ v, which the final model must not
+    keep; the rejected `q => F` adds no gate, so only its retracted unit
+    keeps it from sticking."""
+    p, q, r, u, v = (ns.p(t) for t in "pqruv")
+    s, fresh = CheckedSession(), ReferenceSession()
+    steps = [(Or(p, q), True), (Or(u, v), True), (Implies(p, BOT), True),
+             (Implies(q, BOT), False), (Or(neg(q), r), True),
+             (And(Implies(r, BOT), Or(p, q)), False), (Implies(r, q), True)]
+    for phi, accepted in steps:
+        assert s.admits(u)
+        assert s.push(phi) is accepted
+        if accepted:
+            assert fresh.push(phi)
+    assert not s.admits(Implies(r, BOT))
+    assert s.model() == fresh.model()
+    assert s.model()[ns.prop("u")] is False
 
 
 def clause(variables: list[Prop], lits) -> Formula:
@@ -494,3 +532,57 @@ def test_search_work_is_linear_in_independent_definitions(monkeypatch):
     small = assigned_in_check(monkeypatch, 100)
     large = assigned_in_check(monkeypatch, 400)
     assert large <= 4.5 * small, (small, large)
+
+
+# -- one solve per component per push -----------------------------------------
+
+
+def solves_in_check(monkeypatch, src: str, mode: str):
+    """Checking src, the components each accepted non-constant push solves,
+    with the component of its root, and the solves in `model()`."""
+    solved: list = []
+    pushes: list = []
+    solve, push, model = _Solver.solve, SolverSession.push, SolverSession.model
+
+    def solving(self, comp):
+        solved.append(comp)
+        return solve(self, comp)
+
+    def pushing(self, phi):
+        s = self._solver
+        root = s.literal(phi)
+        del solved[:]
+        ok = push(self, phi)
+        if ok and root != TRUE:
+            pushes.append((s._comps[s._find(abs(root))], list(solved)))
+        return ok
+
+    def modelling(self):
+        del solved[:]
+        return model(self)
+
+    monkeypatch.setattr(_Solver, "solve", solving)
+    monkeypatch.setattr(SolverSession, "push", pushing)
+    monkeypatch.setattr(SolverSession, "model", modelling)
+    outcome = check_source(src, mode)
+    monkeypatch.undo()
+    return pushes, solved if outcome.witness is not None else []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_push_solves_each_stale_component_once(monkeypatch, mode):
+    """Each accepted push solves the components its gates and root reach,
+    each once, and leaves none stale, so `check_program`'s final `model()`
+    solves nothing. On g_example and chain each definition's push solves
+    one component. A push that solved under its root as an assumption
+    and then committed it would solve the component again at the next
+    query."""
+    for name, src in SOURCES + FAMILIES:
+        pushes, in_model = solves_in_check(monkeypatch, src, mode)
+        assert in_model == []
+        for comp, solved in pushes:
+            assert any(c is comp for c in solved)
+            assert len({id(c) for c in solved}) == len(solved)
+        if name.startswith(("g_example_x", "chain_x")):
+            n = int(name.rsplit("x", 1)[1])
+            assert [len(solved) for _, solved in pushes] == [1] * n
